@@ -12,9 +12,7 @@ process (`entropy`).
 
 from .core_model import (
     ModelError,
-    StateSpace,
     ProbVector,
-    NonnegVector,
     NonnegMatrix,
     TransitionMatrix,
     Partition,

@@ -1,4 +1,4 @@
-"""State spaces, sparse nonnegative matrices, and partitions of transition matrices.
+"""Probability vectors, sparse nonnegative matrices, and partitions of transition matrices.
 
 A *partition* of a row-stochastic matrix ``P`` is a labelled family of
 nonnegative matrices ``{M(w)}`` summing entrywise to ``P``.  Each label plays
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,9 +27,7 @@ __all__ = [
     "PARTITION_ATOL",
     "STATIONARY_ATOL",
     "DENSE_CUTOFF",
-    "StateSpace",
     "ProbVector",
-    "NonnegVector",
     "NonnegMatrix",
     "TransitionMatrix",
     "Partition",
@@ -81,20 +78,6 @@ def label_sort_key(w):
 # vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateSpace:
-    """A finite truncation of the (possibly denumerable) state space."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ModelError("StateSpace.size must be >= 1")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ModelError("StateSpace.labels length must equal size")
-
-
 class ProbVector:
     """A point of the probability simplex: nonnegative coords of l1 mass 1.
 
@@ -139,29 +122,6 @@ class ProbVector:
 
 def as_prob_vector(x) -> ProbVector:
     return x if isinstance(x, ProbVector) else ProbVector(x)
-
-
-@dataclass(frozen=True)
-class NonnegVector:
-    """A nonnegative vector tagged with the norm it is measured in."""
-
-    coords: np.ndarray
-    norm_kind: str = "l1"
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if (c < 0).any():
-            raise ModelError("NonnegVector coords must be nonnegative")
-        if self.norm_kind not in ("l1", "sup"):
-            raise ModelError("norm_kind must be 'l1' or 'sup'")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def norm(self) -> float:
-        c = self.coords
-        return float(c.sum()) if self.norm_kind == "l1" else float(c.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +264,6 @@ class NonnegMatrix:
     def nonzero_column_count(self) -> int:
         return int((self.col_sums() > 0).sum())
 
-    def support(self) -> np.ndarray:
-        """Boolean dense support matrix."""
-        return self.toarray() > 0
-
     def __repr__(self) -> str:
         return f"NonnegMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
@@ -437,10 +393,6 @@ class FilterModel:
     @property
     def n(self) -> int:
         return self.partition.n
-
-    @property
-    def state_space(self) -> StateSpace:
-        return StateSpace(self.partition.n)
 
     def __repr__(self) -> str:
         name = self.meta.get("name", "model")
@@ -647,12 +599,22 @@ def _partition_spec(model: FilterModel) -> dict:
     spec = model.meta.get("partition_spec")
     if spec is not None:
         return spec
-    return {
-        "explicit": {
-            str(w): [[i, j, v] for i, j, v in M.triplets()]
-            for w, M in model.partition
-        }
-    }
+    spec = {"explicit": {str(w): [[i, j, v] for i, j, v in M.triplets()]
+                         for w, M in model.partition}}
+    if not all(isinstance(w, str) for w in model.partition.labels):
+        spec["labels"] = [_label_doc(w) for w in model.partition.labels]
+    return spec
+
+
+def _label_doc(w):
+    """JSON form of a label: tuples become lists, numpy integers ints."""
+    if isinstance(w, tuple):
+        return [_label_doc(v) for v in w]
+    return int(w) if isinstance(w, np.integer) else w
+
+
+def _label_from_doc(v):
+    return tuple(map(_label_from_doc, v)) if isinstance(v, list) else v
 
 
 def save_model(model: FilterModel, path) -> None:
@@ -661,8 +623,11 @@ def save_model(model: FilterModel, path) -> None:
     Schema: ``{"states": n, "P": [[i, j, v], ...], "partition": ...,
     "meta": {...}}`` where the partition is one of ``{"lumping": [label per
     state]}``, ``{"observation": [[j, a, v], ...]}`` or ``{"explicit":
-    {label: [[i, j, v], ...]}}``.  Floats are written in shortest round-trip
-    decimal form, so load/save is value-exact.
+    {str(label): [[i, j, v], ...]}}``.  An explicit partition whose labels
+    are not all strings also stores ``"labels"``: the labels themselves, in
+    key order, so that they load back with their types and canonical order.
+    Floats are written in shortest round-trip decimal form, so load/save is
+    value-exact.
     """
     doc = {
         "states": model.n,
@@ -691,9 +656,11 @@ def load_model(path) -> FilterModel:
         R = NonnegMatrix(n, k, trips)
         partition = partition_from_observation(P, R)
     elif "explicit" in part_spec:
+        explicit = part_spec["explicit"]
+        labels = map(_label_from_doc, part_spec["labels"]) if "labels" in part_spec else explicit
         members = {
             w: NonnegMatrix(n, n, [(int(i), int(j), float(v)) for i, j, v in trips])
-            for w, trips in part_spec["explicit"].items()
+            for w, trips in zip(labels, explicit.values())
         }
         partition = Partition(members, P)
     else:

@@ -3,8 +3,8 @@ measures on the simplex, barycenter bounds, and a constructive algorithm
 that moves a measure's barycenter to a prescribed target at optimal cost.
 
 The primal transport problem on the bipartite support graph is solved
-exactly (simplex method); supports here are small, which is what makes
-equality assertions in the tests meaningful.
+exactly (HiGHS, through ``scipy.optimize.linprog``); supports here are
+small, which is what makes equality assertions in the tests meaningful.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core_model import ModelError, NonnegVector, ProbVector, as_prob_vector
+from .core_model import ModelError, ProbVector, as_prob_vector
 from .filter_dynamics import DiscreteMeasure, TestFunction, barycenter
 
 __all__ = [
@@ -157,10 +157,7 @@ def retarget_barycenter(phi, b) -> tuple[list[ProbVector], DiscreteMeasure]:
     if abs(sum(betas) - 1.0) > 1e-9:
         raise ModelError("retarget_barycenter expects a probability measure")
 
-    if isinstance(b, NonnegVector):
-        b_vec = np.array(b.coords, dtype=float)
-    else:
-        b_vec = np.asarray(b, dtype=float)
+    b_vec = np.asarray(b, dtype=float)
     if (b_vec < 0).any():
         raise ModelError("target vector must be nonnegative")
     a_vec = np.zeros_like(b_vec)

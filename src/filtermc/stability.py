@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,8 @@ from .core_model import (
     ModelError,
     NonnegMatrix,
     Partition,
+    check_irreducible_aperiodic,
+    label_sort_key,
     matrix_word_product,
     operator_norm,
 )
@@ -83,6 +86,73 @@ def default_search_depth(num_labels: int, cap: int = 8, node_budget: int = 10**6
     return min(cap, int(math.log(node_budget) / math.log(num_labels)))
 
 
+def _normalized(M: NonnegMatrix) -> NonnegMatrix:
+    nrm = operator_norm(M)
+    if nrm <= 0:
+        raise ModelError("cannot normalise the zero matrix")
+    return M.scaled(1.0 / nrm)
+
+
+class _Budget:
+    """Units of search work, shared by the walks below and spent up to ``limit``."""
+
+    def __init__(self, limit: float = math.inf):
+        self.limit, self.spent = limit, 0
+
+    def left(self) -> bool:
+        return self.spent < self.limit
+
+
+def _exhaustive_walk(m: Partition, depth: int, budget: _Budget):
+    """Nonzero ``(word, product)`` pairs of the words up to ``depth``,
+    depth-first in label order, so prefixes come before their extensions.
+    Every word popped costs one unit, zero products included; those are
+    neither yielded nor extended."""
+    stack = [((w,), m.member(w)) for w in reversed(m.labels)]
+    while stack and budget.left():
+        word, prod = stack.pop()
+        budget.spent += 1
+        if prod.is_zero():
+            continue
+        yield word, prod
+        if len(word) < depth:
+            stack.extend((word + (w,), prod @ m.member(w)) for w in reversed(m.labels))
+
+
+def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
+    """One word extended by the label maximising the product norm, yielded
+    as ``(word, normalised product)`` after each step.  Every candidate
+    product costs one unit; ties break towards the earlier label."""
+    word, prod = (), NonnegMatrix.identity(m.n)
+    while len(word) < max_len and budget.left():
+        best = None
+        for w in m.labels:
+            cand = prod @ m.member(w)
+            budget.spent += 1
+            nrm = operator_norm(cand)
+            if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
+                best = (w, cand, nrm)
+        if best is None:
+            return
+        word = word + (best[0],)
+        prod = best[1].scaled(1.0 / best[2])
+        yield word, prod
+
+
+def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
+    """Normalised powers ``(k, H_k)``, k = 1..iters, of a word product:
+    ``H_1 = base / |base|`` and ``H_k = H_{k-1} H_1 / |H_{k-1} H_1|``.
+    Every power costs one unit; a zero ``base`` yields nothing."""
+    if base.is_zero():
+        return
+    H = H1 = _normalized(base)
+    for k in range(1, iters + 1):
+        if k > 1:
+            H = _normalized(H @ H1)
+        budget.spent += 1
+        yield k, H
+
+
 def _word_search(m: Partition, predicate, max_len: int, budget: int):
     """Bounded search for a word whose product satisfies ``predicate``.
 
@@ -94,35 +164,9 @@ def _word_search(m: Partition, predicate, max_len: int, budget: int):
     """
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
-    labels = m.labels
-    exhaustive_depth = min(max_len, default_search_depth(len(labels)))
-    examined = 0
-
-    stack = [((w,), m.member(w)) for w in reversed(labels)]
-    while stack and examined < budget:
-        word, prod = stack.pop()
-        examined += 1
-        if not prod.is_zero() and predicate(prod):
-            return word
-        if len(word) < exhaustive_depth and not prod.is_zero():
-            for w in reversed(labels):
-                stack.append((word + (w,), prod @ m.member(w)))
-
-    # greedy extension by maximal product norm
-    word: tuple = ()
-    prod = NonnegMatrix.identity(m.n)
-    while len(word) < max_len and examined < budget:
-        best = None
-        for w in labels:
-            cand = prod @ m.member(w)
-            examined += 1
-            nrm = operator_norm(cand)
-            if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
-                best = (w, cand, nrm)
-        if best is None:
-            break
-        word = word + (best[0],)
-        prod = best[1].scaled(1.0 / best[2])
+    work = _Budget(budget)
+    depth = min(max_len, default_search_depth(m.num_labels))
+    for word, prod in chain(_exhaustive_walk(m, depth, work), _greedy_walk(m, max_len, work)):
         if predicate(prod):
             return word
     return None
@@ -149,9 +193,7 @@ def find_localizing_word(m: Partition, max_len: int = 8, col_bound: int | None =
     """Search for a word whose product has at most ``col_bound`` nonzero
     columns (default bound: ceil(n/4)).  None is inconclusive."""
     bound = default_col_bound(m.n) if col_bound is None else int(col_bound)
-    return _word_search(
-        m, lambda prod: prod.nonzero_column_count() <= bound, max_len, budget
-    )
+    return _word_search(m, lambda prod: prod.nonzero_column_count() <= bound, max_len, budget)
 
 
 def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> float:
@@ -168,31 +210,6 @@ def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> 
         return 0.0
     diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
     return float(diffs.max())
-
-
-def _normalized(M: NonnegMatrix) -> NonnegMatrix:
-    nrm = operator_norm(M)
-    if nrm <= 0:
-        raise ModelError("cannot normalise the zero matrix")
-    return M.scaled(1.0 / nrm)
-
-
-def _power_curve(m: Partition, unit: tuple, tol: float, row_floor: float,
-                 iters: int) -> tuple[list[float], NonnegMatrix | None, int]:
-    """Proximity of the normalised powers (M(unit))^k, k = 1..iters."""
-    base = matrix_word_product(m, unit)
-    if base.is_zero():
-        return [], None, 0
-    base = _normalized(base)
-    H = base
-    curve = []
-    for k in range(1, iters + 1):
-        prox = rank_one_proximity(H, row_floor)
-        curve.append(prox)
-        if prox <= tol:
-            return curve, H, k
-        H = _normalized(H @ base)
-    return curve, None, 0
 
 
 def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None = None,
@@ -213,91 +230,62 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     ``row_floor`` (default ``sqrt(tol)``) is the relative row mass below
     which a row is treated as vanished; vanishing rows are the signature of
     limits whose row-scale vector has zero entries.
+
+    One unit of ``budget`` is one word popped by the enumeration, one power
+    of a repeated word, or one candidate product of the greedy word.
+    ``diagnostics`` holds ``tol``, ``row_floor``, ``curves`` (proximities of
+    the powers of each repeated word, keyed by ``repr(unit)``, and of the
+    greedy prefixes under ``"greedy"``), ``examined`` (units spent) and
+    ``min_proximity``; then ``policy`` (and ``repetitions`` of ``word`` in
+    ``W`` for ``repeat``) on success, or ``best_word``, whose normalised
+    product attains ``min_proximity``, and ``budget_spent`` when undecided.
     """
     if row_floor is None:
         row_floor = math.sqrt(tol)
     if max_depth is None:
         max_depth = default_search_depth(m.num_labels)
     diagnostics: dict = {"tol": tol, "row_floor": row_floor, "curves": {}}
-    examined = 0
-    best_prox = float("inf")
-    best_word = None
+    work = _Budget(budget)
+    best: list = [float("inf"), None]  # least proximity so far and a word attaining it
+
+    def converged(word, H, curve=None) -> bool:
+        prox = rank_one_proximity(H, row_floor)
+        if curve is not None:
+            curve.append(prox)
+        if prox < best[0]:
+            best[:] = prox, word
+        return prox <= tol
+
+    def verdict(name, word, W, **extra) -> StabilityVerdict:
+        # every earlier proximity exceeded tol, so the hit is the least one
+        diagnostics.update(examined=work.spent, min_proximity=best[0])
+        return StabilityVerdict("b1_converged", word=word, W=W,
+                                diagnostics=diagnostics | {"policy": name, **extra})
 
     if "exhaustive" in policy and max_depth >= 1:
-        stack = [((w,), m.member(w)) for w in reversed(m.labels)]
-        while stack and examined < budget:
-            word, prod = stack.pop()
-            examined += 1
-            if prod.is_zero():
-                continue
-            H = _normalized(prod)
-            prox = rank_one_proximity(H, row_floor)
-            if prox < best_prox:
-                best_prox, best_word = prox, word
-            if prox <= tol:
-                diagnostics["examined"] = examined
-                diagnostics["min_proximity"] = prox
-                return StabilityVerdict("b1_converged", word=word, W=H,
-                                        diagnostics=diagnostics | {"policy": "exhaustive"})
-            if len(word) < max_depth:
-                for w in reversed(m.labels):
-                    stack.append((word + (w,), prod @ m.member(w)))
+        for word, prod in _exhaustive_walk(m, max_depth, work):
+            if converged(word, H := _normalized(prod)):
+                return verdict("exhaustive", word, H)
 
     if "repeat" in policy:
         if repeat_words is None:
-            singles = [(w,) for w in m.labels]
-            pairs = [(w1, w2) for w1 in m.labels for w2 in m.labels if (w1,) != (w2,)]
-            repeat_words = singles + pairs
-        for unit in repeat_words:
-            curve, W, reps = _power_curve(m, tuple(unit), tol, row_floor, power_iters)
-            examined += len(curve)
-            diagnostics["curves"][repr(tuple(unit))] = curve
-            if curve:
-                best_here = min(curve)
-                if best_here < best_prox:
-                    best_prox, best_word = best_here, tuple(unit) * max(1, reps)
-            if W is not None:
-                diagnostics["examined"] = examined
-                diagnostics["min_proximity"] = min(curve)
-                return StabilityVerdict("b1_converged", word=tuple(unit), W=W,
-                                        diagnostics=diagnostics | {
-                                            "policy": "repeat", "repetitions": reps})
-            if examined >= budget:
+            repeat_words = [(w,) for w in m.labels] + list(permutations(m.labels, 2))
+        for unit in map(tuple, repeat_words):
+            curve = diagnostics["curves"][repr(unit)] = []
+            for k, H in _power_walk(matrix_word_product(m, unit), power_iters, work):
+                if converged(unit * k, H, curve):
+                    return verdict("repeat", unit, H, repetitions=k)
+            if not work.left():
                 break
 
-    if "greedy" in policy and examined < budget:
-        word: tuple = ()
-        prod = NonnegMatrix.identity(m.n)
-        curve = []
-        greedy_len = max(32, 2 * m.n)
-        while len(word) < greedy_len and examined < budget:
-            best = None
-            for w in m.labels:
-                cand = prod @ m.member(w)
-                examined += 1
-                nrm = operator_norm(cand)
-                if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
-                    best = (w, cand, nrm)
-            if best is None:
-                break
-            word = word + (best[0],)
-            prod = best[1].scaled(1.0 / best[2])
-            prox = rank_one_proximity(prod, row_floor)
-            curve.append(prox)
-            if prox < best_prox:
-                best_prox, best_word = prox, word
-            if prox <= tol:
-                diagnostics["curves"]["greedy"] = curve
-                diagnostics["examined"] = examined
-                diagnostics["min_proximity"] = prox
-                return StabilityVerdict("b1_converged", word=word, W=prod,
-                                        diagnostics=diagnostics | {"policy": "greedy"})
-        diagnostics["curves"]["greedy"] = curve
+    if "greedy" in policy and work.left():
+        curve = diagnostics["curves"]["greedy"] = []
+        for word, H in _greedy_walk(m, max(32, 2 * m.n), work):
+            if converged(word, H, curve):
+                return verdict("greedy", word, H)
 
-    diagnostics["examined"] = examined
-    diagnostics["min_proximity"] = best_prox
-    diagnostics["best_word"] = best_word
-    return StabilityVerdict("undecided", diagnostics=diagnostics | {"budget_spent": examined})
+    diagnostics.update(examined=work.spent, min_proximity=best[0], best_word=best[1])
+    return StabilityVerdict("undecided", diagnostics=diagnostics | {"budget_spent": work.spent})
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +332,6 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     ``(word, W)`` is returned.  None means some prerequisite word was not
     found within the budget — an inconclusive outcome.
     """
-    from .core_model import check_irreducible_aperiodic
-
     verdict = check_irreducible_aperiodic(m.base)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError("witness composition requires an irreducible aperiodic base chain")
@@ -369,15 +355,9 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
         return None
 
     word = tuple(word_d) + tuple(word_a) + tuple(word_c) + tuple(word_b)
-    G = matrix_word_product(m, word)
-    if G.is_zero():
-        return None
-    H = _normalized(G)
-    base = H
-    for _ in range(power_iters):
+    for _, H in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
         if rank_one_proximity(H, row_floor) <= tol:
             return word, H
-        H = _normalized(H @ base)
     return None
 
 
@@ -402,6 +382,11 @@ class NonstabilityReport:
     @property
     def passed(self) -> bool:
         return self.isolated_pass and self.equal_words_pass and self.isometry_pass
+
+
+def _word_key(word: tuple):
+    """Canonical word order: by length, then label by label."""
+    return len(word), label_sort_key(word)
 
 
 def _active_words(x: np.ndarray, m: Partition, n_max: int):
@@ -458,31 +443,26 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
 
     actives = [_active_words(x, m, n_max) for x in samples]
 
-    equal_words = True
-    words_witness = None
-    for a in range(len(samples)):
-        for b in range(a + 1, len(samples)):
-            if set(actives[a]) != set(actives[b]):
-                equal_words = False
-                diff = set(actives[a]) ^ set(actives[b])
-                words_witness = {"pair": (a, b), "differing_word": sorted(diff, key=len)[0]}
-                break
-        if not equal_words:
-            break
+    # pairs and words are visited in a fixed order, so witnesses never
+    # depend on how labels hash
+    pairs = list(combinations(range(len(samples)), 2))
+    diffs = ((a, b, set(actives[a]) ^ set(actives[b])) for a, b in pairs)
+    words_witness = next(({"pair": (a, b), "differing_word": min(diff, key=_word_key)}
+                          for a, b, diff in diffs if diff), None)
+    equal_words = words_witness is None
 
     max_dev = 0.0
     iso_witness = None
-    for a in range(len(samples)):
-        for b in range(a + 1, len(samples)):
-            base_dist = float(np.abs(samples[a] - samples[b]).sum())
-            common = set(actives[a]) & set(actives[b])
-            for word in common:
-                da = actives[a][word][1]
-                db = actives[b][word][1]
-                dev = abs(float(np.abs(da - db).sum()) - base_dist)
-                if dev > max_dev:
-                    max_dev = dev
-                    iso_witness = {"pair": (a, b), "word": word, "deviation": dev}
+    words = sorted(set().union(*actives), key=_word_key)
+    for a, b in pairs:
+        base_dist = float(np.abs(samples[a] - samples[b]).sum())
+        for word in [w for w in words if w in actives[a] and w in actives[b]]:
+            da = actives[a][word][1]
+            db = actives[b][word][1]
+            dev = abs(float(np.abs(da - db).sum()) - base_dist)
+            if dev > max_dev:
+                max_dev = dev
+                iso_witness = {"pair": (a, b), "word": word, "deviation": dev}
     isometry_pass = max_dev <= 1e-9
 
     # orbits are finite point sets; they fail to look isolated only when two

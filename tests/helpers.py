@@ -2,24 +2,36 @@
 
 The oracles here (sign-vector operator norm, quantifier subrectangularity,
 spanning-tree transport enumeration) deliberately avoid the library code
-paths they are used to check.
+paths they are used to check.  The ``reference_*`` functions keep the
+earlier word searches of ``filtermc.stability`` (three hand-written walks,
+each with its own budget bookkeeping) as a differential oracle for the
+shared search engine that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from filtermc import (
     DiscreteMeasure,
+    ModelError,
     NonnegMatrix,
     Partition,
+    StabilityVerdict,
     TestFunction,
     TransitionMatrix,
+    check_irreducible_aperiodic,
+    is_subrectangular,
+    matrix_word_product,
+    operator_norm,
     partition_from_lumping,
     partition_from_observation,
+    rank_one_proximity,
 )
+from filtermc.stability import _connector_word, default_col_bound, default_search_depth
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +204,197 @@ def measures_close(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9) 
         if not hit:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference word searches
+# ---------------------------------------------------------------------------
+
+def reference_word_search(m: Partition, predicate, max_len: int, budget: int):
+    if max_len < 1:
+        raise ModelError("word search requires max_len >= 1")
+    labels = m.labels
+    exhaustive_depth = min(max_len, default_search_depth(len(labels)))
+    examined = 0
+
+    stack = [((w,), m.member(w)) for w in reversed(labels)]
+    while stack and examined < budget:
+        word, prod = stack.pop()
+        examined += 1
+        if not prod.is_zero() and predicate(prod):
+            return word
+        if len(word) < exhaustive_depth and not prod.is_zero():
+            for w in reversed(labels):
+                stack.append((word + (w,), prod @ m.member(w)))
+
+    word: tuple = ()
+    prod = NonnegMatrix.identity(m.n)
+    while len(word) < max_len and examined < budget:
+        best = None
+        for w in labels:
+            cand = prod @ m.member(w)
+            examined += 1
+            nrm = operator_norm(cand)
+            if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
+                best = (w, cand, nrm)
+        if best is None:
+            break
+        word = word + (best[0],)
+        prod = best[1].scaled(1.0 / best[2])
+        if predicate(prod):
+            return word
+    return None
+
+
+def _reference_normalized(M: NonnegMatrix) -> NonnegMatrix:
+    nrm = operator_norm(M)
+    if nrm <= 0:
+        raise ModelError("cannot normalise the zero matrix")
+    return M.scaled(1.0 / nrm)
+
+
+def reference_power_curve(m: Partition, unit: tuple, tol: float, row_floor: float, iters: int):
+    base = matrix_word_product(m, unit)
+    if base.is_zero():
+        return [], None, 0
+    base = _reference_normalized(base)
+    H = base
+    curve = []
+    for k in range(1, iters + 1):
+        prox = rank_one_proximity(H, row_floor)
+        curve.append(prox)
+        if prox <= tol:
+            return curve, H, k
+        if k < iters:  # the last power is never read, so it is not formed
+            H = _reference_normalized(H @ base)
+    return curve, None, 0
+
+
+def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=None,
+                                    power_iters: int = 500, row_floor=None, repeat_words=None,
+                                    policy=("exhaustive", "repeat", "greedy"),
+                                    budget: int = 200_000) -> StabilityVerdict:
+    if row_floor is None:
+        row_floor = math.sqrt(tol)
+    if max_depth is None:
+        max_depth = default_search_depth(m.num_labels)
+    diagnostics: dict = {"tol": tol, "row_floor": row_floor, "curves": {}}
+    examined = 0
+    best_prox = float("inf")
+    best_word = None
+
+    if "exhaustive" in policy and max_depth >= 1:
+        stack = [((w,), m.member(w)) for w in reversed(m.labels)]
+        while stack and examined < budget:
+            word, prod = stack.pop()
+            examined += 1
+            if prod.is_zero():
+                continue
+            H = _reference_normalized(prod)
+            prox = rank_one_proximity(H, row_floor)
+            if prox < best_prox:
+                best_prox, best_word = prox, word
+            if prox <= tol:
+                diagnostics["examined"] = examined
+                diagnostics["min_proximity"] = prox
+                return StabilityVerdict("b1_converged", word=word, W=H,
+                                        diagnostics=diagnostics | {"policy": "exhaustive"})
+            if len(word) < max_depth:
+                for w in reversed(m.labels):
+                    stack.append((word + (w,), prod @ m.member(w)))
+
+    if "repeat" in policy:
+        if repeat_words is None:
+            singles = [(w,) for w in m.labels]
+            pairs = [(w1, w2) for w1 in m.labels for w2 in m.labels if (w1,) != (w2,)]
+            repeat_words = singles + pairs
+        for unit in repeat_words:
+            curve, W, reps = reference_power_curve(m, tuple(unit), tol, row_floor, power_iters)
+            examined += len(curve)
+            diagnostics["curves"][repr(tuple(unit))] = curve
+            if curve:
+                best_here = min(curve)
+                if best_here < best_prox:
+                    best_prox, best_word = best_here, tuple(unit) * max(1, reps)
+            if W is not None:
+                diagnostics["examined"] = examined
+                diagnostics["min_proximity"] = min(curve)
+                return StabilityVerdict("b1_converged", word=tuple(unit), W=W,
+                                        diagnostics=diagnostics | {
+                                            "policy": "repeat", "repetitions": reps})
+            if examined >= budget:
+                break
+
+    if "greedy" in policy and examined < budget:
+        word: tuple = ()
+        prod = NonnegMatrix.identity(m.n)
+        curve = []
+        greedy_len = max(32, 2 * m.n)
+        while len(word) < greedy_len and examined < budget:
+            best = None
+            for w in m.labels:
+                cand = prod @ m.member(w)
+                examined += 1
+                nrm = operator_norm(cand)
+                if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
+                    best = (w, cand, nrm)
+            if best is None:
+                break
+            word = word + (best[0],)
+            prod = best[1].scaled(1.0 / best[2])
+            prox = rank_one_proximity(prod, row_floor)
+            curve.append(prox)
+            if prox < best_prox:
+                best_prox, best_word = prox, word
+            if prox <= tol:
+                diagnostics["curves"]["greedy"] = curve
+                diagnostics["examined"] = examined
+                diagnostics["min_proximity"] = prox
+                return StabilityVerdict("b1_converged", word=word, W=prod,
+                                        diagnostics=diagnostics | {"policy": "greedy"})
+        diagnostics["curves"]["greedy"] = curve
+
+    diagnostics["examined"] = examined
+    diagnostics["min_proximity"] = best_prox
+    diagnostics["best_word"] = best_word
+    return StabilityVerdict("undecided", diagnostics=diagnostics | {"budget_spent": examined})
+
+
+def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
+                                       col_bound=None, power_iters: int = 10_000,
+                                       row_floor=None):
+    verdict = check_irreducible_aperiodic(m.base)
+    if not (verdict["irreducible"] and verdict["aperiodic"]):
+        raise ModelError("witness composition requires an irreducible aperiodic base chain")
+    if row_floor is None:
+        row_floor = math.sqrt(tol)
+
+    word_a = reference_word_search(m, is_subrectangular, max_len, 200_000)
+    if word_a is None:
+        return None
+    bound = default_col_bound(m.n) if col_bound is None else int(col_bound)
+    word_b = reference_word_search(m, lambda prod: prod.nonzero_column_count() <= bound,
+                                   max_len, 200_000)
+    if word_b is None:
+        return None
+    Ma = matrix_word_product(m, word_a)
+    Mb = matrix_word_product(m, word_b)
+    i1, j1, _ = Ma.triplets()[0]
+    i0, j0, _ = Mb.triplets()[0]
+    conn_len = max(2 * m.n, max_len)
+    word_c = _connector_word(m, j1, i0, conn_len)
+    word_d = _connector_word(m, j0, i1, conn_len)
+    if word_c is None or word_d is None:
+        return None
+
+    word = tuple(word_d) + tuple(word_a) + tuple(word_c) + tuple(word_b)
+    G = matrix_word_product(m, word)
+    if G.is_zero():
+        return None
+    H = _reference_normalized(G)
+    base = H
+    for _ in range(power_iters):
+        if rank_one_proximity(H, row_floor) <= tol:
+            return word, H
+        H = _reference_normalized(H @ base)
+    return None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,34 @@ def test_gallery_random_walk_explicit_params(tmp_path):
     P = model.partition.base.toarray()
     assert P[3, 3] == pytest.approx(0.5)  # reflection: 0.25 + 0.25
     assert model.partition.labels == (1, 2)
+
+
+def test_thm11_output_independent_of_hash_seed(tmp_path):
+    # string labels hash differently under each PYTHONHASHSEED; the witness
+    # words must not depend on it (Kesten's deviations tie at rounding level,
+    # and every single letter separates the two starts of the 4-state chain)
+    kesten = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(kesten)])
+    P = fm.TransitionMatrix.from_dense([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
+                                        [0.25] * 4, [0.25] * 4])
+    lumping = ["a", "b", "c", "d"]
+    four = tmp_path / "four.json"
+    fm.save_model(fm.FilterModel(fm.partition_from_lumping(P, lumping),
+                                 meta={"partition_spec": {"lumping": lumping}}), four)
+    jobs = [["--model", str(kesten), "--subset", "0,1,2,3", "--seed", str(seed)]
+            for seed in range(4)]
+    jobs.append(["--model", str(four), "--subset", "0,1"])
+    script = ("from filtermc.cli import run\n"
+              f"for job in {jobs!r}:\n"
+              "    assert run(['check', '--condition', 'thm11', *job]) in (0, 1)\n")
+    src = str(Path(fm.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    out = tmp_path / "v.json"
+    run(["check", "--condition", "thm11", *jobs[-1], "--out", str(out)])
+    assert json.loads(out.read_text())["witnesses"]["equal_words"]["differing_word"] == ["a"]

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +278,65 @@ def test_model_file_explicit_roundtrip(tmp_path):
         assert np.array_equal(M.toarray(), model.partition.member(w).toarray())
     doc = json.loads(path.read_text())
     assert set(doc) == {"states", "P", "partition", "meta"}
+
+
+def test_model_file_keeps_label_types():
+    # integer labels used to come back as strings, which sort differently
+    P = fm.TransitionMatrix.from_dense(np.full((12, 12), 1.0 / 12.0))
+    lumped = fm.partition_from_lumping(P, list(range(1, 13)))
+    model = fm.FilterModel(fm.Partition(dict(lumped.members), P))
+    x0 = np.full(12, 1.0 / 12.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        fm.save_model(model, path)
+        loaded = fm.load_model(path)
+    assert loaded.partition.labels == tuple(range(1, 13))
+    trace = fm.simulate_filter(x0, loaded.partition, steps=4, seed=3)
+    assert trace.labels() == fm.simulate_filter(x0, model.partition, steps=4, seed=3).labels()
+
+
+labels_strategy = st.recursive(
+    st.integers(-5, 30) | st.text("abc01", max_size=3),
+    lambda inner: st.tuples(inner, inner), max_leaves=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(labels=st.lists(labels_strategy, min_size=1, max_size=4, unique_by=str),
+       seed=st.integers(0, 2**32 - 1))
+def test_model_file_roundtrip_explicit_labels(labels, seed):
+    rng = np.random.default_rng(seed)
+    n = 4
+    P = random_transition(rng, n, sparsity=0.3)
+    split = rng.dirichlet(np.ones(len(labels)), size=len(P.inner.triplets()))
+    members = {w: fm.NonnegMatrix(n, n, [(i, j, v * split[t, a])
+                                         for t, (i, j, v) in enumerate(P.inner.triplets())])
+               for a, w in enumerate(labels)}
+    model = fm.FilterModel(fm.Partition(members, P))
+    x0 = rng.dirichlet(np.ones(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        fm.save_model(model, path)
+        loaded = fm.load_model(path)
+        again = Path(tmp) / "again.json"
+        fm.save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert loaded.partition.labels == model.partition.labels
+    for w, M in model.partition:
+        assert type(loaded.partition.labels[model.partition.labels.index(w)]) is type(w)
+        assert np.array_equal(loaded.partition.member(w).toarray(), M.toarray())
+    want = fm.simulate_filter(x0, model.partition, steps=6, seed=seed)
+    got = fm.simulate_filter(x0, loaded.partition, steps=6, seed=seed)
+    assert got.labels() == want.labels()
+    for (_, a), (_, b) in zip(got.steps, want.steps):
+        assert np.array_equal(a.coords, b.coords)
+
+
+def test_model_file_without_label_types_still_loads(tmp_path):
+    # files written before label types were stored hold string labels only
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({
+        "states": 2, "P": [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]],
+        "partition": {"explicit": {"1": [[0, 0, 0.5], [1, 0, 0.5]],
+                                   "10": [[0, 1, 0.5], [1, 1, 0.5]]}},
+        "meta": {}}))
+    assert fm.load_model(path).partition.labels == ("1", "10")

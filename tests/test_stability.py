@@ -1,10 +1,22 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
+from filtermc.stability import _normalized, _word_search
 
-from helpers import random_transition, subrectangular_by_quantifiers
+from helpers import (
+    random_partition,
+    random_transition,
+    reference_compose_rank_one_witness,
+    reference_detect_rank_one_limit,
+    reference_word_search,
+    subrectangular_by_quantifiers,
+)
 
 
 def test_subrectangular_examples():
@@ -250,3 +262,140 @@ def test_isometry_obstruction_validates_subset():
         fm.check_isometry_obstruction(k.partition, [1])
     with pytest.raises(ModelError):
         fm.check_isometry_obstruction(k.partition, [0, 99])
+
+
+# ---------------------------------------------------------------------------
+# the shared search engine against the earlier hand-written walks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_partitions(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        P = random_transition(rng, n, sparsity=draw(st.sampled_from([0.0, 0.4, 0.7, 0.95])))
+    else:  # uniform rows: lumped members tie in norm, which exercises tie-breaking
+        P = fm.TransitionMatrix.from_dense(np.full((n, n), 1.0 / n))
+    return random_partition(rng, P, k, kind=draw(st.sampled_from(["lumping", "observation",
+                                                                   "explicit"])))
+
+
+def assert_same_matrix(A, B):
+    assert A.is_dense == B.is_dense
+    assert np.array_equal(A.toarray(), B.toarray())
+
+
+def assert_detect_matches_reference(m, **kwargs):
+    """Same verdict, bit-equal W and equal diagnostics, or the same error (a
+    repeated word whose power vanishes cannot be normalised); best_word is
+    checked against min_proximity instead."""
+    try:
+        want = reference_detect_rank_one_limit(m, **kwargs)
+    except ModelError as exc:
+        with pytest.raises(ModelError, match=re.escape(str(exc))):
+            fm.detect_rank_one_limit(m, **kwargs)
+        return
+    got = fm.detect_rank_one_limit(m, **kwargs)
+    assert (got.kind, got.word) == (want.kind, want.word)
+    if want.W is None:
+        assert got.W is None
+    else:
+        assert_same_matrix(got.W, want.W)
+    best_word = got.diagnostics.pop("best_word", None)
+    want.diagnostics.pop("best_word", None)
+    assert got.diagnostics == want.diagnostics
+    assert list(got.diagnostics) == list(want.diagnostics)
+    if best_word is not None:
+        H = _normalized(fm.matrix_word_product(m, best_word))
+        assert fm.rank_one_proximity(H, got.diagnostics["row_floor"]) == pytest.approx(
+            got.diagnostics["min_proximity"], rel=1e-6, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=small_partitions(), max_len=st.integers(1, 5), budget=st.integers(0, 60),
+       col_bound=st.integers(1, 3))
+def test_word_search_matches_reference(m, max_len, budget, col_bound):
+    def localizing(prod):
+        return prod.nonzero_column_count() <= col_bound
+
+    for predicate in (fm.is_subrectangular, localizing):
+        assert (_word_search(m, predicate, max_len, budget)
+                == reference_word_search(m, predicate, max_len, budget))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=small_partitions(), max_depth=st.integers(0, 4), power_iters=st.integers(0, 12),
+       budget=st.integers(0, 80), tol=st.sampled_from([1e-12, 1e-6, 1e-2, 0.5, 0.9]),
+       policy=st.sets(st.sampled_from(["exhaustive", "repeat", "greedy"])),
+       pick_units=st.booleans(), data=st.data())
+def test_detect_rank_one_limit_matches_reference(m, max_depth, power_iters, budget, tol, policy,
+                                                 pick_units, data):
+    repeat_words = None
+    if pick_units:
+        words = st.lists(st.sampled_from(m.labels), min_size=1, max_size=3).map(tuple)
+        repeat_words = data.draw(st.lists(words, min_size=1, max_size=3))
+    assert_detect_matches_reference(m, tol=tol, max_depth=max_depth, power_iters=power_iters,
+                                    repeat_words=repeat_words, policy=tuple(policy),
+                                    budget=budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=small_partitions(), max_len=st.integers(1, 3), power_iters=st.integers(0, 40),
+       tol=st.sampled_from([1e-6, 1e-2, 0.5]), col_bound=st.one_of(st.none(), st.integers(1, 3)))
+def test_compose_rank_one_witness_matches_reference(m, max_len, power_iters, tol, col_bound):
+    kwargs = dict(max_len=max_len, tol=tol, col_bound=col_bound, power_iters=power_iters)
+    try:
+        want = reference_compose_rank_one_witness(m, **kwargs)
+    except ModelError:
+        with pytest.raises(ModelError):
+            fm.compose_rank_one_witness(m, **kwargs)
+        return
+    got = fm.compose_rank_one_witness(m, **kwargs)
+    if want is None:
+        assert got is None
+    else:
+        assert got[0] == want[0]
+        assert_same_matrix(got[1], want[1])
+
+
+def _uniform_lumped():
+    return fm.partition_from_lumping(fm.TransitionMatrix.from_dense(np.full((4, 4), 0.25)),
+                                     [0, 0, 1, 1])
+
+
+def _block_cycle_lumped():
+    P = [[0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.9, 0.1], [0.3, 0.7, 0.0, 0.0], [0.6, 0.4, 0.0, 0.0]]
+    return fm.partition_from_lumping(fm.TransitionMatrix.from_dense(P), [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("make", [lambda: fm.kesten_model().partition, _uniform_lumped,
+                                  _block_cycle_lumped, lambda: fm.random_walk_case_a(8).partition])
+def test_searches_match_reference_on_zero_products_and_ties(make):
+    # the block cycle alternates between its blocks, so every word with a
+    # repeated label has product zero; the uniform lumping ties every greedy step
+    m = make()
+    for budget in (1, 2, 5, 17, 40, 300):
+        for policy in (("exhaustive",), ("repeat",), ("greedy",),
+                       ("exhaustive", "repeat", "greedy")):
+            # with one power, the vanishing square of a block-cycle member is never formed
+            for repeat_words, iters in ((None, 8), (None, 1), ([(w, w) for w in m.labels], 8)):
+                assert_detect_matches_reference(m, tol=1e-6, max_depth=4, power_iters=iters,
+                                                repeat_words=repeat_words, policy=policy,
+                                                budget=budget)
+        for max_len in (1, 3, 6):
+            assert (_word_search(m, fm.is_subrectangular, max_len, budget)
+                    == reference_word_search(m, fm.is_subrectangular, max_len, budget))
+
+
+def test_best_word_attains_min_proximity_on_a_repeat_curve():
+    m = fm.random_walk_case_a(16).partition
+    res = fm.detect_rank_one_limit(m, tol=1e-300, power_iters=20, repeat_words=[(1, 2)],
+                                   policy=("repeat",))
+    d = res.diagnostics
+    assert res.kind == "undecided"
+    assert d["min_proximity"] == min(d["curves"][repr((1, 2))])
+    assert d["min_proximity"] < 0.1
+    assert len(d["best_word"]) > 2
+    H = _normalized(fm.matrix_word_product(m, d["best_word"]))
+    assert fm.rank_one_proximity(H, d["row_floor"]) == pytest.approx(d["min_proximity"], rel=1e-9)
