@@ -13,6 +13,7 @@ is always "vector times matrix".
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Iterator, Mapping, Sequence
@@ -49,7 +50,8 @@ __all__ = [
 PROB_ATOL = 1e-9
 PARTITION_ATOL = 1e-9
 STATIONARY_ATOL = 1e-8
-# Below this dimension matrices are stored dense; at or above it, CSR.
+# Below this dimension matrices are stored dense; at or above it, CSR.  Only
+# `_store` reads it.  Moving it changes the last bits of results near it.
 DENSE_CUTOFF = 64
 
 
@@ -128,12 +130,23 @@ def as_prob_vector(x) -> ProbVector:
 # matrices
 # ---------------------------------------------------------------------------
 
+def _store(shape, ii, jj, vv):
+    """Storage for strictly positive entries ``vv`` at ``(ii, jj)``: a dense
+    array below :data:`DENSE_CUTOFF`, CSR at or above.  The one storage
+    decision; every operation works on either kind, and keeps its operands'."""
+    if max(shape) < DENSE_CUTOFF:
+        mat = np.zeros(shape)
+        mat[ii, jj] = vv
+        return mat
+    return sp.csr_array((vv, (ii, jj)), shape=shape)
+
+
 class NonnegMatrix:
     """Sparse nonnegative matrix stored as strictly positive triplets.
 
-    Matrices smaller than :data:`DENSE_CUTOFF` are held dense internally;
-    larger ones as CSR.  The stored values are strictly positive and
-    duplicate ``(i, j)`` triplets are rejected.
+    Storage (dense or CSR) is chosen by :func:`_store` from the dimensions.
+    The stored values are strictly positive and duplicate ``(i, j)``
+    triplets are rejected.
     """
 
     __slots__ = ("rows", "cols", "_mat")
@@ -144,14 +157,9 @@ class NonnegMatrix:
         self.rows = int(rows)
         self.cols = int(cols)
         entries = list(entries)
-        if entries:
-            ii = np.array([e[0] for e in entries], dtype=np.int64)
-            jj = np.array([e[1] for e in entries], dtype=np.int64)
-            vv = np.array([e[2] for e in entries], dtype=float)
-        else:
-            ii = np.zeros(0, dtype=np.int64)
-            jj = np.zeros(0, dtype=np.int64)
-            vv = np.zeros(0, dtype=float)
+        ii = np.array([e[0] for e in entries], dtype=np.int64)
+        jj = np.array([e[1] for e in entries], dtype=np.int64)
+        vv = np.array([e[2] for e in entries], dtype=float)
         if (vv <= 0).any():
             raise ModelError("NonnegMatrix stored values must be strictly positive")
         if ((ii < 0) | (ii >= rows) | (jj < 0) | (jj >= cols)).any():
@@ -159,17 +167,12 @@ class NonnegMatrix:
         flat = ii * cols + jj
         if np.unique(flat).size != flat.size:
             raise ModelError("NonnegMatrix duplicate (i, j) triplet")
-        if max(rows, cols) < DENSE_CUTOFF:
-            m = np.zeros((rows, cols))
-            m[ii, jj] = vv
-            self._mat = m
-        else:
-            self._mat = sp.csr_matrix((vv, (ii, jj)), shape=(rows, cols))
+        self._mat = _store((self.rows, self.cols), ii, jj, vv)
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, mat) -> "NonnegMatrix":
+    def _wrap(cls, mat) -> "NonnegMatrix":
         out = object.__new__(cls)
-        out.rows, out.cols = int(rows), int(cols)
+        out.rows, out.cols = mat.shape
         out._mat = mat
         return out
 
@@ -180,16 +183,13 @@ class NonnegMatrix:
             raise ModelError("from_dense expects a 2-d array")
         if (a < 0).any():
             raise ModelError("NonnegMatrix entries must be nonnegative")
-        rows, cols = a.shape
-        if max(rows, cols) < DENSE_CUTOFF:
-            return cls._wrap(rows, cols, a.copy())
-        return cls._wrap(rows, cols, sp.csr_matrix(a))
+        ii, jj = np.nonzero(a)
+        return cls._wrap(_store(a.shape, ii, jj, a[ii, jj]))
 
     @classmethod
     def identity(cls, n: int) -> "NonnegMatrix":
-        if n < DENSE_CUTOFF:
-            return cls._wrap(n, n, np.eye(n))
-        return cls._wrap(n, n, sp.identity(n, format="csr"))
+        diag = np.arange(n)
+        return cls._wrap(_store((n, n), diag, diag, np.ones(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "NonnegMatrix":
@@ -203,23 +203,19 @@ class NonnegMatrix:
     def toarray(self) -> np.ndarray:
         return self._mat.copy() if self.is_dense else self._mat.toarray()
 
-    def tocsr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self._mat)
-
     def triplets(self) -> list[tuple[int, int, float]]:
         """Strictly positive entries sorted by (row, col)."""
-        if self.is_dense:
-            ii, jj = np.nonzero(self._mat)
-            vv = self._mat[ii, jj]
-        else:
-            coo = self._mat.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            ii, jj, vv = coo.row[order], coo.col[order], coo.data[order]
-        return [(int(i), int(j), float(v)) for i, j, v in zip(ii, jj, vv)]
+        ii, jj = self._mat.nonzero()
+        if ii.size == 0:  # a CSR array indexed by empty arrays returns a sparse array
+            return []
+        order = np.lexsort((jj, ii))
+        ii, jj = ii[order], jj[order]
+        return list(zip(ii.tolist(), jj.tolist(), self._mat[ii, jj].tolist()))
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self._mat)) if self.is_dense else int(self._mat.nnz)
+        # a CSR product may store entries that underflowed to zero
+        return int(np.count_nonzero(self._mat) if self.is_dense else self._mat.count_nonzero())
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -228,38 +224,27 @@ class NonnegMatrix:
     def __matmul__(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if self.cols != other.rows:
             raise ModelError("matrix product dimension mismatch")
-        if self.is_dense and other.is_dense:
-            return NonnegMatrix._wrap(self.rows, other.cols, self._mat @ other._mat)
-        prod = self.tocsr() @ other.tocsr()
-        prod.eliminate_zeros()
-        return NonnegMatrix._wrap(self.rows, other.cols, prod)
+        return NonnegMatrix._wrap(self._mat @ other._mat)
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
         """Row vector times matrix: returns ``x @ M`` as a plain array."""
-        return np.asarray(x @ self._mat).reshape(-1)
+        return x @ self._mat
 
     def scaled(self, factor: float) -> "NonnegMatrix":
         if factor <= 0:
             raise ModelError("scale factor must be positive")
-        return NonnegMatrix._wrap(self.rows, self.cols, self._mat * factor)
+        return NonnegMatrix._wrap(self._mat * factor)
 
     def add(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ModelError("matrix sum dimension mismatch")
-        if self.is_dense and other.is_dense:
-            return NonnegMatrix._wrap(self.rows, self.cols, self._mat + other._mat)
-        s = self.tocsr() + other.tocsr()
-        return NonnegMatrix._wrap(self.rows, self.cols, s)
+        return NonnegMatrix._wrap(self._mat + other._mat)
 
     def row_sums(self) -> np.ndarray:
-        if self.is_dense:
-            return self._mat.sum(axis=1)
-        return np.asarray(self._mat.sum(axis=1)).reshape(-1)
+        return self._mat.sum(axis=1)
 
     def col_sums(self) -> np.ndarray:
-        if self.is_dense:
-            return self._mat.sum(axis=0)
-        return np.asarray(self._mat.sum(axis=0)).reshape(-1)
+        return self._mat.sum(axis=0)
 
     def nonzero_column_count(self) -> int:
         return int((self.col_sums() > 0).sum())
@@ -314,7 +299,7 @@ class Partition:
     members reproduces the base within ``PARTITION_ATOL``.
     """
 
-    __slots__ = ("labels", "members", "base")
+    __slots__ = ("labels", "members", "base", "_stack")
 
     def __init__(self, members: Mapping, base: TransitionMatrix):
         if not members:
@@ -327,10 +312,8 @@ class Partition:
                 raise ModelError("Partition members must be NonnegMatrix")
             if (m.rows, m.cols) != (n, n):
                 raise ModelError(f"Partition member {w!r} has wrong dimensions")
-        total = np.zeros((n, n))
-        for w in labels:
-            total += members[w].toarray()
-        dev = float(np.abs(total - base.toarray()).max())
+        total = functools.reduce(NonnegMatrix.add, (members[w] for w in labels))
+        dev = float(abs(total._mat - base.inner._mat).max())
         if dev > PARTITION_ATOL:
             raise ModelError(
                 f"Partition members sum to the base only within {dev!r} > {PARTITION_ATOL}"
@@ -338,6 +321,7 @@ class Partition:
         self.labels = labels
         self.members = {w: members[w] for w in labels}
         self.base = base
+        self._stack = None
 
     @classmethod
     def trivial(cls, P: TransitionMatrix, label="w0") -> "Partition":
@@ -361,6 +345,22 @@ class Partition:
     def __iter__(self) -> Iterator[tuple[object, NonnegMatrix]]:
         for w in self.labels:
             yield w, self.members[w]
+
+    def fan_out(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step of every label from the row ``x``: the masses
+        ``|x M(w)|`` (shape ``(k,)``) and the unnormalised children
+        ``x M(w)`` (shape ``(k, n)``), in label order.
+
+        One product against the members stacked once, on first use: dense
+        members on a new axis, CSR members side by side.  Each child is
+        bit-equal to ``M(w).left_apply(x)``.
+        """
+        if self._stack is None:
+            mats = [self.members[w]._mat for w in self.labels]
+            dense = all(isinstance(a, np.ndarray) for a in mats)
+            self._stack = np.stack(mats) if dense else sp.hstack(mats, format="csr")
+        children = (x @ self._stack).reshape(len(self.labels), -1)
+        return children.sum(axis=1), children
 
     def __repr__(self) -> str:
         return f"Partition(n={self.n}, labels={list(self.labels)!r})"
@@ -599,9 +599,12 @@ def _partition_spec(model: FilterModel) -> dict:
     spec = model.meta.get("partition_spec")
     if spec is not None:
         return spec
-    spec = {"explicit": {str(w): [[i, j, v] for i, j, v in M.triplets()]
+    typed = not all(isinstance(w, str) for w in model.partition.labels)
+    # typed labels are keyed by their JSON form, which tells 1 from "1"
+    key = (lambda w: json.dumps(_label_doc(w))) if typed else str
+    spec = {"explicit": {key(w): [[i, j, v] for i, j, v in M.triplets()]
                          for w, M in model.partition}}
-    if not all(isinstance(w, str) for w in model.partition.labels):
+    if typed:
         spec["labels"] = [_label_doc(w) for w in model.partition.labels]
     return spec
 
@@ -623,9 +626,10 @@ def save_model(model: FilterModel, path) -> None:
     Schema: ``{"states": n, "P": [[i, j, v], ...], "partition": ...,
     "meta": {...}}`` where the partition is one of ``{"lumping": [label per
     state]}``, ``{"observation": [[j, a, v], ...]}`` or ``{"explicit":
-    {str(label): [[i, j, v], ...]}}``.  An explicit partition whose labels
-    are not all strings also stores ``"labels"``: the labels themselves, in
-    key order, so that they load back with their types and canonical order.
+    {label: [[i, j, v], ...]}}``.  An explicit partition whose labels are
+    not all strings is keyed by the JSON form of each label instead, and
+    also stores ``"labels"``: the labels themselves, in key order, so that
+    they load back with their types and canonical order.
     Floats are written in shortest round-trip decimal form, so load/save is
     value-exact.
     """

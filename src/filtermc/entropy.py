@@ -116,9 +116,8 @@ def entropy_series(x, m: Partition, n_max: int, prune: float = DEFAULT_PRUNE) ->
 
     def rec(vec: np.ndarray, mass: float, depth: int) -> None:
         nonlocal pruned_mass, pruned_count
-        for w, M in m:
-            y = M.left_apply(vec)
-            p = float(y.sum())
+        masses, children = m.fan_out(vec)
+        for p, y in zip(masses.tolist(), children):
             if p <= 0.0:
                 continue
             child_mass = mass * p
@@ -169,8 +168,7 @@ def entropy_rate_increment(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE
 
 def _one_step_entropy(point: np.ndarray, m: Partition, base: str) -> float:
     total = 0.0
-    for _, M in m:
-        p = float(M.left_apply(point).sum())
+    for p in m.fan_out(point)[0].tolist():
         if p <= 0.0:
             continue
         total += h(min(p, 1.0)) if base == "log2" else -p * math.log(min(p, 1.0))

@@ -228,13 +228,9 @@ def step_outcomes(x, m: Partition, threshold: float = 0.0) -> list[Outcome]:
     xv = as_prob_vector(x)
     if xv.dim != m.n:
         raise ModelError("state vector dimension does not match the partition")
-    out = []
-    for w, M in m:
-        y = M.left_apply(xv.coords)
-        p = float(y.sum())
-        if p > threshold:
-            out.append(Outcome(w, p, ProbVector(y / p)))
-    return out
+    masses, children = m.fan_out(xv.coords)
+    return [Outcome(w, float(p), ProbVector(y / p))
+            for w, p, y in zip(m.labels, masses, children) if p > threshold]
 
 
 def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
@@ -251,9 +247,8 @@ def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
     pruned_mass = mu.pruned_mass
     pruned_count = mu.pruned_count
     for w_atom, point in zip(mu.weights, mu.points):
-        for w, M in m:
-            y = M.left_apply(point)
-            p = float(y.sum())
+        masses, children = m.fan_out(point)
+        for p, y in zip(masses.tolist(), children):
             if p <= 0.0:
                 continue
             mass = float(w_atom) * p
@@ -291,12 +286,10 @@ def transition_operator(u, m: Partition, x) -> float:
 def transition_operator_power(u, m: Partition, x, n: int) -> float:
     """(T^n u)(x), computed by integrating u against the exact n-step
     distribution (no pruning, no merging)."""
-    if n == 0:
-        ev = u if callable(u) else u.evaluator
-        return float(ev(as_prob_vector(x).coords))
-    mu = evolve(x, m, n, prune=0.0, merge_eps=0.0)
     ev = u if callable(u) else u.evaluator
-    return mu.integrate(ev)
+    if n == 0:
+        return float(ev(as_prob_vector(x).coords))
+    return evolve(x, m, n, prune=0.0, merge_eps=0.0).integrate(ev)
 
 
 def barycenter(mu: DiscreteMeasure) -> ProbVector:
@@ -324,22 +317,22 @@ def simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
     """
     if steps < 1:
         raise ModelError("simulate_filter requires steps >= 1")
-    x = as_prob_vector(x0)
+    x = x0 = as_prob_vector(x0)
+    if x.dim != m.n:
+        raise ModelError("state vector dimension does not match the partition")
     rng = np.random.default_rng(seed)
     path = []
     for _ in range(steps):
-        outs = step_outcomes(x, m, threshold=threshold)
-        if not outs:
+        masses, children = m.fan_out(x.coords)
+        live = np.flatnonzero(masses > threshold)
+        if live.size == 0:
             raise ModelError("no outcome above threshold; filter cannot move")
-        probs = np.array([o.prob for o in outs])
-        cdf = np.cumsum(probs)
-        r = rng.random() * cdf[-1]
-        k = int(np.searchsorted(cdf, r, side="right"))
-        k = min(k, len(outs) - 1)
-        chosen = outs[k]
-        path.append((chosen.label, chosen.next_state))
-        x = chosen.next_state
-    return FilterTrace(x0=as_prob_vector(x0), steps=tuple(path), seed=seed)
+        cdf = np.cumsum(masses[live])
+        k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        i = live[min(k, live.size - 1)]
+        x = ProbVector(children[i] / masses[i])
+        path.append((m.labels[i], x))
+    return FilterTrace(x0=x0, steps=tuple(path), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -142,13 +142,17 @@ def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
 def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
     """Normalised powers ``(k, H_k)``, k = 1..iters, of a word product:
     ``H_1 = base / |base|`` and ``H_k = H_{k-1} H_1 / |H_{k-1} H_1|``.
-    Every power costs one unit; a zero ``base`` yields nothing."""
+    Every power costs one unit; the curve ends before the first power that
+    vanishes, so a zero ``base`` yields nothing."""
     if base.is_zero():
         return
     H = H1 = _normalized(base)
     for k in range(1, iters + 1):
         if k > 1:
-            H = _normalized(H @ H1)
+            H = H @ H1
+            if H.is_zero():
+                return
+            H = _normalized(H)
         budget.spent += 1
         yield k, H
 
@@ -398,9 +402,8 @@ def _active_words(x: np.ndarray, m: Partition, n_max: int):
         word, vec, mass = stack.pop()
         if len(word) >= n_max:
             continue
-        for w in reversed(m.labels):
-            y = m.member(w).left_apply(vec)
-            p = float(y.sum())
+        masses, children = m.fan_out(vec)
+        for w, p, y in reversed(list(zip(m.labels, masses.tolist(), children))):
             if p <= 0.0:
                 continue
             nw = word + (w,)

@@ -2,10 +2,12 @@
 
 The oracles here (sign-vector operator norm, quantifier subrectangularity,
 spanning-tree transport enumeration) deliberately avoid the library code
-paths they are used to check.  The ``reference_*`` functions keep the
-earlier word searches of ``filtermc.stability`` (three hand-written walks,
-each with its own budget bookkeeping) as a differential oracle for the
-shared search engine that replaced them.
+paths they are used to check.  The ``reference_*`` functions keep earlier
+code paths as differential oracles for what replaced them: the word
+searches of ``filtermc.stability`` (three hand-written walks, each with its
+own budget bookkeeping) for the shared search engine, and the per-label
+loops of the filter kernel (one ``left_apply`` per label) for
+``Partition.fan_out``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from filtermc import (
     DiscreteMeasure,
+    FilterTrace,
     ModelError,
     NonnegMatrix,
     Partition,
@@ -31,6 +34,9 @@ from filtermc import (
     partition_from_observation,
     rank_one_proximity,
 )
+from filtermc.core_model import ProbVector, as_prob_vector
+from filtermc.entropy import EntropySeries, _Kahan, h
+from filtermc.filter_dynamics import Outcome
 from filtermc.stability import _connector_word, default_col_bound, default_search_depth
 
 
@@ -266,7 +272,10 @@ def reference_power_curve(m: Partition, unit: tuple, tol: float, row_floor: floa
         if prox <= tol:
             return curve, H, k
         if k < iters:  # the last power is never read, so it is not formed
-            H = _reference_normalized(H @ base)
+            H = H @ base
+            if H.is_zero():  # a vanishing power ends the curve
+                break
+            H = _reference_normalized(H)
     return curve, None, 0
 
 
@@ -398,3 +407,125 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
             return word, H
         H = _reference_normalized(H @ base)
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference filter kernel: one left_apply per label
+# ---------------------------------------------------------------------------
+
+def reference_step_outcomes(x, m: Partition, threshold: float = 0.0) -> list[Outcome]:
+    xv = as_prob_vector(x)
+    if xv.dim != m.n:
+        raise ModelError("state vector dimension does not match the partition")
+    out = []
+    for w, M in m:
+        y = M.left_apply(xv.coords)
+        p = float(y.sum())
+        if p > threshold:
+            out.append(Outcome(w, p, ProbVector(y / p)))
+    return out
+
+
+def reference_pushforward(mu: DiscreteMeasure, m: Partition, prune: float = 1e-12,
+                          merge_eps: float = 1e-10) -> DiscreteMeasure:
+    new_w: list[float] = []
+    new_p: list[np.ndarray] = []
+    pruned_mass = mu.pruned_mass
+    pruned_count = mu.pruned_count
+    for w_atom, point in zip(mu.weights, mu.points):
+        for w, M in m:
+            y = M.left_apply(point)
+            p = float(y.sum())
+            if p <= 0.0:
+                continue
+            mass = float(w_atom) * p
+            if mass <= prune:
+                pruned_mass += mass
+                pruned_count += 1
+                continue
+            new_w.append(mass)
+            new_p.append(y / p)
+    if not new_w:
+        raise ModelError("pushforward pruned away all mass; lower `prune`")
+    return DiscreteMeasure(new_w, new_p, merge_eps=merge_eps,
+                           pruned_mass=pruned_mass, pruned_count=pruned_count)
+
+
+def reference_entropy_series(x, m: Partition, n_max: int, prune: float = 1e-12) -> EntropySeries:
+    if n_max < 1:
+        raise ModelError("entropy_series requires n_max >= 1")
+    xv = as_prob_vector(x)
+    acc = [_Kahan() for _ in range(n_max)]
+    pruned_mass = 0.0
+    pruned_count = 0
+
+    def rec(vec: np.ndarray, mass: float, depth: int) -> None:
+        nonlocal pruned_mass, pruned_count
+        for w, M in m:
+            y = M.left_apply(vec)
+            p = float(y.sum())
+            if p <= 0.0:
+                continue
+            child_mass = mass * p
+            if child_mass <= prune:
+                pruned_mass += child_mass
+                pruned_count += 1
+                continue
+            acc[depth].add(h(child_mass))
+            if depth + 1 < n_max:
+                rec(y / p, child_mass, depth + 1)
+
+    rec(xv.coords, 1.0, 0)
+    return EntropySeries(values=tuple(a.total for a in acc), pruned_mass=pruned_mass,
+                         pruned_count=pruned_count)
+
+
+def reference_one_step_entropy(point: np.ndarray, m: Partition, base: str) -> float:
+    total = 0.0
+    for _, M in m:
+        p = float(M.left_apply(point).sum())
+        if p <= 0.0:
+            continue
+        total += h(min(p, 1.0)) if base == "log2" else -p * math.log(min(p, 1.0))
+    return total
+
+
+def reference_active_words(x: np.ndarray, m: Partition, n_max: int):
+    out: dict[tuple, tuple[float, np.ndarray]] = {}
+    stack = [((), x, 1.0)]
+    while stack:
+        word, vec, mass = stack.pop()
+        if len(word) >= n_max:
+            continue
+        for w in reversed(m.labels):
+            y = m.member(w).left_apply(vec)
+            p = float(y.sum())
+            if p <= 0.0:
+                continue
+            nw = word + (w,)
+            ynorm = y / p
+            out[nw] = (mass * p, ynorm)
+            stack.append((nw, ynorm, mass * p))
+    return out
+
+
+def reference_simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
+                              threshold: float = 0.0) -> FilterTrace:
+    if steps < 1:
+        raise ModelError("simulate_filter requires steps >= 1")
+    x = as_prob_vector(x0)
+    rng = np.random.default_rng(seed)
+    path = []
+    for _ in range(steps):
+        outs = reference_step_outcomes(x, m, threshold=threshold)
+        if not outs:
+            raise ModelError("no outcome above threshold; filter cannot move")
+        probs = np.array([o.prob for o in outs])
+        cdf = np.cumsum(probs)
+        r = rng.random() * cdf[-1]
+        k = int(np.searchsorted(cdf, r, side="right"))
+        k = min(k, len(outs) - 1)
+        chosen = outs[k]
+        path.append((chosen.label, chosen.next_state))
+        x = chosen.next_state
+    return FilterTrace(x0=as_prob_vector(x0), steps=tuple(path), seed=seed)

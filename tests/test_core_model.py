@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
+from filtermc.core_model import DENSE_CUTOFF
 
 from helpers import operator_norm_by_sign_vectors, random_partition, random_transition
 
@@ -301,7 +302,7 @@ labels_strategy = st.recursive(
 
 
 @settings(max_examples=30, deadline=None)
-@given(labels=st.lists(labels_strategy, min_size=1, max_size=4, unique_by=str),
+@given(labels=st.lists(labels_strategy, min_size=1, max_size=4, unique=True),
        seed=st.integers(0, 2**32 - 1))
 def test_model_file_roundtrip_explicit_labels(labels, seed):
     rng = np.random.default_rng(seed)
@@ -340,3 +341,77 @@ def test_model_file_without_label_types_still_loads(tmp_path):
                                    "10": [[0, 1, 0.5], [1, 1, 0.5]]}},
         "meta": {}}))
     assert fm.load_model(path).partition.labels == ("1", "10")
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_nonneg_matrix_either_side_of_the_dense_cutoff(n):
+    rng = np.random.default_rng(n)
+    a, b = ((rng.random((n, n)) < 0.1) * rng.random((n, n)) for _ in range(2))
+    A = fm.NonnegMatrix.from_dense(a)
+    ii, jj = np.nonzero(b)
+    B = fm.NonnegMatrix(n, n, [(j, i, b[i, j]) for i, j in zip(ii[::-1], jj[::-1])])
+    assert A.is_dense == B.is_dense == (n < DENSE_CUTOFF)
+    ii, jj = np.nonzero(a)
+    assert A.triplets() == [(int(i), int(j), float(a[i, j])) for i, j in zip(ii, jj)]
+    assert A.nnz == ii.size and np.array_equal(A.toarray(), a)
+    assert np.array_equal(B.toarray(), b.T)
+    assert A.row_sums() == pytest.approx(a.sum(axis=1), rel=1e-14)
+    assert A.col_sums() == pytest.approx(a.sum(axis=0), rel=1e-14)
+    prod = (A @ B).toarray()
+    assert np.array_equal(prod > 0, (a @ b.T) > 0)
+    assert prod == pytest.approx(a @ b.T, rel=1e-14)
+    assert np.array_equal(A.add(B).toarray(), a + b.T)
+    assert np.array_equal(A.scaled(0.3).toarray(), a * 0.3)
+    eye = fm.NonnegMatrix.identity(n)
+    assert eye.triplets() == [(i, i, 1.0) for i in range(n)]
+    assert np.array_equal((A @ eye).toarray(), a)
+    # a product that underflows is the zero matrix, whatever the storage
+    tiny = fm.NonnegMatrix(n, n, [(0, 1, 1e-200), (1, 0, 1e-200)])
+    square = tiny @ tiny
+    assert square.is_zero() and square.nnz == 0 and square.triplets() == []
+    assert square.is_dense == tiny.is_dense
+
+
+def test_model_file_keeps_labels_with_one_string_form(tmp_path):
+    # 1 and "1" used to share the key "1", so the file did not load
+    P = fm.TransitionMatrix.from_dense([[0.5, 0.5], [0.25, 0.75]])
+    members = {1: fm.NonnegMatrix.from_dense([[0.5, 0.0], [0.25, 0.0]]),
+               "1": fm.NonnegMatrix.from_dense([[0.0, 0.5], [0.0, 0.75]])}
+    model = fm.FilterModel(fm.Partition(members, P))
+    path = tmp_path / "m.json"
+    fm.save_model(model, path)
+    loaded = fm.load_model(path)
+    assert loaded.partition.labels == (1, "1")
+    for w, M in model.partition:
+        assert np.array_equal(loaded.partition.member(w).toarray(), M.toarray())
+    again = tmp_path / "again.json"
+    fm.save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _birkhoff5():
+    perms = [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3), (4, 3, 2, 0, 1), (2, 0, 1, 4, 3)]
+    D = 0.2 * np.eye(5)
+    for weight, sigma in zip((0.35, 0.25, 0.15, 0.05), perms):
+        D[np.arange(5), sigma] += weight
+    return fm.birkhoff_partition_model(D)
+
+
+@pytest.mark.parametrize("make", [fm.kesten_model, lambda: fm.random_walk_case_a(63),
+                                  lambda: fm.random_walk_case_a(64), _birkhoff5])
+def test_saved_and_loaded_model_computes_the_same_bits(make, tmp_path):
+    model = make()
+    path = tmp_path / "m.json"
+    fm.save_model(model, path)
+    loaded = fm.load_model(path)
+    m, m2 = model.partition, loaded.partition
+    assert m2.labels == m.labels
+    x = np.random.default_rng(model.n).dirichlet(np.ones(model.n))
+    want, got = fm.simulate_filter(x, m, 60, seed=5), fm.simulate_filter(x, m2, 60, seed=5)
+    assert got.labels() == want.labels()
+    for (_, a), (_, b) in zip(got.steps, want.steps):
+        assert np.array_equal(a.coords, b.coords)
+    mu, mu2 = fm.evolve(x, m, 3), fm.evolve(x, m2, 3)
+    assert np.array_equal(mu.weights, mu2.weights) and np.array_equal(mu.points, mu2.points)
+    assert (mu.pruned_mass, mu.pruned_count) == (mu2.pruned_mass, mu2.pruned_count)
+    assert fm.entropy_series(x, m, 5) == fm.entropy_series(x, m2, 5)

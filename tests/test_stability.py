@@ -287,9 +287,8 @@ def assert_same_matrix(A, B):
 
 
 def assert_detect_matches_reference(m, **kwargs):
-    """Same verdict, bit-equal W and equal diagnostics, or the same error (a
-    repeated word whose power vanishes cannot be normalised); best_word is
-    checked against min_proximity instead."""
+    """Same verdict, bit-equal W and equal diagnostics, or the same error;
+    best_word is checked against min_proximity instead."""
     try:
         want = reference_detect_rank_one_limit(m, **kwargs)
     except ModelError as exc:
@@ -367,6 +366,18 @@ def _uniform_lumped():
 def _block_cycle_lumped():
     P = [[0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.9, 0.1], [0.3, 0.7, 0.0, 0.0], [0.6, 0.4, 0.0, 0.0]]
     return fm.partition_from_lumping(fm.TransitionMatrix.from_dense(P), [0, 0, 1, 1])
+
+
+def test_vanishing_repeated_word_power_ends_its_curve():
+    # every member squares to zero; the first power is the member itself
+    m = _block_cycle_lumped()
+    res = fm.detect_rank_one_limit(m, policy=("repeat",), repeat_words=[(0,), (1,)])
+    assert res.kind == "undecided"
+    assert [len(curve) for curve in res.diagnostics["curves"].values()] == [1, 1]
+    assert res.diagnostics["examined"] == 2
+    # with the default policies the search goes on past them to the pair (0, 1)
+    res = fm.detect_rank_one_limit(m)
+    assert (res.kind, res.word, res.diagnostics["policy"]) == ("b1_converged", (0, 1), "repeat")
 
 
 @pytest.mark.parametrize("make", [lambda: fm.kesten_model().partition, _uniform_lumped,
