@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "ModelError",
@@ -84,7 +84,7 @@ class ProbVector:
     """A point of the probability simplex: nonnegative coords of l1 mass 1.
 
     Inputs with ``|sum - 1| <= PROB_ATOL`` are renormalised to exact mass 1;
-    larger deviations raise :class:`ModelError`.
+    larger deviations and NaN coordinates raise :class:`ModelError`.
     """
 
     __slots__ = ("coords",)
@@ -96,7 +96,7 @@ class ProbVector:
         if (c < 0).any():
             raise ModelError("ProbVector coords must be nonnegative")
         s = float(c.sum())
-        if abs(s - 1.0) > PROB_ATOL:
+        if not abs(s - 1.0) <= PROB_ATOL:
             raise ModelError(f"ProbVector mass {s!r} deviates from 1 by more than {PROB_ATOL}")
         c /= s
         c.setflags(write=False)
@@ -202,6 +202,14 @@ class NonnegMatrix:
 
     def toarray(self) -> np.ndarray:
         return self._mat.copy() if self.is_dense else self._mat.toarray()
+
+    def support(self) -> sp.csr_array:
+        """The support digraph: a boolean CSR array of the positive entries,
+        column indices sorted in each row.  Stored zeros are left out."""
+        ii, jj = self._mat.nonzero()
+        graph = sp.csr_array((np.ones(ii.size, dtype=bool), (ii, jj)), shape=self._mat.shape)
+        graph.sort_indices()
+        return graph
 
     def triplets(self) -> list[tuple[int, int, float]]:
         """Strictly positive entries sorted by (row, col)."""
@@ -528,67 +536,89 @@ def check_irreducible_aperiodic(P) -> dict:
 
     Returns ``{"irreducible": bool, "aperiodic": bool}``.  Aperiodicity is the
     gcd-of-cycle-lengths test, run per strongly connected component; components
-    without internal cycles are ignored.
+    without internal edges are ignored.  Works on the positive entries in
+    CSR form, so time and memory grow with the number of nonzeros.
     """
     M = P.inner if isinstance(P, TransitionMatrix) else P
-    a = M.toarray() > 0
-    n = a.shape[0]
-    ncomp, comp = connected_components(sp.csr_matrix(a), directed=True, connection="strong")
-    irreducible = bool(ncomp == 1)
-
-    aperiodic = True
-    for c in range(ncomp):
-        nodes = np.flatnonzero(comp == c)
-        if nodes.size == 0:
-            continue
-        inside = a[np.ix_(nodes, nodes)]
-        if not inside.any():
-            continue
-        # BFS layering: the component's period is gcd(depth[u] + 1 - depth[v])
-        # over internal edges u -> v.
-        depth = {int(nodes[0]): 0}
-        order = [int(nodes[0])]
-        local = {int(s): k for k, s in enumerate(nodes)}
-        g = 0
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v_local in np.flatnonzero(inside[local[u]]):
-                v = int(nodes[v_local])
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    order.append(v)
-                else:
-                    g = math.gcd(g, depth[u] + 1 - depth[v])
-        # a second pass catches edges discovered before both depths were set
-        for u in order:
-            for v_local in np.flatnonzero(inside[local[u]]):
-                v = int(nodes[v_local])
-                g = math.gcd(g, depth[u] + 1 - depth[v])
-        if g != 1:
-            aperiodic = False
-    return {"irreducible": irreducible, "aperiodic": aperiodic}
+    n = M.rows
+    graph = M.support()
+    ncomp, comp = connected_components(graph, directed=True, connection="strong")
+    u, v = graph.nonzero()
+    inside = comp[u] == comp[v]
+    u, v, cu = u[inside], v[inside], comp[u[inside]]
+    # BFS depths over the internal edges from one root per component; internal
+    # edges never leave a component, so each depth is from its own root
+    roots = u[np.unique(cu, return_index=True)[1]]
+    internal = sp.csr_array((np.ones(u.size), (u, v)), shape=(n, n))
+    depth = dijkstra(internal, indices=roots, min_only=True, unweighted=True)
+    # a component's period is gcd(depth[u] + 1 - depth[v]) over its internal edges
+    by_comp = np.argsort(cu, kind="stable")
+    starts = np.flatnonzero(np.diff(cu[by_comp], prepend=-1))
+    periods = np.gcd.reduceat((depth[u] + 1 - depth[v]).astype(np.int64)[by_comp], starts)
+    return {"irreducible": bool(ncomp == 1), "aperiodic": bool((periods == 1).all())}
 
 
-def stationary_vector(P: TransitionMatrix, tol: float = 1e-12, max_iter: int = 200_000) -> ProbVector:
-    """Stationary probability vector by power iteration.
+def _pinned_solution(P: sp.coo_array, k: int, leak: float = 0.0) -> np.ndarray:
+    """Solution of ``x Q = 0`` with ``x[k] = 1``, where the generator ``Q``
+    has the off-diagonal entries of ``P`` and, on its diagonal, minus each
+    row's off-diagonal sum.
 
-    Requires ``P`` irreducible and aperiodic (checked); raises
-    :class:`ModelError` when the iteration fails to reach ``tol`` within
-    ``max_iter`` steps, which signals periodicity or reducibility.
+    The other ``n - 1`` equations, ``Q^T[-k, -k] x = -Q^T[-k, k]`` (row and
+    column k removed; the right side is row k of ``P``), form a nonsingular
+    M-matrix system for an irreducible ``P``.  Taking the diagonal from the
+    off-diagonal sums, as GTH elimination does, rather than ``1 - P[i, i]``
+    avoids cancellation on lazy rows and holds for rows that sum to 1 only
+    within ``PROB_ATOL``.  Sparse LU with diagonal pivots in a symmetric
+    fill-reducing order keeps the factors of M-matrix sign, so the
+    substitutions add positive terms only.  ``leak`` scales the diagonal by
+    ``1 + leak``: every state then loses that share of its outflow, so the
+    system stays strictly diagonally dominant whatever the rounding of ``P``
+    and the solution stays bounded however little mass state k carries.
+    """
+    def drop_k(idx):
+        return idx - (idx > k)
+
+    off = P.row != P.col
+    ii, jj, vv, n = P.row[off], P.col[off], P.data[off], P.shape[0]
+    outflow = np.bincount(ii, vv, minlength=n) * (1.0 + leak)
+    inner = (ii != k) & (jj != k)
+    diag = np.arange(n - 1)
+    A = sp.csc_array((np.concatenate([np.delete(outflow, k), -vv[inner]]),
+                      (np.concatenate([diag, drop_k(jj[inner])]),
+                       np.concatenate([diag, drop_k(ii[inner])]))), shape=(n - 1, n - 1))
+    from_k = ii == k
+    b = np.bincount(drop_k(jj[from_k]), vv[from_k], minlength=n - 1)
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return np.insert(lu.solve(b), k, 1.0)
+
+
+def stationary_vector(P: TransitionMatrix, tol: float = 1e-12) -> ProbVector:
+    """Stationary probability vector by a direct sparse solve.
+
+    Requires ``P`` irreducible and aperiodic (checked).  One state is pinned
+    at 1 and the other ``n - 1`` stationary equations are solved by sparse
+    LU (:func:`_pinned_solution`).  The pin must carry large mass: pinned at
+    a state of tiny mass, the system is nearly singular, rounding in ``P``
+    can make it indefinite, and the other coordinates can overflow.  So a
+    first solve pinned at state 0 with a ``1e-9`` leak, which is well posed
+    for any pin, only locates a state of maximal mass, and the exact
+    system is then solved pinned there.  Negative rounding is clipped and
+    the vector normalised.  ``tol`` bounds the l1 residual ``|pi Q|`` of the
+    generator (``|pi P - pi|`` when every row sums to exactly 1); a larger
+    or non-finite residual raises :class:`ModelError`.
     """
     verdict = check_irreducible_aperiodic(P)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError(f"stationary_vector requires an irreducible aperiodic chain, got {verdict}")
-    x = np.full(P.n, 1.0 / P.n)
-    for _ in range(max_iter):
-        y = P.left_apply(x)
-        y /= y.sum()
-        if np.abs(y - x).sum() <= tol:
-            return ProbVector(y)
-        x = y
-    raise ModelError(f"power iteration did not converge within {max_iter} iterations")
+    entries = sp.coo_array(P.inner._mat)
+    k = int(np.argmax(_pinned_solution(entries, 0, leak=1e-9)))
+    x = np.maximum(_pinned_solution(entries, k), 0.0)
+    x /= x.sum()
+    residual = float(np.abs(P.left_apply(x) - x * P.inner.row_sums()).sum())
+    if not residual <= tol:
+        raise ModelError(f"stationary solve residual {residual!r} exceeds {tol}")
+    return ProbVector(x)
 
 
 # ---------------------------------------------------------------------------

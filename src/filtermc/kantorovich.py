@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .core_model import ModelError, ProbVector, as_prob_vector
@@ -76,17 +77,13 @@ def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[floa
         cost = float(mu.weights @ C[:, 0])
         return cost, TransportPlan(entries, cost)
 
-    # equality-constrained transportation LP; last (redundant) row dropped
-    rows = []
-    for i in range(m):
-        r = np.zeros((m, n))
-        r[i, :] = 1.0
-        rows.append(r.ravel())
-    for j in range(n):
-        r = np.zeros((m, n))
-        r[:, j] = 1.0
-        rows.append(r.ravel())
-    A_eq = np.asarray(rows)[:-1]
+    # equality-constrained transportation LP: variable k = i * n + j appears
+    # in row i (mass out of source i) and row m + j (mass into target j);
+    # the last (redundant) row is dropped
+    k = np.arange(m * n)
+    A_eq = sp.csr_array((np.ones(2 * k.size), (np.concatenate([k // n, m + k % n]),
+                                               np.concatenate([k, k]))),
+                        shape=(m + n, m * n))[:-1]
     b_eq = np.concatenate([mu.weights, nu.weights])[:-1]
     res = linprog(
         C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",

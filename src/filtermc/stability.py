@@ -301,15 +301,14 @@ def _connector_word(m: Partition, start: int, goal: int, max_len: int) -> tuple 
     found by BFS over single-member support edges."""
     if start == goal:
         return ()
-    supports = {w: (M.toarray() > 0) for w, M in m}
+    graphs = [M.support() for _, M in m]
     frontier = {start: ()}
     seen = {start}
     for _ in range(max_len):
         nxt: dict[int, tuple] = {}
         for u, word in frontier.items():
-            for w in m.labels:
-                for v in np.flatnonzero(supports[w][u]):
-                    v = int(v)
+            for w, g in zip(m.labels, graphs):
+                for v in g.indices[g.indptr[u]:g.indptr[u + 1]].tolist():
                     if v in seen:
                         continue
                     cand = word + (w,)

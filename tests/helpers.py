@@ -5,9 +5,11 @@ spanning-tree transport enumeration) deliberately avoid the library code
 paths they are used to check.  The ``reference_*`` functions keep earlier
 code paths as differential oracles for what replaced them: the word
 searches of ``filtermc.stability`` (three hand-written walks, each with its
-own budget bookkeeping) for the shared search engine, and the per-label
+own budget bookkeeping) for the shared search engine, the per-label
 loops of the filter kernel (one ``left_apply`` per label) for
-``Partition.fan_out``.
+``Partition.fan_out``, and the dense support-graph walks and the
+stationary power iteration for the sparse graph check, connector search
+and direct stationary solve.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from filtermc import (
     DiscreteMeasure,
@@ -26,7 +30,6 @@ from filtermc import (
     StabilityVerdict,
     TestFunction,
     TransitionMatrix,
-    check_irreducible_aperiodic,
     is_subrectangular,
     matrix_word_product,
     operator_norm,
@@ -37,7 +40,7 @@ from filtermc import (
 from filtermc.core_model import ProbVector, as_prob_vector
 from filtermc.entropy import EntropySeries, _Kahan, h
 from filtermc.filter_dynamics import Outcome
-from filtermc.stability import _connector_word, default_col_bound, default_search_depth
+from filtermc.stability import default_col_bound, default_search_depth
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,7 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
 def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
                                        col_bound=None, power_iters: int = 10_000,
                                        row_floor=None):
-    verdict = check_irreducible_aperiodic(m.base)
+    verdict = reference_check_irreducible_aperiodic(m.base)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError("witness composition requires an irreducible aperiodic base chain")
     if row_floor is None:
@@ -391,8 +394,8 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
     i1, j1, _ = Ma.triplets()[0]
     i0, j0, _ = Mb.triplets()[0]
     conn_len = max(2 * m.n, max_len)
-    word_c = _connector_word(m, j1, i0, conn_len)
-    word_d = _connector_word(m, j0, i1, conn_len)
+    word_c = reference_connector_word(m, j1, i0, conn_len)
+    word_d = reference_connector_word(m, j0, i1, conn_len)
     if word_c is None or word_d is None:
         return None
 
@@ -529,3 +532,86 @@ def reference_simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
         path.append((chosen.label, chosen.next_state))
         x = chosen.next_state
     return FilterTrace(x0=as_prob_vector(x0), steps=tuple(path), seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# reference support-graph walks and stationary solve: dense supports,
+# Python BFS, power iteration
+# ---------------------------------------------------------------------------
+
+def reference_check_irreducible_aperiodic(P) -> dict:
+    M = P.inner if isinstance(P, TransitionMatrix) else P
+    a = M.toarray() > 0
+    ncomp, comp = connected_components(sp.csr_matrix(a), directed=True, connection="strong")
+    irreducible = bool(ncomp == 1)
+
+    aperiodic = True
+    for c in range(ncomp):
+        nodes = np.flatnonzero(comp == c)
+        if nodes.size == 0:
+            continue
+        inside = a[np.ix_(nodes, nodes)]
+        if not inside.any():
+            continue
+        depth = {int(nodes[0]): 0}
+        order = [int(nodes[0])]
+        local = {int(s): k for k, s in enumerate(nodes)}
+        g = 0
+        head = 0
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v_local in np.flatnonzero(inside[local[u]]):
+                v = int(nodes[v_local])
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    order.append(v)
+                else:
+                    g = math.gcd(g, depth[u] + 1 - depth[v])
+        for u in order:
+            for v_local in np.flatnonzero(inside[local[u]]):
+                v = int(nodes[v_local])
+                g = math.gcd(g, depth[u] + 1 - depth[v])
+        if g != 1:
+            aperiodic = False
+    return {"irreducible": irreducible, "aperiodic": aperiodic}
+
+
+def reference_stationary_vector(P: TransitionMatrix, tol: float = 1e-12,
+                                max_iter: int = 200_000) -> ProbVector:
+    verdict = reference_check_irreducible_aperiodic(P)
+    if not (verdict["irreducible"] and verdict["aperiodic"]):
+        raise ModelError(f"stationary_vector requires an irreducible aperiodic chain, got {verdict}")
+    x = np.full(P.n, 1.0 / P.n)
+    for _ in range(max_iter):
+        y = P.left_apply(x)
+        y /= y.sum()
+        if np.abs(y - x).sum() <= tol:
+            return ProbVector(y)
+        x = y
+    raise ModelError(f"power iteration did not converge within {max_iter} iterations")
+
+
+def reference_connector_word(m: Partition, start: int, goal: int, max_len: int):
+    if start == goal:
+        return ()
+    supports = {w: (M.toarray() > 0) for w, M in m}
+    frontier = {start: ()}
+    seen = {start}
+    for _ in range(max_len):
+        nxt: dict[int, tuple] = {}
+        for u, word in frontier.items():
+            for w in m.labels:
+                for v in np.flatnonzero(supports[w][u]):
+                    v = int(v)
+                    if v in seen:
+                        continue
+                    cand = word + (w,)
+                    if v == goal:
+                        return cand
+                    nxt[v] = cand
+                    seen.add(v)
+        if not nxt:
+            return None
+        frontier = nxt
+    return None

@@ -26,6 +26,11 @@ def test_prob_vector_rejects_large_deviation():
         fm.ProbVector([-0.1, 1.1])
 
 
+def test_prob_vector_rejects_nan():
+    with pytest.raises(ModelError, match="mass nan"):
+        fm.ProbVector([np.nan, 0.5, 0.5])
+
+
 def test_nonneg_matrix_rejects_duplicates_and_nonpositive():
     with pytest.raises(ModelError):
         fm.NonnegMatrix(2, 2, [(0, 0, 1.0), (0, 0, 0.5)])

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
-from filtermc.stability import _normalized, _word_search
+from filtermc.stability import _connector_word, _normalized, _word_search
 
 from helpers import (
     random_partition,
     random_transition,
     reference_compose_rank_one_witness,
+    reference_connector_word,
     reference_detect_rank_one_limit,
     reference_word_search,
     subrectangular_by_quantifiers,
@@ -356,6 +357,26 @@ def test_compose_rank_one_witness_matches_reference(m, max_len, power_iters, tol
     else:
         assert got[0] == want[0]
         assert_same_matrix(got[1], want[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=small_partitions(), max_len=st.integers(0, 6))
+def test_connector_word_matches_reference(m, max_len):
+    for start in range(m.n):
+        for goal in range(m.n):
+            assert (_connector_word(m, start, goal, max_len)
+                    == reference_connector_word(m, start, goal, max_len))
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_connector_word_matches_reference_in_csr(n):
+    m = fm.random_walk_case_a(n).partition
+    assert not m.member(1).is_dense
+    for start in range(0, n, 7):
+        for goal in (0, 1, n // 2, n - 2, n - 1):
+            for max_len in (3, 2 * n):
+                assert (_connector_word(m, start, goal, max_len)
+                        == reference_connector_word(m, start, goal, max_len))
 
 
 def _uniform_lumped():
