@@ -228,6 +228,31 @@ class NonnegMatrix:
     def is_zero(self) -> bool:
         return self.nnz == 0
 
+    def _support_counts(self) -> tuple[int, int, int]:
+        """Numbers of positive entries, of rows with one and of columns with
+        one, counted in the matrix's own storage; stored zeros are left out."""
+        a = self._mat
+        if self.is_dense:
+            sup = a > 0
+            return (int(np.count_nonzero(sup)), int(np.count_nonzero(sup.any(axis=1))),
+                    int(np.count_nonzero(sup.any(axis=0))))
+        pos = a.data > 0
+        before = np.concatenate(([0], np.cumsum(pos)))  # positive entries before each slot
+        cols = np.zeros(self.cols, dtype=bool)
+        cols[a.indices[pos]] = True
+        rows = np.count_nonzero(before[a.indptr[1:]] > before[a.indptr[:-1]])
+        return int(before[-1]), int(rows), int(np.count_nonzero(cols))
+
+    def _same_layout(self, other: "NonnegMatrix") -> bool:
+        """True iff both store the same values in the same layout (a CSR
+        product leaves its column indices unsorted), so that every product
+        formed with either is bit-equal."""
+        a, b = self._mat, other._mat
+        if self.is_dense:
+            return np.array_equal(a, b)
+        return all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("indptr", "indices", "data"))
+
     # -- algebra ---------------------------------------------------------------
     def __matmul__(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if self.cols != other.rows:

@@ -70,20 +70,25 @@ class StabilityVerdict:
 
 def is_subrectangular(M: NonnegMatrix | np.ndarray) -> bool:
     """True iff the support is a product set (rows with entries) x (columns
-    with entries); the zero matrix passes vacuously."""
-    a = M.toarray() if isinstance(M, NonnegMatrix) else np.asarray(M)
-    sup = a > 0
-    rows = sup.any(axis=1)
-    cols = sup.any(axis=0)
-    return bool((sup == np.outer(rows, cols)).all())
+    with entries); the zero matrix passes vacuously.
+
+    The support lies inside that product set, so it equals it exactly when
+    it has as many positive entries."""
+    if not isinstance(M, NonnegMatrix):
+        M = NonnegMatrix.from_dense(M)
+    entries, rows, cols = M._support_counts()
+    return entries == rows * cols
 
 
 def default_search_depth(num_labels: int, cap: int = 8, node_budget: int = 10**6) -> int:
-    """Exhaustive enumeration depth: at most ``cap``, and no more than
-    ``node_budget`` words."""
+    """Exhaustive enumeration depth: the largest ``d`` with
+    ``num_labels**d <= node_budget``, and at most ``cap``."""
     if num_labels < 2:
         return cap
-    return min(cap, int(math.log(node_budget) / math.log(num_labels)))
+    depth = 0
+    while depth < cap and num_labels ** (depth + 1) <= node_budget:
+        depth += 1
+    return depth
 
 
 def _normalized(M: NonnegMatrix) -> NonnegMatrix:
@@ -143,16 +148,21 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
     """Normalised powers ``(k, H_k)``, k = 1..iters, of a word product:
     ``H_1 = base / |base|`` and ``H_k = H_{k-1} H_1 / |H_{k-1} H_1|``.
     Every power costs one unit; the curve ends before the first power that
-    vanishes, so a zero ``base`` yields nothing."""
+    vanishes, so a zero ``base`` yields nothing.  Once a power is stored
+    exactly as the one before it, every later power is too, so from there
+    on that same object is yielded without multiplying."""
     if base.is_zero():
         return
     H = H1 = _normalized(base)
+    fixed = False
     for k in range(1, iters + 1):
-        if k > 1:
-            H = H @ H1
-            if H.is_zero():
+        if k > 1 and not fixed:
+            nxt = H @ H1
+            if nxt.is_zero():
                 return
-            H = _normalized(H)
+            nxt = _normalized(nxt)
+            fixed = nxt._same_layout(H)
+            H = H if fixed else nxt
         budget.spent += 1
         yield k, H
 
@@ -212,8 +222,22 @@ def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> 
     rows = a[keep] / sums[keep, None]
     if rows.shape[0] == 1:
         return 0.0
-    diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-    return float(diffs.max())
+    return float(_l1_distances(rows).max())
+
+
+def _l1_distances(rows: np.ndarray) -> np.ndarray:
+    """All pairwise l1 distances between the rows of ``rows``, bit-equal to
+    ``np.abs(u - v).sum()`` for each pair.  Blocks of 8 rows are taken
+    against the rows from theirs on and mirrored, so no ``r x r x n`` array
+    is formed: ``|u - v|`` equals ``|v - u|`` bit for bit, and each pair is
+    still summed along a contiguous axis of length ``n``."""
+    r = rows.shape[0]
+    dist = np.empty((r, r))
+    for i in range(0, r, 8):
+        d = np.abs(rows[i:i + 8, None, :] - rows[None, i:, :]).sum(axis=2)
+        dist[i:i + 8, i:] = d
+        dist[i:, i:i + 8] = d.T
+    return dist
 
 
 def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None = None,
@@ -236,7 +260,12 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     limits whose row-scale vector has zero entries.
 
     One unit of ``budget`` is one word popped by the enumeration, one power
-    of a repeated word, or one candidate product of the greedy word.
+    of a repeated word, or one candidate product of the greedy word.  When
+    the powers of a repeated word reach a fixed point (a power stored
+    exactly as the one before it), no further products are formed, but
+    each later power still costs one unit and adds one entry, the same
+    proximity, to its curve.
+
     ``diagnostics`` holds ``tol``, ``row_floor``, ``curves`` (proximities of
     the powers of each repeated word, keyed by ``repr(unit)``, and of the
     greedy prefixes under ``"greedy"``), ``examined`` (units spent) and
@@ -251,9 +280,12 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     diagnostics: dict = {"tol": tol, "row_floor": row_floor, "curves": {}}
     work = _Budget(budget)
     best: list = [float("inf"), None]  # least proximity so far and a word attaining it
+    last: list = [None, None]  # the last matrix measured and its proximity
 
     def converged(word, H, curve=None) -> bool:
-        prox = rank_one_proximity(H, row_floor)
+        # a power walk at its fixed point yields the same object again
+        prox = last[1] if H is last[0] else rank_one_proximity(H, row_floor)
+        last[:] = H, prox
         if curve is not None:
             curve.append(prox)
         if prox < best[0]:
@@ -333,7 +365,9 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     subrectangular with boundedly many columns and a positive diagonal
     entry; its normalised powers then converge to rank one, and the witness
     ``(word, W)`` is returned.  None means some prerequisite word was not
-    found within the budget — an inconclusive outcome.
+    found within the budget, or the powers did not come within ``tol`` of
+    rank one in ``power_iters`` steps or reached a fixed point that is not —
+    an inconclusive outcome.
     """
     verdict = check_irreducible_aperiodic(m.base)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
@@ -358,9 +392,13 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
         return None
 
     word = tuple(word_d) + tuple(word_a) + tuple(word_c) + tuple(word_b)
+    prev = None
     for _, H in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
+        if H is prev:  # a fixed point already measured above tol
+            return None
         if rank_one_proximity(H, row_floor) <= tol:
             return word, H
+        prev = H
     return None
 
 
@@ -446,44 +484,58 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     actives = [_active_words(x, m, n_max) for x in samples]
 
     # pairs and words are visited in a fixed order, so witnesses never
-    # depend on how labels hash
-    pairs = list(combinations(range(len(samples)), 2))
-    diffs = ((a, b, set(actives[a]) ^ set(actives[b])) for a, b in pairs)
-    words_witness = next(({"pair": (a, b), "differing_word": min(diff, key=_word_key)}
-                          for a, b, diff in diffs if diff), None)
-    equal_words = words_witness is None
-
-    max_dev = 0.0
-    iso_witness = None
+    # depend on how labels hash; row s of ``directions`` holds sample s's
+    # orbit point after each word it makes active, in that order
     words = sorted(set().union(*actives), key=_word_key)
-    for a, b in pairs:
-        base_dist = float(np.abs(samples[a] - samples[b]).sum())
-        for word in [w for w in words if w in actives[a] and w in actives[b]]:
-            da = actives[a][word][1]
-            db = actives[b][word][1]
-            dev = abs(float(np.abs(da - db).sum()) - base_dist)
-            if dev > max_dev:
-                max_dev = dev
-                iso_witness = {"pair": (a, b), "word": word, "deviation": dev}
-    isometry_pass = max_dev <= 1e-9
+    index = {word: i for i, word in enumerate(words)}
+    present = np.zeros((len(samples), len(words)), dtype=bool)
+    directions = np.zeros((len(samples), len(words), n))
 
     # orbits are finite point sets; they fail to look isolated only when two
     # distinct points collapse below the dedup floor.  Singleton orbits are
     # isolated vacuously and contribute no separation value.
     separation = float("inf")
-    for act in actives:
-        pts = [direction for _, direction in act.values()]
-        uniq: list[np.ndarray] = []
-        for p in pts:
-            if not any(np.abs(p - q).sum() <= dedup_eps for q in uniq):
-                uniq.append(p)
-        if len(uniq) < 2:
+    for s, act in enumerate(actives):
+        pts = np.array([direction for _, direction in act.values()]).reshape(len(act), n)
+        at = [index[word] for word in act]
+        present[s, at] = True
+        directions[s, at] = pts
+        dist = _l1_distances(pts)
+        # first seen wins: a point is dropped when it lies within the floor
+        # of an earlier point that was kept
+        close = np.triu(dist <= dedup_eps, 1)
+        keep = np.ones(len(pts), dtype=bool)
+        for j in np.flatnonzero(close.any(axis=0)):
+            keep[j] = not (close[:j, j] & keep[:j]).any()
+        if keep.sum() < 2:
             continue
-        stackpts = np.asarray(uniq)
-        d = np.abs(stackpts[:, None, :] - stackpts[None, :, :]).sum(axis=2)
-        np.fill_diagonal(d, np.inf)
-        separation = min(separation, float(d.min()))
+        dist = dist[np.ix_(keep, keep)]
+        np.fill_diagonal(dist, np.inf)
+        separation = min(separation, float(dist.min()))
     isolated = separation > dedup_eps
+
+    pairs = list(combinations(range(len(samples)), 2))
+    diffs = ((a, b, present[a] != present[b]) for a, b in pairs)
+    words_witness = next(({"pair": (a, b), "differing_word": words[int(diff.argmax())]}
+                          for a, b, diff in diffs if diff.any()), None)
+    equal_words = words_witness is None
+
+    # argmax takes the first largest deviation in word order, and a later
+    # pair must exceed it strictly, so the witness is the first one seen
+    max_dev = 0.0
+    iso_witness = None
+    for a, b in pairs:
+        common = np.flatnonzero(present[a] & present[b])
+        if common.size == 0:
+            continue
+        base_dist = float(np.abs(samples[a] - samples[b]).sum())
+        dev = np.abs(np.abs(directions[a, common] - directions[b, common]).sum(axis=1)
+                     - base_dist)
+        i = int(dev.argmax())
+        if dev[i] > max_dev:
+            max_dev = float(dev[i])
+            iso_witness = {"pair": (a, b), "word": words[common[i]], "deviation": max_dev}
+    isometry_pass = max_dev <= 1e-9
 
     return NonstabilityReport(
         subset=subset,

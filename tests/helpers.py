@@ -5,7 +5,9 @@ spanning-tree transport enumeration) deliberately avoid the library code
 paths they are used to check.  The ``reference_*`` functions keep earlier
 code paths as differential oracles for what replaced them: the word
 searches of ``filtermc.stability`` (three hand-written walks, each with its
-own budget bookkeeping) for the shared search engine, the per-label
+own budget bookkeeping) for the shared search engine, the all-pairs
+``r x r x n`` proximity and the pair-by-pair isometry check for the blocked
+distance kernel and the fixed-point power walk, the per-label
 loops of the filter kernel (one ``left_apply`` per label) for
 ``Partition.fan_out``, and the dense support-graph walks and the
 stationary power iteration for the sparse graph check, connector search
@@ -35,12 +37,16 @@ from filtermc import (
     operator_norm,
     partition_from_lumping,
     partition_from_observation,
-    rank_one_proximity,
 )
-from filtermc.core_model import ProbVector, as_prob_vector
+from filtermc.core_model import ProbVector, as_prob_vector, label_sort_key
 from filtermc.entropy import EntropySeries, _Kahan, h
 from filtermc.filter_dynamics import Outcome
-from filtermc.stability import default_col_bound, default_search_depth
+from filtermc.stability import (
+    NonstabilityReport,
+    _active_words,
+    default_col_bound,
+    default_search_depth,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,91 @@ def measures_close(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9) 
 # reference word searches
 # ---------------------------------------------------------------------------
 
+def reference_rank_one_proximity(M, row_floor: float = 0.0) -> float:
+    a = M.toarray() if isinstance(M, NonnegMatrix) else np.asarray(M, dtype=float)
+    sums = a.sum(axis=1)
+    keep = sums > row_floor
+    if not keep.any():
+        raise ModelError("rank_one_proximity: all rows at or below the floor")
+    rows = a[keep] / sums[keep, None]
+    if rows.shape[0] == 1:
+        return 0.0
+    diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+    return float(diffs.max())
+
+
+def _reference_word_key(word: tuple):
+    return len(word), label_sort_key(word)
+
+
+def reference_check_isometry_obstruction(m: Partition, subset, n_max: int = 4,
+                                         sample_count: int = 6, seed: int = 0,
+                                         dedup_eps: float = 1e-9) -> NonstabilityReport:
+    subset = tuple(sorted(int(i) for i in subset))
+    if len(subset) < 2:
+        raise ModelError("subset must contain at least two states")
+    n = m.n
+    if any(i < 0 or i >= n for i in subset):
+        raise ModelError("subset index out of range")
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in subset:
+        e = np.zeros(n)
+        e[i] = 1.0
+        samples.append(e)
+    for _ in range(sample_count):
+        x = np.zeros(n)
+        x[list(subset)] = rng.dirichlet(np.ones(len(subset)))
+        samples.append(x)
+
+    actives = [_active_words(x, m, n_max) for x in samples]
+
+    pairs = list(itertools.combinations(range(len(samples)), 2))
+    diffs = ((a, b, set(actives[a]) ^ set(actives[b])) for a, b in pairs)
+    words_witness = next(({"pair": (a, b), "differing_word": min(diff, key=_reference_word_key)}
+                          for a, b, diff in diffs if diff), None)
+    equal_words = words_witness is None
+
+    max_dev = 0.0
+    iso_witness = None
+    words = sorted(set().union(*actives), key=_reference_word_key)
+    for a, b in pairs:
+        base_dist = float(np.abs(samples[a] - samples[b]).sum())
+        for word in [w for w in words if w in actives[a] and w in actives[b]]:
+            da = actives[a][word][1]
+            db = actives[b][word][1]
+            dev = abs(float(np.abs(da - db).sum()) - base_dist)
+            if dev > max_dev:
+                max_dev = dev
+                iso_witness = {"pair": (a, b), "word": word, "deviation": dev}
+    isometry_pass = max_dev <= 1e-9
+
+    separation = float("inf")
+    for act in actives:
+        pts = [direction for _, direction in act.values()]
+        uniq: list[np.ndarray] = []
+        for p in pts:
+            if not any(np.abs(p - q).sum() <= dedup_eps for q in uniq):
+                uniq.append(p)
+        if len(uniq) < 2:
+            continue
+        stackpts = np.asarray(uniq)
+        d = np.abs(stackpts[:, None, :] - stackpts[None, :, :]).sum(axis=2)
+        np.fill_diagonal(d, np.inf)
+        separation = min(separation, float(d.min()))
+    isolated = separation > dedup_eps
+
+    return NonstabilityReport(
+        subset=subset,
+        separation=separation,
+        isolated_pass=isolated,
+        equal_words_pass=equal_words,
+        isometry_pass=isometry_pass,
+        max_isometry_deviation=max_dev,
+        witnesses={"equal_words": words_witness, "isometry": iso_witness},
+    )
+
+
 def reference_word_search(m: Partition, predicate, max_len: int, budget: int):
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
@@ -270,7 +361,7 @@ def reference_power_curve(m: Partition, unit: tuple, tol: float, row_floor: floa
     H = base
     curve = []
     for k in range(1, iters + 1):
-        prox = rank_one_proximity(H, row_floor)
+        prox = reference_rank_one_proximity(H, row_floor)
         curve.append(prox)
         if prox <= tol:
             return curve, H, k
@@ -303,7 +394,7 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
             if prod.is_zero():
                 continue
             H = _reference_normalized(prod)
-            prox = rank_one_proximity(H, row_floor)
+            prox = reference_rank_one_proximity(H, row_floor)
             if prox < best_prox:
                 best_prox, best_word = prox, word
             if prox <= tol:
@@ -354,7 +445,7 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
                 break
             word = word + (best[0],)
             prod = best[1].scaled(1.0 / best[2])
-            prox = rank_one_proximity(prod, row_floor)
+            prox = reference_rank_one_proximity(prod, row_floor)
             curve.append(prox)
             if prox < best_prox:
                 best_prox, best_word = prox, word
@@ -406,7 +497,7 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
     H = _reference_normalized(G)
     base = H
     for _ in range(power_iters):
-        if rank_one_proximity(H, row_floor) <= tol:
+        if reference_rank_one_proximity(H, row_floor) <= tol:
             return word, H
         H = _reference_normalized(H @ base)
     return None

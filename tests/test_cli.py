@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -250,3 +251,24 @@ def test_thm11_output_independent_of_hash_seed(tmp_path):
     out = tmp_path / "v.json"
     run(["check", "--condition", "thm11", *jobs[-1], "--out", str(out)])
     assert json.loads(out.read_text())["witnesses"]["equal_words"]["differing_word"] == ["a"]
+
+
+@pytest.mark.parametrize("kind, params, check_args, digest", [
+    # 551 curve proximities and the witness W of the random walk at n = 63
+    ("random-walk", {"case": "a", "n": 63}, ["--condition", "b1"],
+     "3feb6eaf8efbc837d2e6c548e3b6ab33389ca939e71399adbc0e7a91e042829f"),
+    ("kesten", None, ["--condition", "thm11", "--subset", "0,1,2,3"],
+     "019ceb0aed1288dc8118d7b6b2da0bb493f2173a741abfcde21edcc9a0584778"),
+])
+def test_check_output_bytes_are_pinned(tmp_path, kind, params, check_args, digest):
+    # digests of the output written before the blocked distance kernel and
+    # the fixed-point power walk replaced the all-pairs proximity
+    gallery_args = ["gallery", kind, "--out", str(tmp_path / "model.json")]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        gallery_args += ["--params", str(tmp_path / "params.json")]
+    assert run(gallery_args) == 0
+    out = tmp_path / "verdict.json"
+    assert run(["check", "--model", str(tmp_path / "model.json"), *check_args,
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,19 +2,29 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
+import filtermc.stability as stability
 from filtermc import ModelError
-from filtermc.stability import _connector_word, _normalized, _word_search
+from filtermc.stability import (
+    _active_words,
+    _connector_word,
+    _normalized,
+    _power_walk,
+    _word_search,
+)
 
 from helpers import (
     random_partition,
     random_transition,
+    reference_check_isometry_obstruction,
     reference_compose_rank_one_witness,
     reference_connector_word,
     reference_detect_rank_one_limit,
+    reference_rank_one_proximity,
     reference_word_search,
     subrectangular_by_quantifiers,
 )
@@ -27,6 +37,23 @@ def test_subrectangular_examples():
     assert fm.is_subrectangular(np.zeros((2, 2)))  # vacuous
 
 
+def _csr_with_stored_zeros(rng, rows: int, cols: int):
+    """A CSR matrix whose positive entries fill a product set, with a few
+    entries added or removed, plus stored zeros scattered anywhere; and its
+    dense array."""
+    R = rng.choice(rows, size=int(rng.integers(0, 6)), replace=False)
+    C = rng.choice(cols, size=int(rng.integers(0, 6)), replace=False)
+    a = np.zeros((rows, cols))
+    a[np.ix_(R, C)] = rng.uniform(0.1, 1.0, size=(R.size, C.size))
+    for _ in range(int(rng.integers(0, 2))):
+        a[rng.integers(rows), rng.integers(cols)] = rng.choice([0.0, 0.5])
+    positive = a > 0
+    zeros = ~positive & (rng.random((rows, cols)) < 0.01)
+    ii, jj = np.nonzero(positive | zeros)
+    mat = sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols))
+    return fm.NonnegMatrix._wrap(mat), a
+
+
 def test_subrectangular_matches_quantifier_bruteforce():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -34,6 +61,23 @@ def test_subrectangular_matches_quantifier_bruteforce():
         k = int(rng.integers(1, 9))
         a = (rng.random((n, k)) < 0.35) * rng.random((n, k))
         assert fm.is_subrectangular(a) == subrectangular_by_quantifiers(a)
+    # CSR storage (n >= 64) with stored zeros, which are not support
+    verdicts = set()
+    for _ in range(120):
+        M, a = _csr_with_stored_zeros(rng, int(rng.integers(64, 80)), int(rng.integers(64, 80)))
+        assert not M.is_dense and M._mat.nnz > M.nnz
+        want = subrectangular_by_quantifiers(a)
+        assert fm.is_subrectangular(M) == want
+        assert fm.is_subrectangular(a) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("k, depth", [(2, 8), (10, 6), (17, 4), (100, 3)])
+def test_default_search_depth_is_the_largest_power_within_budget(k, depth):
+    assert stability.default_search_depth(k) == depth
+    d = stability.default_search_depth(k, cap=64)
+    assert k ** d <= 10**6 < k ** (d + 1)
 
 
 def test_find_subrectangular_word_trivial_positive():
@@ -431,3 +475,133 @@ def test_best_word_attains_min_proximity_on_a_repeat_curve():
     assert len(d["best_word"]) > 2
     H = _normalized(fm.matrix_word_product(m, d["best_word"]))
     assert fm.rank_one_proximity(H, d["row_floor"]) == pytest.approx(d["min_proximity"], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the blocked distance kernel and the fixed-point power walk against the
+# all-pairs proximity and the pair-by-pair isometry check they replace
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 70),
+       density=st.sampled_from([0.05, 0.3, 1.0]), row_floor=st.sampled_from([0.0, 1e-4, 0.3]))
+def test_rank_one_proximity_matches_reference_on_arrays(seed, rows, cols, density, row_floor):
+    # row counts on both sides of the block size, dense and CSR storage
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < density) * rng.random((rows, cols))
+    a[rng.random(rows) < 0.2] *= 1e-6  # rows near the floor
+    for M in (a, fm.NonnegMatrix.from_dense(a)):
+        try:
+            want = reference_rank_one_proximity(M, row_floor)
+        except ModelError:
+            with pytest.raises(ModelError):
+                fm.rank_one_proximity(M, row_floor)
+            continue
+        assert fm.rank_one_proximity(M, row_floor) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=small_partitions(), word=st.data())
+def test_rank_one_proximity_matches_reference_on_word_powers(m, word):
+    unit = word.draw(st.lists(st.sampled_from(m.labels), min_size=1, max_size=3).map(tuple))
+    for _, H in _power_walk(fm.matrix_word_product(m, unit), 30, stability._Budget()):
+        for floor in (0.0, 1e-4):
+            assert fm.rank_one_proximity(H, floor) == reference_rank_one_proximity(H, floor)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_rank_one_proximity_matches_reference_on_random_walk_powers(n):
+    m = fm.random_walk_case_a(n).partition
+    for unit in ((1,), (2,), (1, 2)):
+        for k, H in _power_walk(fm.matrix_word_product(m, unit), 60, stability._Budget()):
+            if k % 5 == 1:
+                assert fm.rank_one_proximity(H, 1e-4) == reference_rank_one_proximity(H, 1e-4)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_detect_rank_one_limit_matches_reference_on_random_walks(n):
+    # the check b1 defaults; on rw63 499 of the 500 powers of (1,) repeat a
+    # fixed point, and the fixed point is still measured once per power
+    m = fm.random_walk_case_a(n).partition
+    assert_detect_matches_reference(m, tol=1e-8, max_depth=8)
+    assert_detect_matches_reference(m, tol=1e-300, max_depth=2, power_iters=60,
+                                    policy=("repeat", "greedy"))
+
+
+def test_power_walk_yields_its_fixed_point_again():
+    m = fm.random_walk_case_a(63).partition
+    powers = [H for _, H in _power_walk(m.member(1), 500, stability._Budget())]
+    assert len(powers) == 500
+    assert len({id(H) for H in powers}) < 10
+    assert all(H is powers[-1] for H in powers[10:])
+
+
+def test_compose_stops_at_a_fixed_point_that_is_not_rank_one(monkeypatch):
+    # the composed word's powers settle, bit for bit, on a matrix whose rows
+    # differ at rounding level, above a tolerance of 1e-300
+    rng = np.random.default_rng(7)
+    m = fm.partition_from_lumping(random_transition(rng, 6), [0, 0, 0, 1, 1, 1])
+    kwargs = dict(max_len=4, tol=1e-300, col_bound=3, power_iters=10_000)
+    assert reference_compose_rank_one_witness(m, **kwargs) is None
+    proximities = []
+
+    def measured(H, row_floor=0.0):
+        proximities.append(reference_rank_one_proximity(H, row_floor))
+        return proximities[-1]
+
+    monkeypatch.setattr(stability, "rank_one_proximity", measured)
+    assert fm.compose_rank_one_witness(m, **kwargs) is None
+    assert 2 <= len(proximities) < 100
+    assert 0.0 < proximities[-1] < 1e-15
+
+
+def _assert_report_matches_reference(m, subset, **kwargs):
+    got = fm.check_isometry_obstruction(m, subset, **kwargs)
+    want = reference_check_isometry_obstruction(m, subset, **kwargs)
+    assert got == want
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=small_partitions(), data=st.data(), n_max=st.integers(1, 3),
+       sample_count=st.integers(0, 4), seed=st.integers(0, 1000),
+       dedup_eps=st.sampled_from([1e-9, 0.05, 0.5]))
+def test_isometry_obstruction_matches_reference(m, data, n_max, sample_count, seed, dedup_eps):
+    subset = data.draw(st.lists(st.integers(0, m.n - 1), min_size=2, max_size=m.n, unique=True))
+    _assert_report_matches_reference(m, subset, n_max=n_max, sample_count=sample_count,
+                                     seed=seed, dedup_eps=dedup_eps)
+
+
+@pytest.mark.parametrize("make, subset, n_max", [
+    (lambda: fm.kesten_model().partition, [0, 1, 2, 3], 4),
+    (lambda: fm.random_walk_case_a(63).partition, range(0, 63, 5), 3),
+    (lambda: fm.random_walk_case_a(64).partition, range(0, 64, 5), 3),
+])
+def test_isometry_obstruction_matches_reference_on_gallery_models(make, subset, n_max):
+    for seed in range(3):
+        _assert_report_matches_reference(make(), subset, n_max=n_max, seed=seed)
+
+
+def test_isometry_obstruction_matches_reference_on_birkhoff_vertex_starts():
+    rng = np.random.default_rng(11)
+    D = np.zeros((5, 5))
+    for w in rng.dirichlet(np.ones(6)):
+        D[np.arange(5), rng.permutation(5)] += w
+    m = fm.birkhoff_partition_model(D).partition
+    # with no random samples every start is a vertex of the subset
+    for sample_count in (0, 2):
+        report = _assert_report_matches_reference(m, range(5), n_max=2,
+                                                  sample_count=sample_count, seed=4)
+        assert report.passed
+
+
+def test_isometry_obstruction_separation_is_least_distance_between_distinct_points():
+    # identity lumping: every word ends at the vertex of its last label, so
+    # each orbit repeats the vertices, whose distinct pairs lie 2 apart
+    rng = np.random.default_rng(12)
+    m = fm.partition_from_lumping(random_transition(rng, 4), [0, 1, 2, 3])
+    orbit = _active_words(np.full(4, 0.25), m, 3)
+    assert len(orbit) > 4
+    report = fm.check_isometry_obstruction(m, [0, 1, 2, 3], n_max=3, seed=0)
+    assert report.separation == 2.0
+    assert report.isolated_pass
