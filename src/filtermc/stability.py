@@ -481,38 +481,40 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
         x[list(subset)] = rng.dirichlet(np.ones(len(subset)))
         samples.append(x)
 
-    actives = [_active_words(x, m, n_max) for x in samples]
-
-    # pairs and words are visited in a fixed order, so witnesses never
-    # depend on how labels hash; row s of ``directions`` holds sample s's
-    # orbit point after each word it makes active, in that order
-    words = sorted(set().union(*actives), key=_word_key)
-    index = {word: i for i, word in enumerate(words)}
-    present = np.zeros((len(samples), len(words)), dtype=bool)
-    directions = np.zeros((len(samples), len(words), n))
-
     # orbits are finite point sets; they fail to look isolated only when two
-    # distinct points collapse below the dedup floor.  Singleton orbits are
-    # isolated vacuously and contribute no separation value.
+    # distinct points collapse below the dedup floor.  First seen wins: a
+    # point is kept unless it lies within the floor of a point kept before
+    # it, so an orbit that collapses to a few points is compared against
+    # those few only.  Singleton orbits are isolated vacuously and
+    # contribute no separation value.
+    orbits = []
     separation = float("inf")
-    for s, act in enumerate(actives):
+    for x in samples:
+        act = _active_words(x, m, n_max)
         pts = np.array([direction for _, direction in act.values()]).reshape(len(act), n)
-        at = [index[word] for word in act]
-        present[s, at] = True
-        directions[s, at] = pts
-        dist = _l1_distances(pts)
-        # first seen wins: a point is dropped when it lies within the floor
-        # of an earlier point that was kept
-        close = np.triu(dist <= dedup_eps, 1)
-        keep = np.ones(len(pts), dtype=bool)
-        for j in np.flatnonzero(close.any(axis=0)):
-            keep[j] = not (close[:j, j] & keep[:j]).any()
-        if keep.sum() < 2:
+        orbits.append((list(act), pts))
+        kept = np.empty_like(pts)
+        u = 0
+        for p in pts:
+            if not (np.abs(kept[:u] - p).sum(axis=1) <= dedup_eps).any():
+                kept[u] = p
+                u += 1
+        if u < 2:
             continue
-        dist = dist[np.ix_(keep, keep)]
+        dist = _l1_distances(kept[:u])
         np.fill_diagonal(dist, np.inf)
         separation = min(separation, float(dist.min()))
     isolated = separation > dedup_eps
+
+    # pairs and words are visited in a fixed order, so witnesses never
+    # depend on how labels hash; ``row[s, i]`` is the row of sample s's
+    # orbit point after ``words[i]``, or -1 when s does not make it active
+    words = sorted(set().union(*(act for act, _ in orbits)), key=_word_key)
+    index = {word: i for i, word in enumerate(words)}
+    row = np.full((len(samples), len(words)), -1)
+    for s, (act, _) in enumerate(orbits):
+        row[s, [index[word] for word in act]] = np.arange(len(act))
+    present = row >= 0
 
     pairs = list(combinations(range(len(samples)), 2))
     diffs = ((a, b, present[a] != present[b]) for a, b in pairs)
@@ -529,8 +531,9 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
         if common.size == 0:
             continue
         base_dist = float(np.abs(samples[a] - samples[b]).sum())
-        dev = np.abs(np.abs(directions[a, common] - directions[b, common]).sum(axis=1)
-                     - base_dist)
+        da = orbits[a][1][row[a, common]]
+        db = orbits[b][1][row[b, common]]
+        dev = np.abs(np.abs(da - db).sum(axis=1) - base_dist)
         i = int(dev.argmax())
         if dev[i] > max_dev:
             max_dev = float(dev[i])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,6 +594,28 @@ def test_isometry_obstruction_matches_reference_on_birkhoff_vertex_starts():
         report = _assert_report_matches_reference(m, range(5), n_max=2,
                                                   sample_count=sample_count, seed=4)
         assert report.passed
+
+
+def test_isometry_obstruction_memory_follows_distinct_orbit_points():
+    # eight permutation labels: every word is active from every vertex, so
+    # each orbit has 8 + 64 + 512 + 4096 points at depth 4 but only the five
+    # vertices are distinct; a distance matrix over all points would take
+    # 175 MB per sample
+    rng = np.random.default_rng(1)
+    D = np.zeros((5, 5))
+    for w in rng.dirichlet(np.ones(6)):
+        D[np.arange(5), rng.permutation(5)] += w
+    m = fm.birkhoff_partition_model(D).partition
+    assert len(m.labels) == 8
+    tracemalloc.start()
+    try:
+        report = fm.check_isometry_obstruction(m, range(5), n_max=4, sample_count=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert report == reference_check_isometry_obstruction(m, range(5), n_max=4, sample_count=0)
+    assert report.separation == 2.0
 
 
 def test_isometry_obstruction_separation_is_least_distance_between_distinct_points():
