@@ -226,29 +226,15 @@ def _cmd_entropy(args) -> int:
     if args.bracket:
         report = entropy_bracket(m, args.horizon, prune=args.prune, pi=pi)
         lower, upper = report.bracket
-    rows = []
-    for k in range(args.horizon):
-        rows.append({
-            "n": k + 1,
-            "H_n": series.values[k],
-            "H_R_n": series.values[k + 1] - series.values[k],
-            "L_n": lower[k] if lower else "",
-            "U_n": upper[k] if upper else "",
-            "pruned_mass": series.pruned_mass,
-        })
+    v = series.values
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["n", "H_n", "H_R_n", "L_n", "U_n", "pruned_mass"])
-        for r in rows:
-            writer.writerow([
-                r["n"],
-                repr(float(r["H_n"])),
-                repr(float(r["H_R_n"])),
-                repr(float(r["L_n"])) if r["L_n"] != "" else "",
-                repr(float(r["U_n"])) if r["U_n"] != "" else "",
-                repr(float(r["pruned_mass"])),
-            ])
+        for k in range(args.horizon):  # every figure is a Python float
+            writer.writerow([k + 1, repr(v[k]), repr(v[k + 1] - v[k]),
+                             repr(lower[k]) if lower else "", repr(upper[k]) if upper else "",
+                             repr(series.pruned_mass)])
     finally:
         if args.out:
             out.close()

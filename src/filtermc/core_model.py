@@ -211,14 +211,18 @@ class NonnegMatrix:
         graph.sort_indices()
         return graph
 
-    def triplets(self) -> list[tuple[int, int, float]]:
-        """Strictly positive entries sorted by (row, col)."""
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the positive entries, sorted by (row, col)."""
         ii, jj = self._mat.nonzero()
         if ii.size == 0:  # a CSR array indexed by empty arrays returns a sparse array
-            return []
+            return ii, jj, np.zeros(0)
         order = np.lexsort((jj, ii))
         ii, jj = ii[order], jj[order]
-        return list(zip(ii.tolist(), jj.tolist(), self._mat[ii, jj].tolist()))
+        return ii, jj, np.asarray(self._mat[ii, jj])
+
+    def triplets(self) -> list[tuple[int, int, float]]:
+        """Strictly positive entries sorted by (row, col)."""
+        return list(zip(*(a.tolist() for a in self._entries())))
 
     @property
     def nnz(self) -> int:
@@ -380,20 +384,30 @@ class Partition:
             yield w, self.members[w]
 
     def fan_out(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step of every label from the row ``x``: the masses
-        ``|x M(w)|`` (shape ``(k,)``) and the unnormalised children
-        ``x M(w)`` (shape ``(k, n)``), in label order.
+        """One step of every label from a row ``x`` of shape ``(n,)``, or
+        from each row of a stack of shape ``(r, n)``: the masses ``|x M(w)|``
+        (shape ``(..., k)``) and the unnormalised children ``x M(w)`` (shape
+        ``(..., k, n)``), in label order.  Each child is bit-equal to
+        ``M(w).left_apply(row)``, and each mass is its child's sum.
 
-        One product against the members stacked once, on first use: dense
-        members on a new axis, CSR members side by side.  Each child is
-        bit-equal to ``M(w).left_apply(x)``.
+        The members are stacked once, on first use.  Dense members lie on a
+        new axis, ``S`` of shape ``(k, n, n)``, and ``x[..., None, None, :] @ S``
+        runs one vector-matrix product per (row, label); the plain ``X @ S``
+        would be a gemm, which differs in the last bits.  CSR members lie side
+        by side, ``K`` of shape ``(n, kn)``; ``X @ K`` comes back in Fortran
+        order, whose row sums differ from the one-row masses, so it is made
+        C-contiguous first.
         """
         if self._stack is None:
             mats = [self.members[w]._mat for w in self.labels]
             dense = all(isinstance(a, np.ndarray) for a in mats)
             self._stack = np.stack(mats) if dense else sp.hstack(mats, format="csr")
-        children = (x @ self._stack).reshape(len(self.labels), -1)
-        return children.sum(axis=1), children
+        if isinstance(self._stack, np.ndarray):
+            children = x[..., None, None, :] @ self._stack
+        else:
+            children = np.ascontiguousarray(x @ self._stack)
+        children = children.reshape(*x.shape[:-1], len(self.labels), -1)
+        return children.sum(axis=-1), children
 
     def __repr__(self) -> str:
         return f"Partition(n={self.n}, labels={list(self.labels)!r})"
@@ -462,11 +476,13 @@ def partition_from_lumping(P: TransitionMatrix, g) -> Partition:
     labels = sorted(set(gl), key=label_sort_key)
     if not labels:
         raise ModelError("Partition label set is empty")
+    index = {a: t for t, a in enumerate(labels)}
+    ii, jj, vv = P.inner._entries()
+    col_label = np.array([index[a] for a in gl])[jj]
     members = {}
-    for a in labels:
-        cols = {j for j, lab in enumerate(gl) if lab == a}
-        entries = [(i, j, v) for i, j, v in P.inner.triplets() if j in cols]
-        members[a] = NonnegMatrix(n, n, entries)
+    for t, a in enumerate(labels):
+        sel = col_label == t
+        members[a] = NonnegMatrix._wrap(_store((n, n), ii[sel], jj[sel], vv[sel]))
     return Partition(members, P)
 
 
@@ -496,15 +512,14 @@ def partition_from_observation(P: TransitionMatrix, R, labels: Sequence | None =
     elif len(labels) != k:
         raise ModelError("labels length must match observation matrix columns")
     Rd = Rm.toarray()
-    p_triplets = P.inner.triplets()
+    ii, jj, vv = P.inner._entries()
     members = {}
     for a_idx, a in enumerate(labels):
-        entries = [
-            (i, j, v * Rd[j, a_idx])
-            for i, j, v in p_triplets
-            if Rd[j, a_idx] > 0.0
-        ]
-        members[a] = NonnegMatrix(n, n, entries)
+        sel = Rd[jj, a_idx] > 0.0
+        values = vv[sel] * Rd[jj[sel], a_idx]
+        if (values <= 0).any():  # underflow
+            raise ModelError("NonnegMatrix stored values must be strictly positive")
+        members[a] = NonnegMatrix._wrap(_store((n, n), ii[sel], jj[sel], values))
     return Partition(members, P)
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core_model import ModelError, Partition, ProbVector, as_prob_vector, stationary_vector
 from .filter_dynamics import DEFAULT_PRUNE, evolve, simulate_filter
@@ -34,6 +35,8 @@ _LN2 = math.log(2.0)
 # states with stationary mass at or below this are folded into the error
 # budget instead of contributing a lower-bracket term
 _PI_FLOOR = 1e-12
+# a fan-out block's children take at most this many bytes
+_BLOCK_BYTES = 2**18
 
 
 def h(t: float) -> float:
@@ -100,41 +103,51 @@ class EntropyReport:
     bracket: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
 
+def _block_rows(m: Partition) -> int:
+    """Rows per fan-out block: its children take at most ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * m.num_labels * m.n))
+
+
 def entropy_series(x, m: Partition, n_max: int, prune: float = DEFAULT_PRUNE) -> EntropySeries:
     """H^n for n = 1..n_max by depth-first word enumeration.
 
     Prefix masses are reused down the tree; branches of mass at most
-    ``prune`` are dropped and accounted.  Enumeration follows label order,
-    so each horizon is accumulated in word order (Kahan-compensated).
+    ``prune`` are dropped and accounted.  The walk is depth first over blocks
+    of words of one length, each block in label order, so each horizon is
+    accumulated in word order (Kahan-compensated), and the pruned mass is
+    summed in the depth-first order of the pruned words.
     """
     if n_max < 1:
         raise ModelError("entropy_series requires n_max >= 1")
     xv = as_prob_vector(x)
+    k, rows = m.num_labels, _block_rows(m)
     acc = [_Kahan() for _ in range(n_max)]
+    pruned, pruned_words = [], []
+    # (depth, states, prefix masses, label-index words padded with -1)
+    stack = [(0, xv.coords[None], np.ones(1), np.full((1, n_max), -1))]
+    while stack:
+        depth, states, mass, words = stack.pop()
+        p, children = m.fan_out(states)
+        p, child_mass = p.ravel(), (mass[:, None] * p).ravel()
+        words = np.repeat(words, k, axis=0)
+        words[:, depth] = np.tile(np.arange(k), states.shape[0])
+        cut = (p > 0.0) & (child_mass <= prune)
+        keep = (p > 0.0) & ~cut
+        pruned.append(child_mass[cut])
+        pruned_words.append(words[cut])
+        for t in child_mass[keep].tolist():
+            acc[depth].add(h(t))
+        if depth + 1 < n_max:
+            nxt = children.reshape(-1, m.n)[keep] / p[keep, None]
+            mass, words = child_mass[keep], words[keep]
+            for s in reversed(range(0, mass.size, rows)):
+                stack.append((depth + 1, nxt[s:s + rows], mass[s:s + rows], words[s:s + rows]))
+    pruned, pruned_words = np.concatenate(pruned), np.concatenate(pruned_words)
     pruned_mass = 0.0
-    pruned_count = 0
-
-    def rec(vec: np.ndarray, mass: float, depth: int) -> None:
-        nonlocal pruned_mass, pruned_count
-        masses, children = m.fan_out(vec)
-        for p, y in zip(masses.tolist(), children):
-            if p <= 0.0:
-                continue
-            child_mass = mass * p
-            if child_mass <= prune:
-                pruned_mass += child_mass
-                pruned_count += 1
-                continue
-            acc[depth].add(h(child_mass))
-            if depth + 1 < n_max:
-                rec(y / p, child_mass, depth + 1)
-
-    rec(xv.coords, 1.0, 0)
-    return EntropySeries(
-        values=tuple(a.total for a in acc),
-        pruned_mass=pruned_mass,
-        pruned_count=pruned_count,
-    )
+    for t in pruned[np.lexsort(pruned_words.T[::-1])].tolist():
+        pruned_mass += t
+    return EntropySeries(values=tuple(a.total for a in acc), pruned_mass=pruned_mass,
+                         pruned_count=int(pruned.size))
 
 
 def block_entropy(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE) -> tuple[float, float]:
@@ -160,19 +173,27 @@ def entropy_rate_increment(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE
     if method == "integral":
         mu = evolve(x, m, n, prune=prune)
         total = _Kahan()
-        for weight, point in zip(mu.weights, mu.points):
-            total.add(float(weight) * _one_step_entropy(point, m, base="log2"))
+        for weight, e in zip(mu.weights.tolist(), _one_step_entropy(mu.points, m, "log2")):
+            total.add(weight * e)
         return total.total
     raise ModelError("method must be 'difference' or 'integral'")
 
 
-def _one_step_entropy(point: np.ndarray, m: Partition, base: str) -> float:
-    total = 0.0
-    for p in m.fan_out(point)[0].tolist():
-        if p <= 0.0:
-            continue
-        total += h(min(p, 1.0)) if base == "log2" else -p * math.log(min(p, 1.0))
-    return total
+def _one_step_entropy(points, m: Partition, base: str) -> list[float]:
+    """The one-step entropy of each row of ``points`` (a dense or sparse
+    2-d array), taken in blocks of rows; each sum is in label order."""
+    rows = _block_rows(m)
+    out = []
+    for s in range(0, points.shape[0], rows):
+        block = points[s:s + rows]
+        for masses in m.fan_out(block.toarray() if sp.issparse(block) else block)[0].tolist():
+            total = 0.0
+            for p in masses:
+                if p <= 0.0:
+                    continue
+                total += h(min(p, 1.0)) if base == "log2" else -p * math.log(min(p, 1.0))
+            out.append(total)
+    return out
 
 
 def entropy_bracket(m: Partition, n_max: int, prune: float = DEFAULT_PRUNE,
@@ -193,8 +214,7 @@ def entropy_bracket(m: Partition, n_max: int, prune: float = DEFAULT_PRUNE,
 
     lower_acc = [_Kahan() for _ in range(n_max)]
     pruned_mass = pi_series.pruned_mass
-    pruned_count = pi_series.pruned_count
-    folded_tail = 0.0
+    folded_tail = 0.0  # mass skipped in the lower mix
     for i in np.flatnonzero(pi.coords > 0):
         wi = float(pi.coords[i])
         if wi <= _PI_FLOOR:
@@ -202,20 +222,13 @@ def entropy_bracket(m: Partition, n_max: int, prune: float = DEFAULT_PRUNE,
             continue
         s = entropy_series(ProbVector.vertex(int(i), m.n), m, n_max + 1, prune=prune)
         pruned_mass += wi * s.pruned_mass
-        pruned_count += s.pruned_count
         for k in range(n_max):
             lower_acc[k].add(wi * (s.values[k + 1] - s.values[k]))
     lower = tuple(a.total for a in lower_acc)
-
-    series_tail_bound = folded_tail  # mass skipped in the lower mix
-    return EntropyReport(
-        horizon=n_max,
-        H_n=pi_series.values[n_max - 1],
-        increment=upper[-1],
-        pruned_mass=pruned_mass + series_tail_bound,
-        dropped_entropy_bound=pi_series.dropped_entropy_bound,
-        bracket=(lower, upper),
-    )
+    return EntropyReport(horizon=n_max, H_n=pi_series.values[n_max - 1], increment=upper[-1],
+                         pruned_mass=pruned_mass + folded_tail,
+                         dropped_entropy_bound=pi_series.dropped_entropy_bound,
+                         bracket=(lower, upper))
 
 
 def entropy_rate_mc(m: Partition, burn_in: int = 200, samples: int = 5000, seed: int = 0,
@@ -232,14 +245,11 @@ def entropy_rate_mc(m: Partition, burn_in: int = 200, samples: int = 5000, seed:
         raise ModelError("need at least as many samples as batches")
     start = as_prob_vector(x0) if x0 is not None else stationary_vector(m.base)
     trace = simulate_filter(start, m, steps=burn_in + samples, seed=seed)
-    values = np.array([
-        _one_step_entropy(state.coords, m, base="log2")
-        for _, state in trace.steps[burn_in:]
-    ])
+    states = np.array([state.coords for _, state in trace.steps[burn_in:]])
+    values = np.array(_one_step_entropy(states, m, "log2"))
     est = float(values.mean())
     per_batch = values[: (samples // batches) * batches].reshape(batches, -1).mean(axis=1)
-    stderr = float(per_batch.std(ddof=1) / math.sqrt(batches))
-    return est, stderr
+    return est, float(per_batch.std(ddof=1) / math.sqrt(batches))
 
 
 def check_entropy_condition(m: Partition, sample_count: int = 32, seed: int = 0) -> float:
@@ -252,13 +262,7 @@ def check_entropy_condition(m: Partition, sample_count: int = 32, seed: int = 0)
     lower estimate of the sup, and is reported as such.
     """
     rng = np.random.default_rng(seed)
-    n = m.n
-    best = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        best = max(best, _one_step_entropy(e, m, base="ln"))
-    for _ in range(sample_count):
-        x = rng.dirichlet(np.ones(n))
-        best = max(best, _one_step_entropy(x, m, base="ln"))
-    return best
+    # the vertices as sparse rows: no n x n identity is formed
+    points = sp.vstack([sp.identity(m.n, format="csr"),
+                        sp.csr_array(rng.dirichlet(np.ones(m.n), size=sample_count))], format="csr")
+    return max([0.0, *_one_step_entropy(points, m, "ln")])

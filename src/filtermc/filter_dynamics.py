@@ -242,26 +242,18 @@ def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
     never silently), the rest is merged within ``merge_eps`` and
     renormalised.
     """
-    new_w: list[float] = []
-    new_p: list[np.ndarray] = []
+    masses, children = m.fan_out(mu.points)
+    mass = mu.weights[:, None] * masses
+    cut = (masses > 0.0) & (mass <= prune)
+    keep = (masses > 0.0) & ~cut
     pruned_mass = mu.pruned_mass
-    pruned_count = mu.pruned_count
-    for w_atom, point in zip(mu.weights, mu.points):
-        masses, children = m.fan_out(point)
-        for p, y in zip(masses.tolist(), children):
-            if p <= 0.0:
-                continue
-            mass = float(w_atom) * p
-            if mass <= prune:
-                pruned_mass += mass
-                pruned_count += 1
-                continue
-            new_w.append(mass)
-            new_p.append(y / p)
-    if not new_w:
+    for t in mass[cut].tolist():  # atom by atom, each in label order
+        pruned_mass += t
+    if not keep.any():
         raise ModelError("pushforward pruned away all mass; lower `prune`")
-    return DiscreteMeasure(new_w, new_p, merge_eps=merge_eps,
-                           pruned_mass=pruned_mass, pruned_count=pruned_count)
+    return DiscreteMeasure(mass[keep], children[keep] / masses[keep][:, None],
+                           merge_eps=merge_eps, pruned_mass=pruned_mass,
+                           pruned_count=mu.pruned_count + int(cut.sum()))
 
 
 def evolve(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE,

@@ -9,7 +9,8 @@ own budget bookkeeping) for the shared search engine, the all-pairs
 ``r x r x n`` proximity and the pair-by-pair isometry check for the blocked
 distance kernel and the fixed-point power walk, the per-label
 loops of the filter kernel (one ``left_apply`` per label) for
-``Partition.fan_out``, and the dense support-graph walks and the
+``Partition.fan_out`` and its batched callers, the triplet scans of the
+partition constructors for their masks, and the dense support-graph walks and the
 stationary power iteration for the sparse graph check, connector search
 and direct stationary solve.
 """
@@ -37,10 +38,11 @@ from filtermc import (
     operator_norm,
     partition_from_lumping,
     partition_from_observation,
+    stationary_vector,
 )
-from filtermc.core_model import ProbVector, as_prob_vector, label_sort_key
+from filtermc.core_model import ProbVector, _lumping_as_list, as_prob_vector, label_sort_key
 from filtermc.entropy import EntropySeries, _Kahan, h
-from filtermc.filter_dynamics import Outcome
+from filtermc.filter_dynamics import Outcome, evolve, simulate_filter
 from filtermc.stability import (
     NonstabilityReport,
     _active_words,
@@ -504,6 +506,29 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
 
 
 # ---------------------------------------------------------------------------
+# reference partition constructors: a scan of Python triplets per label
+# ---------------------------------------------------------------------------
+
+def reference_partition_from_lumping(P: TransitionMatrix, g) -> Partition:
+    gl = _lumping_as_list(g, P.n)
+    members = {}
+    for a in sorted(set(gl), key=label_sort_key):
+        cols = {j for j, lab in enumerate(gl) if lab == a}
+        members[a] = NonnegMatrix(P.n, P.n, [(i, j, v) for i, j, v in P.inner.triplets()
+                                             if j in cols])
+    return Partition(members, P)
+
+
+def reference_partition_from_observation(P: TransitionMatrix, R) -> Partition:
+    Rd = np.asarray(R, dtype=float)
+    members = {}
+    for a in range(Rd.shape[1]):
+        members[a] = NonnegMatrix(P.n, P.n, [(i, j, v * Rd[j, a]) for i, j, v in P.inner.triplets()
+                                             if Rd[j, a] > 0.0])
+    return Partition(members, P)
+
+
+# ---------------------------------------------------------------------------
 # reference filter kernel: one left_apply per label
 # ---------------------------------------------------------------------------
 
@@ -582,6 +607,40 @@ def reference_one_step_entropy(point: np.ndarray, m: Partition, base: str) -> fl
             continue
         total += h(min(p, 1.0)) if base == "log2" else -p * math.log(min(p, 1.0))
     return total
+
+
+def reference_entropy_rate_integral(x, m: Partition, n: int, prune: float = 1e-12) -> float:
+    mu = evolve(x, m, n, prune=prune)
+    total = _Kahan()
+    for weight, point in zip(mu.weights, mu.points):
+        total.add(float(weight) * reference_one_step_entropy(point, m, base="log2"))
+    return total.total
+
+
+def reference_entropy_rate_mc(m: Partition, burn_in: int = 200, samples: int = 5000,
+                              seed: int = 0, x0=None, batches: int = 20) -> tuple[float, float]:
+    start = as_prob_vector(x0) if x0 is not None else stationary_vector(m.base)
+    trace = simulate_filter(start, m, steps=burn_in + samples, seed=seed)
+    values = np.array([reference_one_step_entropy(state.coords, m, base="log2")
+                       for _, state in trace.steps[burn_in:]])
+    est = float(values.mean())
+    per_batch = values[: (samples // batches) * batches].reshape(batches, -1).mean(axis=1)
+    return est, float(per_batch.std(ddof=1) / math.sqrt(batches))
+
+
+def reference_check_entropy_condition(m: Partition, sample_count: int = 32,
+                                      seed: int = 0) -> float:
+    rng = np.random.default_rng(seed)
+    n = m.n
+    best = 0.0
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        best = max(best, reference_one_step_entropy(e, m, base="ln"))
+    for _ in range(sample_count):
+        x = rng.dirichlet(np.ones(n))
+        best = max(best, reference_one_step_entropy(x, m, base="ln"))
+    return best
 
 
 def reference_active_words(x: np.ndarray, m: Partition, n_max: int):

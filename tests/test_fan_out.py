@@ -1,9 +1,11 @@
 """Differential tests of ``Partition.fan_out`` and the kernels built on it
-against the per-label loops they replaced (kept in ``helpers``): every
-outcome, atom, pruning figure, entropy value and trace state is bit-equal.
+against the per-label and per-row loops they replaced (kept in
+``helpers``): every outcome, atom, pruning figure, entropy value and trace
+state is bit-equal.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
-from filtermc.entropy import _one_step_entropy
+from filtermc.entropy import _block_rows, _one_step_entropy
 from filtermc.stability import _active_words
 
 from helpers import (
     random_partition,
     random_transition,
     reference_active_words,
+    reference_check_entropy_condition,
+    reference_entropy_rate_integral,
+    reference_entropy_rate_mc,
     reference_entropy_series,
     reference_one_step_entropy,
+    reference_partition_from_lumping,
+    reference_partition_from_observation,
     reference_pushforward,
     reference_simulate_filter,
     reference_step_outcomes,
@@ -69,8 +76,12 @@ def assert_kernels_match(m, x, depth, prune, threshold, seed, steps):
         x, m, depth, prune=prune)
     assert (got.values, got.pruned_mass, got.pruned_count) == (
         want.values, want.pruned_mass, want.pruned_count)
+    # one row, then the start with the atoms it reached and every vertex
+    rows = np.vstack([x, got_mu.points, np.eye(m.n)])
     for base in ("log2", "ln"):
-        assert _one_step_entropy(x, m, base) == reference_one_step_entropy(x, m, base)
+        assert _one_step_entropy(x[None], m, base) == [reference_one_step_entropy(x, m, base)]
+        assert _one_step_entropy(rows, m, base) == [reference_one_step_entropy(r, m, base)
+                                                    for r in rows]
     assert_same_active_words(_active_words(x, m, depth), reference_active_words(x, m, depth))
     try:
         want = reference_simulate_filter(x, m, steps, seed=seed, threshold=threshold)
@@ -128,3 +139,118 @@ def test_fan_out_rows_are_the_members_left_applied():
         for k, (_, M) in enumerate(m):
             assert np.array_equal(children[k], M.left_apply(x))
             assert masses[k] == float(M.left_apply(x).sum())
+
+
+def _birkhoff5():
+    # six weighted permutations of five states
+    return fm.birkhoff_partition_model(sum(w * np.eye(5)[list(p)] for w, p in [
+        (0.3, (0, 1, 2, 3, 4)), (0.2, (1, 2, 3, 4, 0)), (0.15, (2, 0, 4, 1, 3)),
+        (0.15, (4, 3, 1, 0, 2)), (0.12, (3, 4, 0, 2, 1)), (0.08, (1, 0, 3, 2, 4))]))
+
+
+@pytest.mark.parametrize("make", [fm.kesten_model, _birkhoff5,
+                                  lambda: fm.random_walk_case_a(63),
+                                  lambda: fm.random_walk_case_a(64),
+                                  lambda: fm.random_walk_case_a(256)])
+@pytest.mark.parametrize("r", [1, 2, 9])
+def test_fan_out_of_stacked_rows_is_the_fan_out_of_each_row(make, r):
+    # dense members (Kesten, Birkhoff-5, rw63) and CSR members (rw64, rw256)
+    m = make().partition
+    rng = np.random.default_rng(r)
+    X = rng.dirichlet(np.ones(m.n), size=r)
+    X[0, rng.integers(m.n)] = 0.0  # a row on a face of the simplex
+    masses, children = m.fan_out(X)
+    assert masses.shape == (r, m.num_labels)
+    assert children.shape == (r, m.num_labels, m.n)
+    for i in range(r):
+        want_masses, want_children = m.fan_out(X[i])
+        assert np.array_equal(masses[i], want_masses)
+        assert np.array_equal(children[i], want_children)
+
+
+@pytest.mark.parametrize("prune, count", [(1e-4, 301), (1e-3, 686)])
+def test_entropy_series_matches_the_recursion_across_block_splits(prune, count):
+    # two labels at n = 1024 make blocks of 16 rows, and the levels are
+    # wider, so blocks split; the pruned branches of different blocks and
+    # depths must be summed in depth-first order (a level-order sum of the
+    # same branches differs in the last bit)
+    m = fm.random_walk_case_a(1024).partition
+    assert _block_rows(m) == 16
+    x = np.random.default_rng(5).dirichlet(np.ones(m.n))
+    got = fm.entropy_series(x, m, 11, prune=prune)
+    want = reference_entropy_series(x, m, 11, prune=prune)
+    assert got.pruned_count == count
+    assert (got.values, got.pruned_mass, got.pruned_count) == (
+        want.values, want.pruned_mass, want.pruned_count)
+
+
+def test_entropy_series_memory_follows_the_block_size():
+    # 4,095 words of up to 12 labels; a whole level of children would take
+    # 2**12 * 2 * 1024 doubles (64 MB)
+    m = fm.random_walk_case_a(1024).partition
+    x = np.full(m.n, 1.0 / m.n)
+    tracemalloc.start()
+    try:
+        fm.entropy_series(x, m, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("make", [fm.kesten_model, lambda: fm.random_walk_case_a(64),
+                                  lambda: fm.random_walk_case_a(1024)])
+def test_one_step_entropy_callers_match_the_row_loops(make):
+    # at n = 1024 the vertices, the sampled path and the 5-step atoms each
+    # fill several blocks
+    m = make().partition
+    assert fm.check_entropy_condition(m, sample_count=40, seed=2) == (
+        reference_check_entropy_condition(m, sample_count=40, seed=2))
+    assert fm.entropy_rate_mc(m, burn_in=10, samples=60, seed=3, batches=6) == (
+        reference_entropy_rate_mc(m, burn_in=10, samples=60, seed=3, batches=6))
+    x = np.random.default_rng(4).dirichlet(np.ones(m.n))
+    assert fm.entropy_rate_increment(x, m, 5, method="integral") == (
+        reference_entropy_rate_integral(x, m, 5))
+
+
+def _storage(m):
+    out = [m.labels]
+    for _, M in m:
+        a = M._mat
+        arrays = [a] if isinstance(a, np.ndarray) else [a.indptr, a.indices, a.data]
+        out.append([(b.dtype, b.shape, b.tobytes()) for b in arrays])
+    return out
+
+
+@pytest.mark.parametrize("make", [fm.kesten_model, lambda: fm.random_walk_case_a(63),
+                                  lambda: fm.random_walk_case_a(64),
+                                  lambda: fm.random_walk_case_a(4096)])
+def test_partition_constructors_store_what_the_triplet_scans_stored(make):
+    model = make()
+    P, lumping = model.partition.base, model.meta["partition_spec"]["lumping"]
+    assert _storage(fm.partition_from_lumping(P, lumping)) == _storage(
+        reference_partition_from_lumping(P, lumping))
+    rng = np.random.default_rng(P.n)
+    R = rng.dirichlet(np.ones(3), size=P.n)
+    R[rng.random(P.n) < 0.3, 1] = 0.0  # some states never show label 1
+    R /= R.sum(axis=1, keepdims=True)
+    assert _storage(fm.partition_from_observation(P, R)) == _storage(
+        reference_partition_from_observation(P, R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 70), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]))
+def test_partition_constructors_match_the_triplet_scans(n, k, seed, sparsity):
+    # n up to 70 reaches CSR members; labels of mixed types
+    rng = np.random.default_rng(seed)
+    P = random_transition(rng, n, sparsity=sparsity)
+    lumping = [("s", 0), 3, "b", -1][:k]
+    g = [lumping[i] for i in rng.integers(k, size=n)]
+    assert _storage(fm.partition_from_lumping(P, g)) == _storage(
+        reference_partition_from_lumping(P, g))
+    R = rng.random((n, k)) * (rng.random((n, k)) < 0.7)
+    R[np.arange(n), rng.integers(k, size=n)] += 0.1
+    R /= R.sum(axis=1, keepdims=True)
+    assert _storage(fm.partition_from_observation(P, R)) == _storage(
+        reference_partition_from_observation(P, R))

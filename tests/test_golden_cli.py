@@ -1,0 +1,148 @@
+"""Golden corpus of CLI output bytes.
+
+A fixed list of jobs runs through ``filtermc.cli.run``; the sha256 digests of
+each job's exit code, stdout and output files must equal those recorded in
+``golden/cli_sha256.json``.  The digests hold for the numpy, scipy and BLAS
+recorded there.  A deliberate change to output bits rewrites the file with
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from filtermc.cli import run
+
+CORPUS = Path(__file__).parent / "golden" / "cli_sha256.json"
+
+# a doubly stochastic 5 x 5 matrix: six weighted permutations
+_B5 = sum(w * np.eye(5)[list(p)] for w, p in [
+    (0.3, (0, 1, 2, 3, 4)), (0.2, (1, 2, 3, 4, 0)), (0.15, (2, 0, 4, 1, 3)),
+    (0.15, (4, 3, 1, 0, 2)), (0.12, (3, 4, 0, 2, 1)), (0.08, (1, 0, 3, 2, 4))])
+MODELS = {
+    "kesten": ("kesten", None),
+    "rw63": ("random-walk", {"case": "a", "n": 63}),
+    "rw64": ("random-walk", {"case": "a", "n": 64}),
+    "rw256": ("random-walk", {"case": "a", "n": 256}),
+    "b5": ("birkhoff", {"matrix": _B5.tolist()}),
+}
+
+
+def environment() -> dict:
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def _x0(n: int, seed: int) -> str:
+    return ",".join(repr(float(v)) for v in np.random.default_rng(seed).dirichlet(np.ones(n)))
+
+
+def jobs(d: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(name, argv, output files) of every job, in run order."""
+    out = []
+    for name, (kind, params) in MODELS.items():
+        argv = ["gallery", kind, "--out", str(d / f"{name}.json")]
+        if params is not None:
+            (d / f"{name}.params.json").write_text(json.dumps(params))
+            argv += ["--params", str(d / f"{name}.params.json")]
+        out.append((f"gallery {name}", argv, [f"{name}.json"]))
+
+    def job(name, *argv, files=()):
+        argv = [str(d / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        out.append((name, argv, list(files)))
+
+    dims = {"kesten": 8, "rw63": 63, "rw64": 64, "rw256": 256, "b5": 5}
+    for seed, (name, steps, x0) in enumerate([("kesten", 200, True), ("kesten", 200, False),
+                                              ("rw63", 100, True), ("rw64", 100, True),
+                                              ("rw256", 40, False), ("b5", 100, True)]):
+        extra = ["--x0", _x0(dims[name], seed)] if x0 else []
+        job(f"simulate {name}{' --x0' if x0 else ''}", "simulate", "--model", f"{name}.json",
+            "--steps", str(steps), "--seed", str(seed), *extra, "--out", "trace.csv",
+            files=["trace.csv"])
+    for seed, (name, steps, x0, mu) in enumerate([
+            ("kesten", 4, True, "mu_k4"), ("kesten", 3, False, "mu_k3"),
+            ("rw63", 2, True, "mu_rw63"), ("rw64", 2, False, "mu_rw64"),
+            ("rw256", 2, True, "mu_rw256"), ("b5", 2, True, "mu_b5a"),
+            ("b5", 3, True, "mu_b5b"), ("b5", 2, False, "mu_b5pi")]):
+        extra = ["--x0", _x0(dims[name], 100 + seed)] if x0 else []
+        job(f"evolve {name} t{steps}{' --x0' if x0 else ''}", "evolve", "--model",
+            f"{name}.json", "--steps", str(steps), *extra, "--out", f"{mu}.json",
+            files=[f"{mu}.json"])
+    job("evolve kesten t8 pruned", "evolve", "--model", "kesten.json", "--steps", "8",
+        "--prune", "1e-3", "--merge-eps", "1e-4", "--out", "mu_k8.json", files=["mu_k8.json"])
+    for a, b in [("mu_b5a", "mu_b5b"), ("mu_k4", "mu_k3"), ("mu_b5b", "mu_b5pi")]:
+        job(f"distance {a} {b}", "distance", "--mu", f"{a}.json", "--nu", f"{b}.json",
+            "--plan", "plan.json", files=["plan.json"])
+    for name, horizon, opts in [
+            ("kesten", 10, ["--bracket", "--mc", "samples=300", "burn=30", "seed=4"]),
+            ("rw63", 6, ["--bracket", "--mc", "samples=200", "burn=20", "seed=5"]),
+            ("rw63", 5, ["--bracket", "--prune", "1e-3"]),
+            ("rw64", 6, ["--bracket"]),
+            ("rw256", 10, ["--prune", "1e-6"]),
+            ("b5", 3, ["--bracket", "--mc", "samples=200", "burn=20", "seed=6"])]:
+        job(f"entropy {name} h{horizon} {' '.join(opts)}", "entropy", "--model",
+            f"{name}.json", "--horizon", str(horizon), *opts, "--out", "entropy.csv",
+            files=["entropy.csv"])
+    job("entropy kesten h3 stdout", "entropy", "--model", "kesten.json", "--horizon", "3",
+        "--bracket", "--mc", "samples=100", "burn=10")
+    for name, condition, extra in [
+            ("rw63", "b1", []), ("rw64", "b1", []), ("kesten", "b1", []),
+            ("rw63", "a", []), ("rw64", "a", []),
+            ("rw63", "localizing", ["--col-bound", "31"]),
+            ("rw64", "localizing", ["--col-bound", "32"]),
+            ("rw63", "thm93", ["--col-bound", "31"]),
+            ("kesten", "thm11", ["--subset", "0,1,2,3", "--seed", "3"]),
+            ("b5", "thm11", ["--subset", "0,1,2,3,4", "--depth", "2", "--samples", "2"]),
+            ("kesten", "thm11", [])]:  # no --subset: exit code 1
+        job(f"check {condition} {name} {' '.join(extra)}", "check", "--model", f"{name}.json",
+            "--condition", condition, *extra, "--out", "verdict.json", files=["verdict.json"])
+    job("check b1 kesten stdout", "check", "--model", "kesten.json", "--condition", "b1",
+        "--max-word-len", "3")
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(d: Path) -> dict:
+    """Run every job in the directory ``d``; its digests by job name."""
+    out = {}
+    for name, argv, files in jobs(d):
+        for f in files:
+            (d / f).unlink(missing_ok=True)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = run(argv)
+        out[name] = {"code": code, "stdout": _sha(buf.getvalue().encode()),
+                     "files": {f: _sha((d / f).read_bytes()) for f in files if (d / f).exists()}}
+    return out
+
+
+def test_cli_outputs_match_the_golden_corpus(tmp_path):
+    golden = json.loads(CORPUS.read_text())
+    env = environment()
+    differ = [f"{k}: corpus {golden['environment'][k]!r}, here {env[k]!r}"
+              for k in env if golden["environment"].get(k) != env[k]]
+    assert not differ, "the corpus was recorded in another environment: " + "; ".join(differ)
+    got = digests(tmp_path)
+    assert list(got) == list(golden["jobs"])
+    changed = [name for name in got if got[name] != golden["jobs"][name]]
+    assert not changed, f"output bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {"environment": environment(), "jobs": digests(Path(tmp))}
+    CORPUS.write_text(json.dumps(doc, indent=1) + "\n")
+    sys.stdout.write(f"wrote {len(doc['jobs'])} job digests to {CORPUS}\n")

@@ -171,7 +171,9 @@ def test_check_and_solve_memory_grows_with_nonzeros():
 
 
 # peak RSS of a child process counts what tracemalloc does not see:
-# SuperLU's own allocations, among them the LU factors and their fill-in
+# SuperLU's own allocations, among them the LU factors and their fill-in.
+# The peak is the child's VmHWM; ru_maxrss would carry over the peak of the
+# process that forked it, which is the test runner
 _RSS_CHILD = """
 import resource
 import filtermc as fm
@@ -181,11 +183,13 @@ with open("/proc/self/statm") as fh:
 verdict = fm.check_irreducible_aperiodic(P)
 fm.stationary_vector(P)
 assert verdict == {"irreducible": True, "aperiodic": True}
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before)
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(peak * 1024 - before)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_check_and_solve_peak_rss_grows_with_nonzeros():
     # the growth also holds what building P freed again, about 15 MB
     out = subprocess.run([sys.executable, "-c", _RSS_CHILD], capture_output=True, text=True,
