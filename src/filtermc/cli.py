@@ -221,11 +221,9 @@ def _cmd_entropy(args) -> int:
     model = load_model(args.model)
     m = model.partition
     pi = model.stationary
-    series = entropy_series(pi, m, args.horizon + 1, prune=args.prune)
-    lower = upper = None
-    if args.bracket:
-        report = entropy_bracket(m, args.horizon, prune=args.prune, pi=pi)
-        lower, upper = report.bracket
+    report = entropy_bracket(m, args.horizon, prune=args.prune, pi=pi) if args.bracket else None
+    series = report.series if report else entropy_series(pi, m, args.horizon + 1, prune=args.prune)
+    lower, upper = report.bracket if report else (None, None)
     v = series.values
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

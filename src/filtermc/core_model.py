@@ -240,12 +240,9 @@ class NonnegMatrix:
             sup = a > 0
             return (int(np.count_nonzero(sup)), int(np.count_nonzero(sup.any(axis=1))),
                     int(np.count_nonzero(sup.any(axis=0))))
-        pos = a.data > 0
-        before = np.concatenate(([0], np.cumsum(pos)))  # positive entries before each slot
-        cols = np.zeros(self.cols, dtype=bool)
-        cols[a.indices[pos]] = True
+        before = np.concatenate(([0], np.cumsum(a.data > 0)))  # positive entries before each slot
         rows = np.count_nonzero(before[a.indptr[1:]] > before[a.indptr[:-1]])
-        return int(before[-1]), int(rows), int(np.count_nonzero(cols))
+        return int(before[-1]), int(rows), self.nonzero_column_count()
 
     def _same_layout(self, other: "NonnegMatrix") -> bool:
         """True iff both store the same values in the same layout (a CSR
@@ -284,7 +281,11 @@ class NonnegMatrix:
         return self._mat.sum(axis=0)
 
     def nonzero_column_count(self) -> int:
-        return int((self.col_sums() > 0).sum())
+        """Columns with a positive entry, counted in the matrix's own storage."""
+        a = self._mat
+        if self.is_dense:
+            return int(np.count_nonzero((a > 0).any(axis=0)))
+        return int(np.count_nonzero(np.bincount(a.indices[a.data > 0])))
 
     def __repr__(self) -> str:
         return f"NonnegMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

@@ -92,7 +92,8 @@ class EntropyReport:
     """Entropy figures at one horizon, in bits.
 
     ``bracket``, when present, holds the lower/upper entropy-rate bracket
-    sequences (nondecreasing / nonincreasing) up to the horizon.
+    sequences (nondecreasing / nonincreasing) up to the horizon, and
+    ``series`` the series from the stationary vector they were taken from.
     """
 
     horizon: int
@@ -101,6 +102,7 @@ class EntropyReport:
     pruned_mass: float
     dropped_entropy_bound: float
     bracket: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    series: EntropySeries | None = None
 
 
 def _block_rows(m: Partition) -> int:
@@ -228,7 +230,7 @@ def entropy_bracket(m: Partition, n_max: int, prune: float = DEFAULT_PRUNE,
     return EntropyReport(horizon=n_max, H_n=pi_series.values[n_max - 1], increment=upper[-1],
                          pruned_mass=pruned_mass + folded_tail,
                          dropped_entropy_bound=pi_series.dropped_entropy_bound,
-                         bracket=(lower, upper))
+                         bracket=(lower, upper), series=pi_series)
 
 
 def entropy_rate_mc(m: Partition, burn_in: int = 200, samples: int = 5000, seed: int = 0,

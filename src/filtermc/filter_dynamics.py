@@ -102,9 +102,6 @@ class DiscreteMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def atoms(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(w), self.points[k]) for k, w in enumerate(self.weights)]
-
     def integrate(self, u: Callable[[np.ndarray], float]) -> float:
         """<u, mu> = sum of weight * u(point)."""
         return float(sum(w * u(p) for w, p in zip(self.weights, self.points)))
@@ -114,26 +111,23 @@ class DiscreteMeasure:
 
 
 def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
-    """Greedy first-seen merge of atoms within l1 distance eps."""
-    rep_w: list[float] = []
-    rep_p: list[np.ndarray] = []
-    for k in range(w.shape[0]):
-        p = pts[k]
-        merged = False
-        if rep_p:
-            stack = np.asarray(rep_p)
-            d = np.abs(stack - p).sum(axis=1)
+    """Greedy first-seen merge of atoms within l1 distance eps: each atom
+    joins the nearest representative so far (the first on ties) if that lies
+    within eps, else it becomes one.  Representatives fill, in place, arrays
+    of the input's size."""
+    rep_w, rep_p, u = np.empty(w.shape[0]), np.empty(pts.shape), 0
+    for k, p in enumerate(pts):
+        if u:
+            d = np.abs(rep_p[:u] - p).sum(axis=1)
             j = int(np.argmin(d))
             if d[j] <= eps:
-                # keep the coordinates of the weight-larger atom
-                if w[k] > rep_w[j]:
+                if w[k] > rep_w[j]:  # the heavier atom keeps its coordinates
                     rep_p[j] = p
-                rep_w[j] += float(w[k])
-                merged = True
-        if not merged:
-            rep_w.append(float(w[k]))
-            rep_p.append(p)
-    return np.asarray(rep_w), np.asarray(rep_p)
+                rep_w[j] += w[k]
+                continue
+        rep_w[u], rep_p[u] = w[k], p
+        u += 1
+    return rep_w[:u], rep_p[:u]
 
 
 def dirac(x) -> DiscreteMeasure:
@@ -251,7 +245,9 @@ def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
         pruned_mass += t
     if not keep.any():
         raise ModelError("pushforward pruned away all mass; lower `prune`")
-    return DiscreteMeasure(mass[keep], children[keep] / masses[keep][:, None],
+    w = mass[keep]  # renormalised only where the measure would reject it
+    w = w / w.sum() if abs(float(w.sum()) - 1.0) > 1e-9 else w
+    return DiscreteMeasure(w, children[keep] / masses[keep][:, None],
                            merge_eps=merge_eps, pruned_mass=pruned_mass,
                            pruned_count=mu.pruned_count + int(cut.sum()))
 

@@ -30,6 +30,7 @@ from .core_model import (
     matrix_word_product,
     operator_norm,
 )
+from .filter_dynamics import _merge_atoms
 
 __all__ = [
     "StabilityVerdict",
@@ -485,23 +486,19 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     # distinct points collapse below the dedup floor.  First seen wins: a
     # point is kept unless it lies within the floor of a point kept before
     # it, so an orbit that collapses to a few points is compared against
-    # those few only.  Singleton orbits are isolated vacuously and
-    # contribute no separation value.
+    # those few only: the atom merge with unit weights, where no later atom
+    # is heavier than a representative, so none moves.  Singleton orbits are
+    # isolated vacuously and contribute no separation value.
     orbits = []
     separation = float("inf")
     for x in samples:
         act = _active_words(x, m, n_max)
         pts = np.array([direction for _, direction in act.values()]).reshape(len(act), n)
         orbits.append((list(act), pts))
-        kept = np.empty_like(pts)
-        u = 0
-        for p in pts:
-            if not (np.abs(kept[:u] - p).sum(axis=1) <= dedup_eps).any():
-                kept[u] = p
-                u += 1
-        if u < 2:
+        kept = _merge_atoms(np.ones(len(pts)), pts, dedup_eps)[1]
+        if len(kept) < 2:
             continue
-        dist = _l1_distances(kept[:u])
+        dist = _l1_distances(kept)
         np.fill_diagonal(dist, np.inf)
         separation = min(separation, float(dist.min()))
     isolated = separation > dedup_eps

@@ -7,8 +7,9 @@ code paths as differential oracles for what replaced them: the word
 searches of ``filtermc.stability`` (three hand-written walks, each with its
 own budget bookkeeping) for the shared search engine, the all-pairs
 ``r x r x n`` proximity and the pair-by-pair isometry check for the blocked
-distance kernel and the fixed-point power walk, the per-label
-loops of the filter kernel (one ``left_apply`` per label) for
+distance kernel and the fixed-point power walk, the list-based atom merge
+for the one filled in place, the per-label loops of the filter kernel
+(one ``left_apply`` per label) for
 ``Partition.fan_out`` and its batched callers, the triplet scans of the
 partition constructors for their masks, and the dense support-graph walks and the
 stationary power iteration for the sparse graph check, connector search
@@ -529,6 +530,32 @@ def reference_partition_from_observation(P: TransitionMatrix, R) -> Partition:
 
 
 # ---------------------------------------------------------------------------
+# reference atom merge: representatives kept in lists
+# ---------------------------------------------------------------------------
+
+def reference_merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
+    rep_w: list[float] = []
+    rep_p: list[np.ndarray] = []
+    for k in range(w.shape[0]):
+        p = pts[k]
+        merged = False
+        if rep_p:
+            stack = np.asarray(rep_p)
+            d = np.abs(stack - p).sum(axis=1)
+            j = int(np.argmin(d))
+            if d[j] <= eps:
+                # keep the coordinates of the weight-larger atom
+                if w[k] > rep_w[j]:
+                    rep_p[j] = p
+                rep_w[j] += float(w[k])
+                merged = True
+        if not merged:
+            rep_w.append(float(w[k]))
+            rep_p.append(p)
+    return np.asarray(rep_w), np.asarray(rep_p)
+
+
+# ---------------------------------------------------------------------------
 # reference filter kernel: one left_apply per label
 # ---------------------------------------------------------------------------
 
@@ -566,6 +593,9 @@ def reference_pushforward(mu: DiscreteMeasure, m: Partition, prune: float = 1e-1
             new_p.append(y / p)
     if not new_w:
         raise ModelError("pushforward pruned away all mass; lower `prune`")
+    new_w = np.asarray(new_w)
+    if abs(float(new_w.sum()) - 1.0) > 1e-9:  # renormalise the kept mass
+        new_w = new_w / new_w.sum()
     return DiscreteMeasure(new_w, new_p, merge_eps=merge_eps,
                            pruned_mass=pruned_mass, pruned_count=pruned_count)
 

@@ -272,3 +272,35 @@ def test_check_output_bytes_are_pinned(tmp_path, kind, params, check_args, diges
     assert run(["check", "--model", str(tmp_path / "model.json"), *check_args,
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_evolve_renormalises_after_heavy_pruning(tmp_path, capsys):
+    # from a Dirichlet start on the random walk at n = 63, pruning at 0.05
+    # drops over a fifth of the mass; the measure is renormalised, not refused
+    model_path, params = tmp_path / "rw63.json", tmp_path / "params.json"
+    params.write_text(json.dumps({"case": "a", "n": 63}))
+    assert run(["gallery", "random-walk", "--params", str(params), "--out", str(model_path)]) == 0
+    x0 = np.random.default_rng(1).dirichlet(np.ones(63))
+    out = tmp_path / "mu.json"
+    capsys.readouterr()
+    assert run(["evolve", "--model", str(model_path), "--steps", "6", "--prune", "0.05",
+                "--x0", ",".join(map(repr, x0.tolist())), "--out", str(out)]) == 0
+    mu = fm.load_measure(out)
+    assert abs(float(mu.weights.sum()) - 1.0) <= 1e-12
+    want = fm.evolve(x0, fm.load_model(model_path).partition, 6, prune=0.05)
+    assert want.pruned_mass > 0.2
+    assert capsys.readouterr().out == f"atoms={want.size} pruned_mass={want.pruned_mass:.17g}\n"
+
+
+def test_entropy_bracket_computes_the_stationary_series_once(tmp_path, monkeypatch):
+    model_path = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(model_path)])
+    args = ["entropy", "--model", str(model_path), "--horizon", "6", "--bracket"]
+    assert run([*args, "--out", str(tmp_path / "a.csv")]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket report carries the series")
+
+    monkeypatch.setattr("filtermc.cli.entropy_series", refuse)
+    assert run([*args, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -420,3 +421,20 @@ def test_saved_and_loaded_model_computes_the_same_bits(make, tmp_path):
     assert np.array_equal(mu.weights, mu2.weights) and np.array_equal(mu.points, mu2.points)
     assert (mu.pruned_mass, mu.pruned_count) == (mu2.pruned_mass, mu2.pruned_count)
     assert fm.entropy_series(x, m, 5) == fm.entropy_series(x, m2, 5)
+
+
+def test_nonzero_column_count_matches_column_sums():
+    rng = np.random.default_rng(3)
+    stored_zeros = 0
+    for _ in range(150):
+        rows, cols = (int(v) for v in rng.integers(1, 90, size=2))
+        a = (rng.random((rows, cols)) < 0.03) * rng.random((rows, cols))
+        dense_or_csr = fm.NonnegMatrix.from_dense(a)  # CSR once a side reaches the cutoff
+        # CSR with stored zeros, some of them alone in their column
+        ii, jj = np.nonzero((a > 0) | (rng.random((rows, cols)) < 0.02))
+        with_zeros = fm.NonnegMatrix._wrap(sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols)))
+        stored_zeros += with_zeros._mat.nnz - with_zeros.nnz
+        for M in (dense_or_csr, with_zeros):
+            want = int((M.col_sums() > 0).sum())
+            assert M.nonzero_column_count() == want == M._support_counts()[2]
+    assert stored_zeros > 0

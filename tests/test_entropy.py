@@ -139,6 +139,14 @@ def test_bracket_kesten_monotone():
         assert lo <= up + 1e-9
 
 
+def test_bracket_report_carries_the_stationary_series():
+    k = fm.gallery.kesten_model()
+    pi = k.stationary
+    report = fm.entropy_bracket(k.partition, 6, prune=0.01, pi=pi)
+    assert report.series == fm.entropy_series(pi, k.partition, 7, prune=0.01)
+    assert report.series.pruned_count > 0
+
+
 def test_mc_trivial_partition_is_zero():
     rng = np.random.default_rng(5)
     P = random_transition(rng, 3)

@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
+from filtermc.filter_dynamics import _merge_atoms
 
-from helpers import measures_close, random_affine_max, random_measure, random_partition, random_transition
+from helpers import (
+    measures_close,
+    random_affine_max,
+    random_measure,
+    random_partition,
+    random_transition,
+    reference_merge_atoms,
+)
 
 
 @pytest.fixture
@@ -342,6 +350,88 @@ def test_merge_keeps_heavier_atom_coordinates():
     mu = fm.DiscreteMeasure([0.3, 0.7], pts, merge_eps=1e-10)
     assert mu.size == 1
     assert mu.points[0][0] == pytest.approx(0.5 + 1e-12, abs=0)
+
+
+def assert_merge_matches_reference(w, pts, eps):
+    got, want = _merge_atoms(w, pts, eps), reference_merge_atoms(w, pts, eps)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    return got
+
+
+@st.composite
+def atom_clouds(draw):
+    """Weights, points and a merge floor.  On the grid of eighths every
+    distance is a multiple of 1/8, so atoms lie exactly ``eps`` apart and
+    tie between representatives; clustered atoms sit within 1e-10 of three
+    centres; spread atoms are Dirichlet draws.  Weights are multiples of 1/8,
+    so a later atom often weighs exactly as much as its representative."""
+    size = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "clustered", "spread"]))
+    if kind == "grid":
+        pts = rng.integers(0, 5, size=(size, dim)) / 8
+        eps = draw(st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5]))
+    elif kind == "clustered":
+        centres = rng.dirichlet(np.ones(dim), size=3)
+        pts = centres[rng.integers(0, 3, size=size)] + rng.normal(scale=1e-10, size=(size, dim))
+        eps = draw(st.sampled_from([0.0, 1e-10, 3e-10, 1e-9]))
+    else:
+        pts = rng.dirichlet(np.ones(dim), size=size)
+        eps = draw(st.sampled_from([0.0, 0.05, 0.3, 2.0]))
+    return rng.integers(1, 5, size=size) / 8, pts, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_clouds())
+def test_merge_matches_list_reference(cloud):
+    assert_merge_matches_reference(*cloud)
+
+
+def test_merge_moves_a_representative_towards_its_neighbour():
+    # on a line with eps = 1: 0 and 1.5 stay apart; the heavier 0.75 ties
+    # between them, joins the first and moves it to 0.75, within eps of 1.5;
+    # 1.125 then ties again and joins the first; 2.5 is exactly eps from 1.5
+    w = np.array([0.125, 0.125, 0.5, 0.125, 0.125])
+    pts = np.array([[0.0], [1.5], [0.75], [1.125], [2.5]])
+    rep_w, rep_p = assert_merge_matches_reference(w, pts, 1.0)
+    assert rep_w.tolist() == [0.75, 0.25]
+    assert rep_p.tolist() == [[0.75], [1.5]]
+
+
+def test_merge_edge_cases():
+    pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
+    # eps = 0 merges exact duplicates only
+    rep_w, rep_p = assert_merge_matches_reference(np.array([0.25, 0.5, 0.25]), pts, 0.0)
+    assert rep_w.tolist() == [0.75, 0.25] and rep_p.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    # a single atom comes back as it is
+    rep_w, rep_p = assert_merge_matches_reference(np.array([1.0]), pts[:1], 0.5)
+    assert rep_w.tolist() == [1.0] and rep_p.tolist() == [[0.5, 0.5]]
+
+
+def test_pushforward_renormalises_after_heavy_pruning():
+    # more than 1e-9 of the mass is pruned at some step: the kept atoms are
+    # renormalised and the dropped branches are booked in ``pruned_mass``
+    m = fm.gallery.random_walk_case_a(63).partition
+    x0 = np.random.default_rng(1).dirichlet(np.ones(63))
+    mu, dropped = fm.dirac(x0), []
+    for _ in range(6):
+        for weight, point in zip(mu.weights, mu.points):
+            for _, M in m:
+                t = float(weight) * float(M.left_apply(point).sum())
+                if 0.0 < t <= 0.05:
+                    dropped.append(t)
+        mu = fm.pushforward(mu, m, prune=0.05)
+        assert abs(float(mu.weights.sum()) - 1.0) <= 1e-12
+    assert sum(dropped) > 0.2
+    assert mu.pruned_count == len(dropped)
+    assert mu.pruned_mass == pytest.approx(sum(dropped), rel=1e-12)
+    got = fm.evolve(x0, m, 6, prune=0.05)
+    assert np.array_equal(got.weights, mu.weights) and np.array_equal(got.points, mu.points)
+    rate = fm.entropy_rate_increment(x0, m, 6, prune=0.05, method="integral")
+    assert 0.0 <= rate <= 1.0  # two labels
 
 
 def test_trace_csv_roundtrip(tmp_path, two_state_lumped):

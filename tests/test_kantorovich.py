@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import filtermc as fm
 from filtermc import ModelError
+from filtermc.kantorovich import _cost_matrix
 
 from helpers import random_measure, transport_by_tree_enumeration
 
@@ -245,3 +248,25 @@ def test_plan_file(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["cost"] == pytest.approx(d, abs=1e-15)
     assert all(len(e) == 3 for e in doc["entries"])
+
+
+@pytest.mark.parametrize("m, n, dim", [(1, 1, 3), (7, 9, 5), (8, 3, 2), (9, 17, 64), (33, 20, 256)])
+def test_cost_matrix_is_bit_equal_to_the_broadcast_form(m, n, dim):
+    rng = np.random.default_rng(m * n * dim)
+    mu, nu = random_measure(rng, dim, m), random_measure(rng, dim, n)
+    want = np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
+    assert np.array_equal(_cost_matrix(mu, nu), want)
+
+
+def test_cost_matrix_memory_stays_within_blocks():
+    # the broadcast form of 400 x 400 atoms at dim 256 peaks at about 330 MB;
+    # blocks of 8 atoms of mu need about 7 MB
+    rng = np.random.default_rng(5)
+    mu, nu = random_measure(rng, 256, 400), random_measure(rng, 256, 400)
+    tracemalloc.start()
+    try:
+        _cost_matrix(mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
