@@ -762,13 +762,17 @@ def reference_stationary_vector(P: TransitionMatrix, tol: float = 1e-12,
     verdict = reference_check_irreducible_aperiodic(P)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError(f"stationary_vector requires an irreducible aperiodic chain, got {verdict}")
-    x = np.full(P.n, 1.0 / P.n)
+    # iterate from every point mass at once: the rows of P^k.  The stationary
+    # vector is a convex combination of them (pi = pi P^k), so once the
+    # column-wise spread of the rows is at most tol, every row lies within
+    # tol of pi.  A small step |x P - x| bounds nothing: on a slowly mixing
+    # chain, a step of 1e-12 leaves an error near 1e-12 / (1 - lambda_2)
+    X = np.eye(P.n)
     for _ in range(max_iter):
-        y = P.left_apply(x)
-        y /= y.sum()
-        if np.abs(y - x).sum() <= tol:
-            return ProbVector(y)
-        x = y
+        X = P.left_apply(X)
+        X /= X.sum(axis=1, keepdims=True)
+        if (X.max(axis=0) - X.min(axis=0)).sum() <= tol:
+            return ProbVector(X.mean(axis=0))
     raise ModelError(f"power iteration did not converge within {max_iter} iterations")
 
 

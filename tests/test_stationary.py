@@ -80,6 +80,8 @@ def assert_stationary_matches_reference(P):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 9), sparsity=st.sampled_from([0.0, 0.4, 0.7]),
        seed=st.integers(0, 2**32 - 1))
+# lambda_2 = 0.991: the power iteration stopped on a 1e-12 step was off by 1.1e-10
+@example(n=5, sparsity=0.7, seed=4873)
 def test_stationary_matches_power_iteration(n, sparsity, seed):
     P = random_transition(np.random.default_rng(seed), n, sparsity=sparsity)
     verdict = reference_check_irreducible_aperiodic(P)
