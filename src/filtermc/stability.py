@@ -211,34 +211,59 @@ def find_localizing_word(m: Partition, max_len: int = 8, col_bound: int | None =
     return _word_search(m, lambda prod: prod.nonzero_column_count() <= bound, max_len, budget)
 
 
-def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> float:
-    """How far the rows (with l1 mass above ``row_floor``) are from being
-    proportional: the maximum pairwise l1 distance between normalised rows.
-    Zero exactly when those rows are proportional."""
+def _kept_rows(M: NonnegMatrix | np.ndarray, row_floor: float) -> np.ndarray:
+    """The rows with l1 mass above ``row_floor``, each divided by its mass."""
     a = M.toarray() if isinstance(M, NonnegMatrix) else np.asarray(M, dtype=float)
     sums = a.sum(axis=1)
     keep = sums > row_floor
     if not keep.any():
         raise ModelError("rank_one_proximity: all rows at or below the floor")
-    rows = a[keep] / sums[keep, None]
-    if rows.shape[0] == 1:
-        return 0.0
-    return float(_l1_distances(rows).max())
+    rows = a[keep]  # a copy, so the division may write into it
+    rows /= sums[keep, None]
+    return rows
 
 
-def _l1_distances(rows: np.ndarray) -> np.ndarray:
-    """All pairwise l1 distances between the rows of ``rows``, bit-equal to
-    ``np.abs(u - v).sum()`` for each pair.  Blocks of 8 rows are taken
-    against the rows from theirs on and mirrored, so no ``r x r x n`` array
-    is formed: ``|u - v|`` equals ``|v - u|`` bit for bit, and each pair is
-    still summed along a contiguous axis of length ``n``."""
-    r = rows.shape[0]
-    dist = np.empty((r, r))
+def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> float:
+    """How far the rows (with l1 mass above ``row_floor``) are from being
+    proportional: the maximum pairwise l1 distance between normalised rows.
+    Zero exactly when those rows are proportional.
+
+    This is twice Dobrushin's ergodicity coefficient tau_1 of the kept rows
+    (Seneta, *Non-negative Matrices and Markov Chains*, 1981, ch. 3).  The
+    distances from the first kept row alone (:func:`_first_row_spread`)
+    lie in ``[prox / 2, prox]`` by the triangle inequality, and their
+    maximum is one of the pairwise values, so it bounds ``prox`` from below
+    bit for bit at O(r n) cost instead of O(r^2 n)."""
+    rows = _kept_rows(M, row_floor)
+    return max(float(d.max()) for *_, d in _l1_blocks(rows))
+
+
+def _first_row_spread(M: NonnegMatrix | np.ndarray, row_floor: float) -> float:
+    """The largest l1 distance from the first kept normalised row to the
+    others: a lower bound on ``rank_one_proximity(M, row_floor)`` equal to
+    one of its pairwise values bit for bit, since each pair is summed along
+    the same contiguous axis as in :func:`_l1_blocks`."""
+    rows = _kept_rows(M, row_floor)
+    return float(np.abs(rows[0] - rows).sum(axis=1).max())
+
+
+def _l1_blocks(rows: np.ndarray):
+    """The pairwise l1 distances between the rows of ``rows`` in blocks
+    ``(i, j, d)``, where ``d[a, b]`` pairs rows ``i + a`` and ``j + b``.
+    Each block takes 8 rows against at most ``max(64, 2**14 // n)`` rows
+    from theirs on, so it holds at most ``max(512 n, 2**17)`` values
+    whatever the row count (1 MB up to n = 256).  At n <= 64 columns and
+    at most 64 rows, as in the word products, each block is the 8 rows
+    against all rows from theirs on.  Every unordered pair appears in some
+    block, and ``d`` is bit-equal to ``np.abs(u - v).sum()`` for each of
+    its pairs, since each is summed along a contiguous axis of length
+    ``n``.  Where ``i == j``, ``d[a, a]`` pairs a row with itself."""
+    r, n = rows.shape
+    step = max(64, 2**14 // n)
     for i in range(0, r, 8):
-        d = np.abs(rows[i:i + 8, None, :] - rows[None, i:, :]).sum(axis=2)
-        dist[i:i + 8, i:] = d
-        dist[i:, i:i + 8] = d.T
-    return dist
+        for j in range(i, r, step):
+            d = np.subtract(rows[i:i + 8, None, :], rows[None, j:j + step, :])
+            yield i, j, np.abs(d, out=d).sum(axis=2)
 
 
 def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None = None,
@@ -267,6 +292,14 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     each later power still costs one unit and adds one entry, the same
     proximity, to its curve.
 
+    The curves record every value, so each power of a repeated word and
+    each greedy prefix has its proximity computed in full.  A word of the
+    enumeration is only bounded first, by the distances from its first
+    kept row (:func:`_first_row_spread`), which never exceed its
+    proximity: when that bound already reaches the least proximity so
+    far, the word can neither converge nor lower ``min_proximity``, and
+    its full proximity is never computed.
+
     ``diagnostics`` holds ``tol``, ``row_floor``, ``curves`` (proximities of
     the powers of each repeated word, keyed by ``repr(unit)``, and of the
     greedy prefixes under ``"greedy"``), ``examined`` (units spent) and
@@ -284,6 +317,10 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     last: list = [None, None]  # the last matrix measured and its proximity
 
     def converged(word, H, curve=None) -> bool:
+        # best[0] > tol while the search runs, so an exhaustive word whose
+        # bound reaches it can neither converge nor improve min_proximity
+        if curve is None and _first_row_spread(H, row_floor) >= best[0]:
+            return False
         # a power walk at its fixed point yields the same object again
         prox = last[1] if H is last[0] else rank_one_proximity(H, row_floor)
         last[:] = H, prox
@@ -395,9 +432,9 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     word = tuple(word_d) + tuple(word_a) + tuple(word_c) + tuple(word_b)
     prev = None
     for _, H in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
-        if H is prev:  # a fixed point already measured above tol
+        if H is prev:  # a fixed point already found above tol
             return None
-        if rank_one_proximity(H, row_floor) <= tol:
+        if _first_row_spread(H, row_floor) <= tol and rank_one_proximity(H, row_floor) <= tol:
             return word, H
         prev = H
     return None
@@ -463,7 +500,9 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     2. the set of words with positive mass does not depend on the start;
     3. the normalised word action is an exact l1 isometry between starts.
 
-    Vertices of the subset are always included among the samples.
+    Vertices of the subset are always included among the samples.  An
+    ``n_max`` below 1 raises :class:`ModelError`: no word would be active,
+    and every hypothesis would pass vacuously.
     """
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) < 2:
@@ -471,6 +510,8 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     n = m.n
     if any(i < 0 or i >= n for i in subset):
         raise ModelError("subset index out of range")
+    if n_max < 1:
+        raise ModelError("n_max must be at least 1")
     rng = np.random.default_rng(seed)
     samples = []
     for i in subset:
@@ -498,9 +539,10 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
         kept = _merge_atoms(np.ones(len(pts)), pts, dedup_eps)[1]
         if len(kept) < 2:
             continue
-        dist = _l1_distances(kept)
-        np.fill_diagonal(dist, np.inf)
-        separation = min(separation, float(dist.min()))
+        for i, j, d in _l1_blocks(kept):
+            if i == j:
+                np.fill_diagonal(d, np.inf)
+            separation = min(separation, float(d.min()))
     isolated = separation > dedup_eps
 
     # pairs and words are visited in a fixed order, so witnesses never

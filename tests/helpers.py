@@ -7,13 +7,13 @@ code paths as differential oracles for what replaced them: the word
 searches of ``filtermc.stability`` (three hand-written walks, each with its
 own budget bookkeeping) for the shared search engine, the all-pairs
 ``r x r x n`` proximity and the pair-by-pair isometry check for the blocked
-distance kernel and the fixed-point power walk, the list-based atom merge
-for the one filled in place, the per-label loops of the filter kernel
-(one ``left_apply`` per label) for
-``Partition.fan_out`` and its batched callers, the triplet scans of the
-partition constructors for their masks, and the dense support-graph walks and the
-stationary power iteration for the sparse graph check, connector search
-and direct stationary solve.
+distance kernel, the first-row bound and the fixed-point power walk, the
+list-based atom merge for the one filled in place, the per-label loops of
+the filter kernel (one ``left_apply`` per label) for ``Partition.fan_out``
+and its batched callers, the triplet scans of the partition constructors
+for their masks, and the dense support-graph walks and the stationary
+power iteration for the sparse graph check, connector search and direct
+stationary solve.
 """
 
 from __future__ import annotations
@@ -228,17 +228,30 @@ def measures_close(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9) 
 # reference word searches
 # ---------------------------------------------------------------------------
 
-def reference_rank_one_proximity(M, row_floor: float = 0.0) -> float:
+def reference_l1_distances(rows: np.ndarray) -> np.ndarray:
+    """The full ``r x r`` matrix of l1 distances, from one ``r x r x n`` array."""
+    return np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+
+
+def _reference_kept_rows(M, row_floor: float) -> np.ndarray:
     a = M.toarray() if isinstance(M, NonnegMatrix) else np.asarray(M, dtype=float)
     sums = a.sum(axis=1)
     keep = sums > row_floor
     if not keep.any():
         raise ModelError("rank_one_proximity: all rows at or below the floor")
-    rows = a[keep] / sums[keep, None]
+    return a[keep] / sums[keep, None]
+
+
+def reference_rank_one_proximity(M, row_floor: float = 0.0) -> float:
+    rows = _reference_kept_rows(M, row_floor)
     if rows.shape[0] == 1:
         return 0.0
-    diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-    return float(diffs.max())
+    return float(reference_l1_distances(rows).max())
+
+
+def reference_first_row_spread(M, row_floor: float = 0.0) -> float:
+    """The first row of the full distance matrix, at its largest."""
+    return float(reference_l1_distances(_reference_kept_rows(M, row_floor))[0].max())
 
 
 def _reference_word_key(word: tuple):
@@ -296,8 +309,7 @@ def reference_check_isometry_obstruction(m: Partition, subset, n_max: int = 4,
                 uniq.append(p)
         if len(uniq) < 2:
             continue
-        stackpts = np.asarray(uniq)
-        d = np.abs(stackpts[:, None, :] - stackpts[None, :, :]).sum(axis=2)
+        d = reference_l1_distances(np.asarray(uniq))
         np.fill_diagonal(d, np.inf)
         separation = min(separation, float(d.min()))
     isolated = separation > dedup_eps

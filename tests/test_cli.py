@@ -35,6 +35,18 @@ def test_gallery_then_nonstability_check(tmp_path, capsys):
     assert verdict["separation"] > 0
 
 
+def test_thm11_at_depth_zero_is_an_error(tmp_path, capsys):
+    # no word is active at depth 0, so no hypothesis has any evidence
+    model_path = tmp_path / "k.json"
+    assert run(["gallery", "kesten", "--out", str(model_path)]) == 0
+    verdict_path = tmp_path / "verdict.json"
+    code = run(["check", "--model", str(model_path), "--condition", "thm11",
+                "--subset", "0,1", "--depth", "0", "--out", str(verdict_path)])
+    assert code == 1
+    assert "n_max must be at least 1" in capsys.readouterr().err
+    assert not verdict_path.exists()
+
+
 def test_gallery_roundtrip_identical_bytes(tmp_path):
     p1 = tmp_path / "m1.json"
     p2 = tmp_path / "m2.json"

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 import filtermc as fm
 import filtermc.stability as stability
 from filtermc import ModelError
+from filtermc.filter_dynamics import _merge_atoms
 from filtermc.stability import (
     _active_words,
     _connector_word,
+    _first_row_spread,
+    _l1_blocks,
     _normalized,
     _power_walk,
     _word_search,
@@ -25,6 +29,8 @@ from helpers import (
     reference_compose_rank_one_witness,
     reference_connector_word,
     reference_detect_rank_one_limit,
+    reference_first_row_spread,
+    reference_l1_distances,
     reference_rank_one_proximity,
     reference_word_search,
     subrectangular_by_quantifiers,
@@ -544,16 +550,18 @@ def test_compose_stops_at_a_fixed_point_that_is_not_rank_one(monkeypatch):
     m = fm.partition_from_lumping(random_transition(rng, 6), [0, 0, 0, 1, 1, 1])
     kwargs = dict(max_len=4, tol=1e-300, col_bound=3, power_iters=10_000)
     assert reference_compose_rank_one_witness(m, **kwargs) is None
-    proximities = []
+    powers = []
+    walk = stability._power_walk
 
-    def measured(H, row_floor=0.0):
-        proximities.append(reference_rank_one_proximity(H, row_floor))
-        return proximities[-1]
+    def walked(base, iters, budget):
+        for k, H in walk(base, iters, budget):
+            powers.append(H)
+            yield k, H
 
-    monkeypatch.setattr(stability, "rank_one_proximity", measured)
+    monkeypatch.setattr(stability, "_power_walk", walked)
     assert fm.compose_rank_one_witness(m, **kwargs) is None
-    assert 2 <= len(proximities) < 100
-    assert 0.0 < proximities[-1] < 1e-15
+    assert 2 <= len(powers) < 100
+    assert 0.0 < reference_rank_one_proximity(powers[-1], math.sqrt(1e-300)) < 1e-15
 
 
 def _assert_report_matches_reference(m, subset, **kwargs):
@@ -628,3 +636,123 @@ def test_isometry_obstruction_separation_is_least_distance_between_distinct_poin
     report = fm.check_isometry_obstruction(m, [0, 1, 2, 3], n_max=3, seed=0)
     assert report.separation == 2.0
     assert report.isolated_pass
+
+
+def test_isometry_obstruction_needs_a_positive_depth():
+    # with no active word every hypothesis would pass vacuously
+    m = fm.kesten_model().partition
+    for n_max in (0, -1):
+        with pytest.raises(ModelError, match="n_max must be at least 1"):
+            fm.check_isometry_obstruction(m, [0, 1], n_max=n_max)
+
+
+def test_isometry_obstruction_memory_on_thousands_of_distinct_orbit_points():
+    # three labels with positive members: the 3 + 9 + ... + 2187 points of
+    # each orbit to depth 7 stay distinct, and a distance matrix over them
+    # would take 86 MB per sample
+    rng = np.random.default_rng(3)
+    m = random_partition(rng, random_transition(rng, 6), 3, kind="explicit")
+    tracemalloc.start()
+    try:
+        report = fm.check_isometry_obstruction(m, [0, 1], n_max=7, sample_count=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # the least distance, one row against the later ones at a time
+    separation = math.inf
+    for x in np.eye(6)[:2]:
+        pts = np.array([direction for _, direction in _active_words(x, m, 7).values()])
+        kept = _merge_atoms(np.ones(len(pts)), pts, 1e-9)[1]
+        assert len(kept) == 3279
+        for i in range(len(kept) - 1):
+            separation = min(separation, float(np.abs(kept[i] - kept[i + 1:]).sum(axis=1).min()))
+    assert report.separation == separation
+
+
+# ---------------------------------------------------------------------------
+# the first-row bound and the blocked pairs against the full distance matrix
+# ---------------------------------------------------------------------------
+
+def test_rank_one_proximity_memory_on_a_large_word_product():
+    # all 1024 rows of an rw1024 word product are kept: 8 rows against all
+    # the others would take 64 MB per block, and the distance matrix 8 MB
+    H = fm.matrix_word_product(fm.random_walk_case_a(1024).partition, (1, 2, 1, 2))
+    assert not H.is_dense
+    tracemalloc.start()
+    try:
+        prox = fm.rank_one_proximity(H, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert prox == pytest.approx(2.0)  # some rows have disjoint supports
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 70),
+       density=st.sampled_from([0.05, 0.3, 1.0]), row_floor=st.sampled_from([0.0, 1e-4, 0.3]),
+       copies=st.integers(0, 6))
+def test_first_row_spread_is_the_largest_entry_of_the_first_distance_row(seed, rows, cols, density,
+                                                                         row_floor, copies):
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < density) * rng.random((rows, cols))
+    a[rng.random(rows) < 0.3] *= rng.random(cols) < 0.3  # rows on faces of the simplex
+    # duplicate rows, some scaled by two, which normalises to the same bits
+    a[rng.integers(0, rows, copies)] = a[rng.integers(0, rows, copies)] * rng.choice([1.0, 2.0])
+    for M in (a, fm.NonnegMatrix.from_dense(a)):
+        try:
+            want = reference_first_row_spread(M, row_floor)
+        except ModelError:
+            with pytest.raises(ModelError):
+                _first_row_spread(M, row_floor)
+            continue
+        bound = _first_row_spread(M, row_floor)
+        assert bound == want
+        prox = fm.rank_one_proximity(M, row_floor)
+        assert bound <= prox <= 2 * bound + 1e-12
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 3), (9, 1), (75, 8), (90, 256), (75, 300)])
+def test_l1_blocks_give_every_pair_bit_for_bit_in_bounded_blocks(rows, cols):
+    # at 256 columns and more a block takes at most 64 rows, so the larger
+    # cases span several blocks across as well as down
+    rng = np.random.default_rng(rows * cols)
+    pts = rng.random((rows, cols))
+    pts[rows // 2] = pts[0]
+    want = reference_l1_distances(pts)
+    got = np.full((rows, rows), np.nan)
+    for i, j, d in _l1_blocks(pts):
+        assert d.shape[0] <= 8 and d.shape[1] <= max(64, 2**14 // cols)
+        got[i:i + d.shape[0], j:j + d.shape[1]] = d
+    filled = ~np.isnan(got)
+    assert filled[np.triu_indices(rows)].all()
+    assert np.array_equal(got[filled], want[filled])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=small_partitions(), max_depth=st.integers(1, 4), budget=st.integers(1, 120),
+       tol=st.sampled_from([1e-300, 1e-8, 0.5, 2.0]),
+       policy=st.sampled_from([("exhaustive",), ("exhaustive", "greedy"),
+                               ("exhaustive", "repeat", "greedy")]))
+def test_detect_rank_one_limit_matches_reference_where_words_are_only_bounded(m, max_depth, budget,
+                                                                              tol, policy):
+    assert_detect_matches_reference(m, tol=tol, max_depth=max_depth, power_iters=8,
+                                    policy=policy, budget=budget)
+
+
+@pytest.mark.parametrize("n, full", [(63, 53), (64, 52)])
+def test_check_b1_computes_few_proximities_in_full(monkeypatch, n, full):
+    # the check b1 defaults: all 510 enumerated words have proximity 2, so
+    # after the first each one's bound reaches the least proximity so far;
+    # the powers of the repeated words are all measured, a fixed point once
+    calls = []
+
+    def counted(H, row_floor=0.0):
+        calls.append(H)
+        return reference_rank_one_proximity(H, row_floor)
+
+    monkeypatch.setattr(stability, "rank_one_proximity", counted)
+    res = fm.detect_rank_one_limit(fm.random_walk_case_a(n).partition, tol=1e-8, max_depth=8)
+    assert res.kind == "b1_converged"
+    assert len(calls) == full
