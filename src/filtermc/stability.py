@@ -230,10 +230,10 @@ def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> 
 
     This is twice Dobrushin's ergodicity coefficient tau_1 of the kept rows
     (Seneta, *Non-negative Matrices and Markov Chains*, 1981, ch. 3).  The
-    distances from the first kept row alone (:func:`_first_row_spread`)
-    lie in ``[prox / 2, prox]`` by the triangle inequality, and their
-    maximum is one of the pairwise values, so it bounds ``prox`` from below
-    bit for bit at O(r n) cost instead of O(r^2 n)."""
+    largest distance from the first kept row (:func:`_first_row_spread`)
+    lies in ``[prox / 2, prox]`` by the triangle inequality, and it is one
+    of the pairwise values, so it bounds ``prox`` from below bit for bit
+    at O(r n) cost instead of O(r^2 n)."""
     rows = _kept_rows(M, row_floor)
     return max(float(d.max()) for *_, d in _l1_blocks(rows))
 
