@@ -10,6 +10,7 @@ and seeded simulation of sample paths.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -61,8 +62,10 @@ class DiscreteMeasure:
     (renormalised within the usual tolerance).  Construction merges atoms
     closer than ``merge_eps`` in l1: weights add up and the coordinates of
     the heavier atom are kept, ties resolved in favour of the first seen.
-    ``pruned_mass``/``pruned_count`` record mass dropped upstream (by
-    pushforward pruning); they are bookkeeping, not part of the measure.
+    ``pruned_mass``/``pruned_count`` record what pushforward pruning dropped
+    upstream: the share of the start's mass, ``1 - prod(1 - s_t)`` over the
+    shares ``s_t`` dropped at each step, so never above 1, and the number of
+    dropped branches.  They are bookkeeping, not part of the measure.
     """
 
     __slots__ = ("weights", "points", "pruned_mass", "pruned_count")
@@ -198,14 +201,30 @@ class FilterTrace:
 
     def to_csv(self, path) -> None:
         """Columns: step, label, one column per state coordinate (full
-        round-trip decimal precision).  Step 0 is the start vector."""
-        n = self.x0.dim
+        round-trip decimal precision).  Step 0 is the start vector.
+
+        The bytes are those of ``csv.writer`` with ``repr`` of every
+        coordinate.  A path repeats its values (each state is zero off the
+        columns of the last ``M(w)``), so each distinct float64 bit pattern
+        is formatted once per call: bits, not values, as ``-0.0 == 0.0``.
+        A float's ``repr`` never needs quoting; each label's ``label,``
+        prefix is still quoted by ``csv.writer``, once per label."""
+        memo, prefixes, buf = {}, {}, io.StringIO()
+        label_writer = csv.writer(buf)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "label"] + [f"x{i}" for i in range(n)])
-            writer.writerow([0, ""] + [repr(float(v)) for v in self.x0.coords])
-            for k, (lab, state) in enumerate(self.steps, start=1):
-                writer.writerow([k, lab] + [repr(float(v)) for v in state.coords])
+            csv.writer(fh).writerow(["step", "label"] + [f"x{i}" for i in range(self.x0.dim)])
+            for k, (lab, state) in enumerate([("", self.x0), *self.steps]):
+                prefix = prefixes.get(id(lab))  # the trace keeps every label alive
+                if prefix is None:
+                    buf.seek(0)
+                    buf.truncate()
+                    label_writer.writerow([lab, "x"])
+                    prefix = prefixes[id(lab)] = buf.getvalue()[:-3]  # drop "x\r\n"
+                bits = state.coords.view(np.int64).tolist()
+                for b, v in zip(bits, state.coords.tolist()):
+                    if b not in memo:
+                        memo[b] = repr(v)
+                fh.write(f"{k},{prefix}{','.join(map(memo.__getitem__, bits))}\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +251,24 @@ def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
     """One step of the kernel applied to a finitely supported measure.
 
     Every atom fans out over the outcome set; branches of mass at most
-    ``prune`` are dropped (their total is accumulated in ``pruned_mass``,
-    never silently), the rest is merged within ``merge_eps`` and
-    renormalised.
+    ``prune`` are dropped (never silently: their ``share`` of this step's
+    measure raises ``pruned_mass`` by ``(1 - pruned_mass) * share``), the rest
+    is merged within ``merge_eps`` and renormalised.
     """
     masses, children = m.fan_out(mu.points)
     mass = mu.weights[:, None] * masses
     cut = (masses > 0.0) & (mass <= prune)
     keep = (masses > 0.0) & ~cut
-    pruned_mass = mu.pruned_mass
+    share = 0.0
     for t in mass[cut].tolist():  # atom by atom, each in label order
-        pruned_mass += t
+        share += t
     if not keep.any():
         raise ModelError("pushforward pruned away all mass; lower `prune`")
     w = mass[keep]  # renormalised only where the measure would reject it
     w = w / w.sum() if abs(float(w.sum()) - 1.0) > 1e-9 else w
     return DiscreteMeasure(w, children[keep] / masses[keep][:, None],
-                           merge_eps=merge_eps, pruned_mass=pruned_mass,
+                           merge_eps=merge_eps,
+                           pruned_mass=mu.pruned_mass + (1.0 - mu.pruned_mass) * share,
                            pruned_count=mu.pruned_count + int(cut.sum()))
 
 

@@ -10,7 +10,8 @@ own budget bookkeeping) for the shared search engine, the all-pairs
 distance kernel, the first-row bound and the fixed-point power walk, the
 list-based atom merge for the one filled in place, the per-label loops of
 the filter kernel (one ``left_apply`` per label) for ``Partition.fan_out``
-and its batched callers, the triplet scans of the partition constructors
+and its batched callers, the trace writer with one ``repr`` per coordinate
+for the memoised one, the triplet scans of the partition constructors
 for their masks, and the dense support-graph walks and the stationary
 power iteration for the sparse graph check, connector search and direct
 stationary solve.
@@ -18,6 +19,7 @@ stationary solve.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -588,7 +590,7 @@ def reference_pushforward(mu: DiscreteMeasure, m: Partition, prune: float = 1e-1
                           merge_eps: float = 1e-10) -> DiscreteMeasure:
     new_w: list[float] = []
     new_p: list[np.ndarray] = []
-    pruned_mass = mu.pruned_mass
+    pruned_share = 0.0  # of this step's measure
     pruned_count = mu.pruned_count
     for w_atom, point in zip(mu.weights, mu.points):
         for w, M in m:
@@ -598,7 +600,7 @@ def reference_pushforward(mu: DiscreteMeasure, m: Partition, prune: float = 1e-1
                 continue
             mass = float(w_atom) * p
             if mass <= prune:
-                pruned_mass += mass
+                pruned_share += mass
                 pruned_count += 1
                 continue
             new_w.append(mass)
@@ -608,6 +610,7 @@ def reference_pushforward(mu: DiscreteMeasure, m: Partition, prune: float = 1e-1
     new_w = np.asarray(new_w)
     if abs(float(new_w.sum()) - 1.0) > 1e-9:  # renormalise the kept mass
         new_w = new_w / new_w.sum()
+    pruned_mass = mu.pruned_mass + (1.0 - mu.pruned_mass) * pruned_share
     return DiscreteMeasure(new_w, new_p, merge_eps=merge_eps,
                            pruned_mass=pruned_mass, pruned_count=pruned_count)
 
@@ -724,6 +727,18 @@ def reference_simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
         path.append((chosen.label, chosen.next_state))
         x = chosen.next_state
     return FilterTrace(x0=as_prob_vector(x0), steps=tuple(path), seed=seed)
+
+
+def reference_trace_csv(trace: FilterTrace, path) -> None:
+    """``FilterTrace.to_csv`` as a plain ``csv.writer`` of every row, one
+    ``repr`` per coordinate."""
+    n = trace.x0.dim
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "label"] + [f"x{i}" for i in range(n)])
+        writer.writerow([0, ""] + [repr(float(v)) for v in trace.x0.coords])
+        for k, (lab, state) in enumerate(trace.steps, start=1):
+            writer.writerow([k, lab] + [repr(float(v)) for v in state.coords])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,27 +413,59 @@ def test_merge_edge_cases():
     assert rep_w.tolist() == [1.0] and rep_p.tolist() == [[0.5, 0.5]]
 
 
+def _dropped_shares(x0, m, steps: int, prune: float):
+    """The measure after ``steps`` pushforwards, and the branches each step
+    dropped, in units of that step's measure."""
+    mu, dropped = fm.dirac(x0), []
+    for _ in range(steps):
+        dropped.append([])
+        for weight, point in zip(mu.weights, mu.points):
+            for _, M in m:
+                t = float(weight) * float(M.left_apply(point).sum())
+                if 0.0 < t <= prune:
+                    dropped[-1].append(t)
+        mu = fm.pushforward(mu, m, prune=prune)
+        assert abs(float(mu.weights.sum()) - 1.0) <= 1e-12
+    return mu, dropped
+
+
 def test_pushforward_renormalises_after_heavy_pruning():
     # more than 1e-9 of the mass is pruned at some step: the kept atoms are
     # renormalised and the dropped branches are booked in ``pruned_mass``
     m = fm.gallery.random_walk_case_a(63).partition
     x0 = np.random.default_rng(1).dirichlet(np.ones(63))
-    mu, dropped = fm.dirac(x0), []
-    for _ in range(6):
-        for weight, point in zip(mu.weights, mu.points):
-            for _, M in m:
-                t = float(weight) * float(M.left_apply(point).sum())
-                if 0.0 < t <= 0.05:
-                    dropped.append(t)
-        mu = fm.pushforward(mu, m, prune=0.05)
-        assert abs(float(mu.weights.sum()) - 1.0) <= 1e-12
-    assert sum(dropped) > 0.2
-    assert mu.pruned_count == len(dropped)
-    assert mu.pruned_mass == pytest.approx(sum(dropped), rel=1e-12)
+    mu, dropped = _dropped_shares(x0, m, 6, 0.05)
+    assert sum(map(sum, dropped)) > 0.2
+    assert mu.pruned_count == sum(map(len, dropped))
+    assert mu.pruned_mass == pytest.approx(1.0 - math.prod(1.0 - sum(d) for d in dropped),
+                                           rel=1e-12)
     got = fm.evolve(x0, m, 6, prune=0.05)
     assert np.array_equal(got.weights, mu.weights) and np.array_equal(got.points, mu.points)
     rate = fm.entropy_rate_increment(x0, m, 6, prune=0.05, method="integral")
     assert 0.0 <= rate <= 1.0  # two labels
+
+
+def test_pruned_mass_is_a_share_of_the_start():
+    # each step drops a share s_t of its renormalised measure, so the share of
+    # the start's mass dropped after n steps is 1 - prod(1 - s_t) <= 1; adding
+    # the s_t up gave 2.208 here
+    m = fm.gallery.random_walk_case_a(63).partition
+    x0 = np.random.default_rng(1).dirichlet(np.ones(63))
+    mu, dropped = _dropped_shares(x0, m, 12, 0.05)
+    shares = [sum(d) for d in dropped]
+    assert sum(shares) > 2.0 and all(0.0 <= s < 1.0 for s in shares)
+    want = 1.0 - math.prod(1.0 - s for s in shares)
+    assert mu.pruned_mass <= 1.0
+    assert mu.pruned_mass == pytest.approx(want, rel=1e-12)
+    assert fm.evolve(x0, m, 12, prune=0.05).pruned_mass == mu.pruned_mass
+    # with nothing pruned before, the step's branches are summed as they come
+    j = next(i for i, d in enumerate(dropped) if d)
+    before = fm.evolve(x0, m, j, prune=0.05)
+    assert before.pruned_mass == 0.0
+    total = 0.0
+    for t in dropped[j]:
+        total += t
+    assert fm.pushforward(before, m, prune=0.05).pruned_mass == total
 
 
 def test_trace_csv_roundtrip(tmp_path, two_state_lumped):

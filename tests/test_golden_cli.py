@@ -31,6 +31,7 @@ MODELS = {
     "rw63": ("random-walk", {"case": "a", "n": 63}),
     "rw64": ("random-walk", {"case": "a", "n": 64}),
     "rw256": ("random-walk", {"case": "a", "n": 256}),
+    "rw1024": ("random-walk", {"case": "a", "n": 1024}),
     "b5": ("birkhoff", {"matrix": _B5.tolist()}),
 }
 
@@ -67,6 +68,12 @@ def jobs(d: Path) -> list[tuple[str, list[str], list[str]]]:
         job(f"simulate {name}{' --x0' if x0 else ''}", "simulate", "--model", f"{name}.json",
             "--steps", str(steps), "--seed", str(seed), *extra, "--out", "trace.csv",
             files=["trace.csv"])
+    # from pi, whose zero tail the filter keeps on the face of M(w); and a
+    # start with a negative zero, which the trace writes as -0.0
+    job("simulate rw1024", "simulate", "--model", "rw1024.json", "--steps", "130",
+        "--seed", "6", "--out", "trace.csv", files=["trace.csv"])
+    job("simulate kesten --x0 -0.0", "simulate", "--model", "kesten.json", "--steps", "200",
+        "--seed", "7", "--x0=-0.0," + _x0(7, 7), "--out", "trace.csv", files=["trace.csv"])
     for seed, (name, steps, x0, mu) in enumerate([
             ("kesten", 4, True, "mu_k4"), ("kesten", 3, False, "mu_k3"),
             ("rw63", 2, True, "mu_rw63"), ("rw64", 2, False, "mu_rw64"),
@@ -78,6 +85,9 @@ def jobs(d: Path) -> list[tuple[str, list[str], list[str]]]:
             files=[f"{mu}.json"])
     job("evolve kesten t8 pruned", "evolve", "--model", "kesten.json", "--steps", "8",
         "--prune", "1e-3", "--merge-eps", "1e-4", "--out", "mu_k8.json", files=["mu_k8.json"])
+    # prunes at several steps: stdout reports the share of the start's mass
+    job("evolve rw63 t8 --x0 pruned", "evolve", "--model", "rw63.json", "--steps", "8",
+        "--prune", "0.05", "--x0", _x0(63, 1), "--out", "mu_rw63p.json", files=["mu_rw63p.json"])
     for a, b in [("mu_b5a", "mu_b5b"), ("mu_k4", "mu_k3"), ("mu_b5b", "mu_b5pi")]:
         job(f"distance {a} {b}", "distance", "--mu", f"{a}.json", "--nu", f"{b}.json",
             "--plan", "plan.json", files=["plan.json"])
