@@ -209,16 +209,14 @@ class FilterTrace:
         is formatted once per call: bits, not values, as ``-0.0 == 0.0``.
         A float's ``repr`` never needs quoting; each label's ``label,``
         prefix is still quoted by ``csv.writer``, once per label."""
-        memo, prefixes, buf = {}, {}, io.StringIO()
-        label_writer = csv.writer(buf)
+        memo, prefixes = {}, {}
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["step", "label"] + [f"x{i}" for i in range(self.x0.dim)])
             for k, (lab, state) in enumerate([("", self.x0), *self.steps]):
                 prefix = prefixes.get(id(lab))  # the trace keeps every label alive
                 if prefix is None:
-                    buf.seek(0)
-                    buf.truncate()
-                    label_writer.writerow([lab, "x"])
+                    buf = io.StringIO()
+                    csv.writer(buf).writerow([lab, "x"])
                     prefix = prefixes[id(lab)] = buf.getvalue()[:-3]  # drop "x\r\n"
                 bits = state.coords.view(np.int64).tolist()
                 for b, v in zip(bits, state.coords.tolist()):
