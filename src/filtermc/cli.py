@@ -18,9 +18,11 @@ from . import gallery
 from .core_model import (
     ModelError,
     FilterModel,
-    NonnegMatrix,
-    Partition,
     TransitionMatrix,
+    _jsonable,
+    _output,
+    _partition_from_spec,
+    _write_json,
     load_model,
     save_model,
 )
@@ -46,34 +48,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, NonnegMatrix):
-        return {"rows": obj.rows, "cols": obj.cols, "entries": obj.triplets()}
-    return obj
-
-
-def _write_json(doc, path) -> None:
-    if path is None:
-        json.dump(doc, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+# the keys of `entropy --mc` and the parameters of entropy_rate_mc they set
+_MC_KEYS = {"samples": "samples", "burn": "burn_in", "seed": "seed"}
 
 
 def _start_vector(model: FilterModel, x0_arg: str | None):
@@ -180,9 +156,10 @@ def _cmd_gallery(args) -> int:
         model = gallery.kesten_model()
     elif args.kind == "random-walk":
         if "case" in params or not params:
-            n = int(params.get("n", 64))
-            model = (gallery.random_walk_case_a(n) if params.get("case", "a") == "a"
-                     else gallery.random_walk_case_b(n))
+            case, n = params.get("case", "a"), int(params.get("n", 64))
+            if case not in ("a", "b"):
+                raise ModelError(f"random-walk case must be 'a' or 'b', got {case!r}")
+            model = gallery.random_walk_case_a(n) if case == "a" else gallery.random_walk_case_b(n)
         else:
             rw = gallery.RandomWalkParams(
                 a=tuple(params["a"]), b=tuple(params["b"]), c=tuple(params["c"]),
@@ -193,19 +170,15 @@ def _cmd_gallery(args) -> int:
             spec = gallery.kesten_perm_spec()
         else:
             base = TransitionMatrix.from_dense(params["base"])
-            if "lumping" in params["members"]:
-                from .core_model import partition_from_lumping
-                members = partition_from_lumping(base, params["members"]["lumping"])
-            else:
-                members = Partition(
-                    {w: NonnegMatrix(base.n, base.n,
-                                     [(int(i), int(j), float(v)) for i, j, v in trips])
-                     for w, trips in params["members"]["explicit"].items()},
-                    base)
+            members = _partition_from_spec(base, params["members"])
+            by_text = {str(w): w for w in members.labels}  # Q keys name labels by their text
+            if len(by_text) < members.num_labels:
+                raise ModelError(f"two perm-family labels in {list(members.labels)!r} "
+                                 "have the same text")
             Q = {}
             for key, sigma in params["Q"].items():
                 i, k, w = key.split(",", 2)
-                Q[(int(i), int(k), w)] = [int(s) for s in sigma]
+                Q[(int(i), int(k), by_text.get(w, w))] = [int(s) for s in sigma]
             spec = gallery.PermFamilySpec(base=base, members=members,
                                           d=int(params["d"]), Q=Q)
         model = gallery.perm_family_model(spec)
@@ -218,6 +191,12 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    mc = {}
+    for tok in args.mc or ():
+        key, _, val = tok.partition("=")
+        if key not in _MC_KEYS:
+            raise ModelError(f"unknown --mc key {key!r}; the keys are samples, burn and seed")
+        mc[_MC_KEYS[key]] = int(val)
     model = load_model(args.model)
     m = model.partition
     pi = model.stationary
@@ -225,25 +204,15 @@ def _cmd_entropy(args) -> int:
     series = report.series if report else entropy_series(pi, m, args.horizon + 1, prune=args.prune)
     lower, upper = report.bracket if report else (None, None)
     v = series.values
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _output(args.out, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["n", "H_n", "H_R_n", "L_n", "U_n", "pruned_mass"])
         for k in range(args.horizon):  # every figure is a Python float
             writer.writerow([k + 1, repr(v[k]), repr(v[k + 1] - v[k]),
                              repr(lower[k]) if lower else "", repr(upper[k]) if upper else "",
                              repr(series.pruned_mass)])
-    finally:
-        if args.out:
-            out.close()
     if args.mc is not None:
-        opts = {}
-        for tok in args.mc:
-            key, _, val = tok.partition("=")
-            opts[key] = int(val)
-        est, err = entropy_rate_mc(
-            m, burn_in=opts.get("burn", 200), samples=opts.get("samples", 5000),
-            seed=opts.get("seed", 0))
+        est, err = entropy_rate_mc(m, **mc)
         print(f"mc_estimate={est:.12g} mc_stderr={err:.12g}")
     return EXIT_OK
 

@@ -13,8 +13,10 @@ is always "vector times matrix".
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import sys
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -399,6 +401,8 @@ class Partition:
         order, whose row sums differ from the one-row masses, so it is made
         C-contiguous first.
         """
+        if x.shape[-1] != self.n:
+            raise ModelError("state vector dimension does not match the partition")
         if self._stack is None:
             mats = [self.members[w]._mat for w in self.labels]
             dense = all(isinstance(a, np.ndarray) for a in mats)
@@ -666,29 +670,80 @@ def stationary_vector(P: TransitionMatrix, tol: float = 1e-12) -> ProbVector:
 # model files
 # ---------------------------------------------------------------------------
 
+def _jsonable(obj):
+    """JSON form of a value: tuples and arrays become lists, numpy scalars
+    Python ones, keys strings, non-finite floats their ``repr``, matrices
+    their dimensions and triplets."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else repr(v)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, NonnegMatrix):
+        return {"rows": obj.rows, "cols": obj.cols, "entries": obj.triplets()}
+    return obj
+
+
+@contextlib.contextmanager
+def _output(path=None, newline=None):
+    """The text file at ``path`` opened for writing, or stdout when it is None."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+
+
+def _write_json(doc, path=None) -> None:
+    """The layout of every JSON file the package writes: ``indent=1`` and a
+    trailing newline."""
+    with _output(path) as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def _partition_spec(model: FilterModel) -> dict:
     spec = model.meta.get("partition_spec")
     if spec is not None:
         return spec
     typed = not all(isinstance(w, str) for w in model.partition.labels)
     # typed labels are keyed by their JSON form, which tells 1 from "1"
-    key = (lambda w: json.dumps(_label_doc(w))) if typed else str
+    key = (lambda w: json.dumps(_jsonable(w))) if typed else str
     spec = {"explicit": {key(w): [[i, j, v] for i, j, v in M.triplets()]
                          for w, M in model.partition}}
     if typed:
-        spec["labels"] = [_label_doc(w) for w in model.partition.labels]
+        spec["labels"] = _jsonable(model.partition.labels)
     return spec
-
-
-def _label_doc(w):
-    """JSON form of a label: tuples become lists, numpy integers ints."""
-    if isinstance(w, tuple):
-        return [_label_doc(v) for v in w]
-    return int(w) if isinstance(w, np.integer) else w
 
 
 def _label_from_doc(v):
     return tuple(map(_label_from_doc, v)) if isinstance(v, list) else v
+
+
+def _partition_from_spec(P: TransitionMatrix, spec: Mapping) -> Partition:
+    """The partition of ``P`` that a model file's ``"partition"`` entry
+    describes (schema in :func:`save_model`)."""
+    n = P.n
+    if "lumping" in spec:
+        return partition_from_lumping(P, spec["lumping"])
+    if "observation" in spec:
+        trips = [(int(j), int(a), float(v)) for j, a, v in spec["observation"]]
+        k = max(a for _, a, _ in trips) + 1 if trips else 1
+        return partition_from_observation(P, NonnegMatrix(n, k, trips))
+    if "explicit" in spec:
+        explicit = spec["explicit"]
+        labels = map(_label_from_doc, spec["labels"]) if "labels" in spec else explicit
+        return Partition({w: NonnegMatrix(n, n, [(int(i), int(j), float(v)) for i, j, v in trips])
+                          for w, trips in zip(labels, explicit.values())}, P)
+    raise ModelError("model file partition must be lumping, observation or explicit")
 
 
 def save_model(model: FilterModel, path) -> None:
@@ -704,15 +759,12 @@ def save_model(model: FilterModel, path) -> None:
     Floats are written in shortest round-trip decimal form, so load/save is
     value-exact.
     """
-    doc = {
+    _write_json({
         "states": model.n,
         "P": [[i, j, v] for i, j, v in model.partition.base.inner.triplets()],
         "partition": _partition_spec(model),
         "meta": {k: v for k, v in model.meta.items() if k != "partition_spec"},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    }, path)
 
 
 def load_model(path) -> FilterModel:
@@ -721,25 +773,6 @@ def load_model(path) -> FilterModel:
         doc = json.load(fh)
     n = int(doc["states"])
     P = TransitionMatrix(NonnegMatrix(n, n, [(int(i), int(j), float(v)) for i, j, v in doc["P"]]))
-    part_spec = doc["partition"]
-    if "lumping" in part_spec:
-        g = part_spec["lumping"]
-        partition = partition_from_lumping(P, g)
-    elif "observation" in part_spec:
-        trips = [(int(j), int(a), float(v)) for j, a, v in part_spec["observation"]]
-        k = max(a for _, a, _ in trips) + 1 if trips else 1
-        R = NonnegMatrix(n, k, trips)
-        partition = partition_from_observation(P, R)
-    elif "explicit" in part_spec:
-        explicit = part_spec["explicit"]
-        labels = map(_label_from_doc, part_spec["labels"]) if "labels" in part_spec else explicit
-        members = {
-            w: NonnegMatrix(n, n, [(int(i), int(j), float(v)) for i, j, v in trips])
-            for w, trips in zip(labels, explicit.values())
-        }
-        partition = Partition(members, P)
-    else:
-        raise ModelError("model file partition must be lumping, observation or explicit")
     meta = dict(doc.get("meta", {}))
-    meta["partition_spec"] = part_spec
-    return FilterModel(partition, meta=meta)
+    meta["partition_spec"] = doc["partition"]
+    return FilterModel(_partition_from_spec(P, doc["partition"]), meta=meta)

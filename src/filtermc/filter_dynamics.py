@@ -18,9 +18,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core_model import (
+    PROB_ATOL,
     ModelError,
     Partition,
     ProbVector,
+    _write_json,
     as_prob_vector,
 )
 
@@ -83,7 +85,7 @@ class DiscreteMeasure:
         if (w <= 0).any():
             raise ModelError("DiscreteMeasure weights must be strictly positive")
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PROB_ATOL:
             raise ModelError(f"DiscreteMeasure mass {total!r} deviates from 1")
         w = w / total
         if merge_eps > 0.0 and w.size > 1:
@@ -237,8 +239,6 @@ def step_outcomes(x, m: Partition, threshold: float = 0.0) -> list[Outcome]:
     threshold the missing mass is ``1 - sum(prob)``.
     """
     xv = as_prob_vector(x)
-    if xv.dim != m.n:
-        raise ModelError("state vector dimension does not match the partition")
     masses, children = m.fan_out(xv.coords)
     return [Outcome(w, float(p), ProbVector(y / p))
             for w, p, y in zip(m.labels, masses, children) if p > threshold]
@@ -263,7 +263,7 @@ def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
     if not keep.any():
         raise ModelError("pushforward pruned away all mass; lower `prune`")
     w = mass[keep]  # renormalised only where the measure would reject it
-    w = w / w.sum() if abs(float(w.sum()) - 1.0) > 1e-9 else w
+    w = w / w.sum() if abs(float(w.sum()) - 1.0) > PROB_ATOL else w
     return DiscreteMeasure(w, children[keep] / masses[keep][:, None],
                            merge_eps=merge_eps,
                            pruned_mass=mu.pruned_mass + (1.0 - mu.pruned_mass) * share,
@@ -324,8 +324,6 @@ def simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
     if steps < 1:
         raise ModelError("simulate_filter requires steps >= 1")
     x = x0 = as_prob_vector(x0)
-    if x.dim != m.n:
-        raise ModelError("state vector dimension does not match the partition")
     rng = np.random.default_rng(seed)
     path = []
     for _ in range(steps):
@@ -347,11 +345,8 @@ def simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
 
 def save_measure(mu: DiscreteMeasure, path) -> None:
     """Measure file: ``{"atoms": [{"w": weight, "x": [coords]}, ...]}``."""
-    doc = {"atoms": [{"w": float(w), "x": [float(v) for v in p]}
-                     for w, p in zip(mu.weights, mu.points)]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json({"atoms": [{"w": float(w), "x": [float(v) for v in p]}
+                           for w, p in zip(mu.weights, mu.points)]}, path)
 
 
 def load_measure(path) -> DiscreteMeasure:

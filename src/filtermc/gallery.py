@@ -7,12 +7,14 @@ stochastic matrices into permutation matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core_model import (
+    PROB_ATOL,
     ModelError,
     FilterModel,
     NonnegMatrix,
@@ -84,7 +86,6 @@ class RandomWalkParams:
     b: tuple[float, ...]
     c: tuple[float, ...]
     n_trunc: int
-    boundary: str = "reflect"
 
     def __post_init__(self):
         n = self.n_trunc
@@ -94,13 +95,11 @@ class RandomWalkParams:
             raise ModelError("coefficient arrays must have lengths n, n, n-1")
         if min(self.b) <= 0 or min(self.c) <= 0 or min(self.a) <= 0:
             raise ModelError("random walk coefficients must be strictly positive")
-        if abs(self.b[0] + self.c[0] - 1.0) > 1e-9:
+        if abs(self.b[0] + self.c[0] - 1.0) > PROB_ATOL:
             raise ModelError("b[0] + c[0] must equal 1")
         for i in range(1, n):
-            if abs(self.a[i - 1] + self.b[i] + self.c[i] - 1.0) > 1e-9:
+            if abs(self.a[i - 1] + self.b[i] + self.c[i] - 1.0) > PROB_ATOL:
                 raise ModelError(f"a[{i}] + b[{i}] + c[{i}] must equal 1")
-        if self.boundary != "reflect":
-            raise ModelError("only the reflecting boundary rule is implemented")
 
     def ratio_partial_sums(self) -> list[float]:
         """Partial sums of prod_{i<=k} c[i-1]/a[i]; boundedness of these is
@@ -236,10 +235,7 @@ def perm_family_model(spec: PermFamilySpec) -> FilterModel:
             for j in range(d):
                 entries.append((i * d + j, k * d + int(sigma[j]), v))
         members[w] = NonnegMatrix(n, n, entries)
-    total = members[spec.members.labels[0]]
-    for w in spec.members.labels[1:]:
-        total = total.add(members[w])
-    P = TransitionMatrix(total)
+    P = TransitionMatrix(functools.reduce(NonnegMatrix.add, members.values()))
     partition = Partition(members, P)
     meta = {
         "name": "perm_family",
@@ -302,9 +298,7 @@ def birkhoff_decompose(D, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
     pairs with weights summing to 1 reconstructing ``D`` entrywise; at most
     (n-1)^2 + 1 terms.
     """
-    if isinstance(D, TransitionMatrix):
-        a = D.toarray()
-    elif isinstance(D, NonnegMatrix):
+    if isinstance(D, (TransitionMatrix, NonnegMatrix)):
         a = D.toarray()
     else:
         a = np.asarray(D, dtype=float)
@@ -341,15 +335,9 @@ def birkhoff_partition_model(D, tol: float = 1e-9) -> FilterModel:
     permutation terms; the resulting filter satisfies the non-stability
     hypotheses on the full state set."""
     terms = birkhoff_decompose(D, tol=tol)
-    a = D.toarray() if isinstance(D, (TransitionMatrix, NonnegMatrix)) else np.asarray(D, dtype=float)
-    n = a.shape[0]
-    members = {}
-    for k, (w, sigma) in enumerate(terms):
-        members[f"p{k}"] = NonnegMatrix(n, n, [(i, int(sigma[i]), w) for i in range(n)])
-    # rebuild the base from the terms so the partition sum is exact
-    base = members["p0"]
-    for k in range(1, len(terms)):
-        base = base.add(members[f"p{k}"])
-    P = TransitionMatrix(base)
-    partition = Partition(members, P)
-    return FilterModel(partition, meta={"name": "birkhoff", "terms": len(terms)})
+    n = terms[0][1].size
+    members = {f"p{k}": NonnegMatrix(n, n, [(i, int(sigma[i]), w) for i in range(n)])
+               for k, (w, sigma) in enumerate(terms)}
+    # rebuild the base from the terms, in term order, so the partition sum is exact
+    P = TransitionMatrix(functools.reduce(NonnegMatrix.add, members.values()))
+    return FilterModel(Partition(members, P), meta={"name": "birkhoff", "terms": len(terms)})

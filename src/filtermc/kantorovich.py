@@ -9,14 +9,13 @@ small, which is what makes equality assertions in the tests meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .core_model import ModelError, ProbVector, as_prob_vector
+from .core_model import PROB_ATOL, ModelError, ProbVector, _write_json, as_prob_vector
 from .filter_dynamics import DiscreteMeasure, TestFunction, barycenter
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "FiberMassResult",
     "save_plan",
 ]
-
-_MARGINAL_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def retarget_barycenter(phi, b) -> tuple[list[ProbVector], DiscreteMeasure]:
         xis = [np.asarray(as_prob_vector(p).coords, dtype=float) for _, p in phi]
     if any(w <= 0 for w in betas):
         raise ModelError("retarget_barycenter rejects zero-weight atoms")
-    if abs(sum(betas) - 1.0) > 1e-9:
+    if abs(sum(betas) - 1.0) > PROB_ATOL:
         raise ModelError("retarget_barycenter expects a probability measure")
 
     b_vec = np.asarray(b, dtype=float)
@@ -165,7 +162,7 @@ def retarget_barycenter(phi, b) -> tuple[list[ProbVector], DiscreteMeasure]:
     a_vec = np.zeros_like(b_vec)
     for w, xi in zip(betas, xis):
         a_vec = a_vec + w * xi
-    if abs(float(b_vec.sum()) - float(a_vec.sum())) > 1e-9:
+    if abs(float(b_vec.sum()) - float(a_vec.sum())) > PROB_ATOL:
         raise ModelError("target vector mass must equal the barycenter mass")
 
     zetas_rev: list[np.ndarray] = []
@@ -248,7 +245,5 @@ def fiber_mass_check(mu: DiscreteMeasure, i: int, q=None) -> FiberMassResult:
 
 def save_plan(plan: TransportPlan, path) -> None:
     """Plan file: list of (source, target, mass) triplets plus the cost."""
-    doc = {"cost": plan.cost, "entries": [[i, j, mass] for i, j, mass in plan.entries]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json({"cost": plan.cost, "entries": [[i, j, mass] for i, j, mass in plan.entries]},
+                path)

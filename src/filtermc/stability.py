@@ -307,6 +307,8 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     ``W`` for ``repeat``) on success, or ``best_word``, whose normalised
     product attains ``min_proximity``, and ``budget_spent`` when undecided.
     """
+    if not tol >= 0:
+        raise ModelError(f"tol must be nonnegative, got {tol!r}")
     if row_floor is None:
         row_floor = math.sqrt(tol)
     if max_depth is None:
@@ -407,6 +409,8 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     rank one in ``power_iters`` steps or reached a fixed point that is not —
     an inconclusive outcome.
     """
+    if not tol >= 0:
+        raise ModelError(f"tol must be nonnegative, got {tol!r}")
     verdict = check_irreducible_aperiodic(m.base)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError("witness composition requires an irreducible aperiodic base chain")

@@ -37,6 +37,7 @@ from filtermc import (
     TestFunction,
     TransitionMatrix,
     is_subrectangular,
+    kesten_perm_spec,
     matrix_word_product,
     operator_norm,
     partition_from_lumping,
@@ -57,6 +58,18 @@ from filtermc.stability import (
 # ---------------------------------------------------------------------------
 # random model generators
 # ---------------------------------------------------------------------------
+
+def kesten_perm_params(labels=("a", "b")) -> dict:
+    """:func:`kesten_perm_spec` as a ``gallery perm-family --params``
+    document, its labels ``"a"`` and ``"b"`` renamed to ``labels``.  Its
+    members are the lumping of the two base states."""
+    spec = kesten_perm_spec()
+    rename = dict(zip(("a", "b"), labels))
+    return {"base": spec.base.toarray().tolist(),
+            "members": {"lumping": list(labels)},
+            "d": spec.d,
+            "Q": {f"{i},{k},{rename[w]}": list(sigma) for (i, k, w), sigma in spec.Q.items()}}
+
 
 def random_transition(rng, n: int, sparsity: float = 0.0) -> TransitionMatrix:
     """Random row-stochastic matrix; with sparsity > 0 some entries are

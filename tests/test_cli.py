@@ -11,7 +11,7 @@ import pytest
 import filtermc as fm
 from filtermc.cli import run
 
-from helpers import random_measure
+from helpers import kesten_perm_params, random_measure
 
 
 def make_trivial_model(tmp_path):
@@ -316,3 +316,76 @@ def test_entropy_bracket_computes_the_stationary_series_once(tmp_path, monkeypat
     monkeypatch.setattr("filtermc.cli.entropy_series", refuse)
     assert run([*args, "--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _gallery(tmp_path, kind, params, name="model.json"):
+    argv = ["gallery", kind, "--out", str(tmp_path / name)]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv += ["--params", str(tmp_path / "params.json")]
+    return run(argv)
+
+
+def test_gallery_perm_family_params_match_the_default(tmp_path):
+    assert _gallery(tmp_path, "perm-family", None, "default.json") == 0
+    assert _gallery(tmp_path, "perm-family", kesten_perm_params(), "params.json") == 0
+    data = (tmp_path / "params.json").read_bytes()
+    assert data == (tmp_path / "default.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest().startswith("49a1d7c9f5bae5c1")
+
+
+def test_gallery_perm_family_q_keys_name_labels_by_text(tmp_path):
+    assert _gallery(tmp_path, "perm-family", kesten_perm_params((0, 1))) == 0
+    got = fm.load_model(tmp_path / "model.json").partition
+    want = fm.perm_family_model(fm.kesten_perm_spec()).partition
+    assert got.labels == (0, 1)
+    for w, v in zip(got.labels, want.labels):
+        assert np.array_equal(got.member(w).toarray(), want.member(v).toarray())
+
+
+def test_gallery_perm_family_rejects_labels_with_one_text(tmp_path, capsys):
+    params = kesten_perm_params()
+    params["members"] = {"explicit": {"1": [[0, 0, 0.5], [1, 0, 0.5]],
+                                      '"1"': [[0, 1, 0.5], [1, 1, 0.5]]},
+                         "labels": [1, "1"]}
+    assert _gallery(tmp_path, "perm-family", params) == 1
+    assert "labels in [1, '1'] have the same text" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_gallery_random_walk_rejects_an_unknown_case(tmp_path, capsys):
+    assert _gallery(tmp_path, "random-walk", {"case": "c", "n": 8}) == 1
+    assert "random-walk case must be 'a' or 'b', got 'c'" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_entropy_rejects_an_unknown_mc_key(tmp_path, capsys):
+    model_path = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(model_path)])
+    out = tmp_path / "h.csv"
+    assert run(["entropy", "--model", str(model_path), "--horizon", "2",
+                "--mc", "sampels=100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown --mc key 'sampels'" in err and "samples, burn and seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("condition", ["b1", "thm93"])
+def test_check_rejects_a_negative_tol(tmp_path, capsys, condition):
+    assert _gallery(tmp_path, "random-walk", {"case": "a", "n": 8}) == 0
+    out = tmp_path / "verdict.json"
+    assert run(["check", "--model", str(tmp_path / "model.json"), "--condition", condition,
+                "--tol", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be nonnegative, got -1.0\n"
+    assert not out.exists()
+
+
+def test_evolve_rejects_a_start_of_the_wrong_dimension(tmp_path, capsys):
+    model_path = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(model_path)])
+    out = tmp_path / "mu.json"
+    assert run(["evolve", "--model", str(model_path), "--steps", "2", "--x0", "0.5,0.5",
+                "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "error: state vector dimension does not match the partition\n")
+    assert not out.exists()

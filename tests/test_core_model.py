@@ -349,6 +349,28 @@ def test_model_file_without_label_types_still_loads(tmp_path):
     assert fm.load_model(path).partition.labels == ("1", "10")
 
 
+def test_model_file_observation_partition(tmp_path):
+    # written by hand: save_model writes an observation spec only when one
+    # was loaded, and keeps it as it was
+    P = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.6, 0.0, 0.4]]
+    R = [[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]]
+    spec = {"observation": [[0, 0, 1.0], [1, 0, 0.3], [1, 1, 0.7], [2, 1, 1.0]]}
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps({
+        "states": 3, "P": [[i, j, v] for i, row in enumerate(P) for j, v in enumerate(row) if v],
+        "partition": spec, "meta": {"name": "obs"}}))
+    loaded = fm.load_model(path)
+    want = fm.partition_from_observation(fm.TransitionMatrix.from_dense(P), R)
+    assert loaded.partition.labels == want.labels == (0, 1)
+    for w, M in want:
+        assert np.array_equal(loaded.partition.member(w).toarray(), M.toarray())
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    fm.save_model(loaded, once)
+    fm.save_model(fm.load_model(once), twice)
+    assert json.loads(once.read_text())["partition"] == spec
+    assert twice.read_bytes() == once.read_bytes()
+
+
 @pytest.mark.parametrize("n", [63, 64])
 def test_nonneg_matrix_either_side_of_the_dense_cutoff(n):
     rng = np.random.default_rng(n)

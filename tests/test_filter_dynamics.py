@@ -490,3 +490,16 @@ def test_measure_file_roundtrip(tmp_path):
     path2 = tmp_path / "mu2.json"
     fm.save_measure(fm.load_measure(path), path2)
     assert fm.load_measure(path2).size == mu.size
+
+
+def test_kernels_reject_a_state_of_the_wrong_dimension(two_state_lumped):
+    x = np.full(3, 1.0 / 3.0)
+    calls = [lambda: fm.step_outcomes(x, two_state_lumped),
+             lambda: fm.simulate_filter(x, two_state_lumped, 2),
+             lambda: fm.pushforward(fm.dirac(x), two_state_lumped),
+             lambda: fm.evolve(x, two_state_lumped, 2),
+             lambda: fm.entropy_series(x, two_state_lumped, 2)]
+    for call in calls:
+        with pytest.raises(fm.ModelError,
+                           match="state vector dimension does not match the partition"):
+            call()

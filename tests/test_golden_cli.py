@@ -20,6 +20,8 @@ import scipy
 
 from filtermc.cli import run
 
+from helpers import kesten_perm_params
+
 CORPUS = Path(__file__).parent / "golden" / "cli_sha256.json"
 
 # a doubly stochastic 5 x 5 matrix: six weighted permutations
@@ -33,6 +35,8 @@ MODELS = {
     "rw256": ("random-walk", {"case": "a", "n": 256}),
     "rw1024": ("random-walk", {"case": "a", "n": 1024}),
     "b5": ("birkhoff", {"matrix": _B5.tolist()}),
+    # the bytes of `gallery perm-family` without params
+    "perm": ("perm-family", kesten_perm_params()),
 }
 
 

@@ -265,6 +265,13 @@ def test_witness_composition_needs_aperiodicity():
         fm.compose_rank_one_witness(m)
 
 
+@pytest.mark.parametrize("search", [fm.detect_rank_one_limit, fm.compose_rank_one_witness])
+def test_rank_one_searches_reject_a_negative_tol(search):
+    m = fm.random_walk_case_a(8).partition
+    with pytest.raises(ModelError, match="tol must be nonnegative"):
+        search(m, tol=-1.0)
+
+
 def test_witness_composition_fails_on_kesten():
     k = fm.kesten_model()
     assert fm.compose_rank_one_witness(k.partition, max_len=8) is None
