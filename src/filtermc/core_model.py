@@ -693,7 +693,7 @@ def _jsonable(obj):
 
 
 @contextlib.contextmanager
-def _output(path=None, newline=None):
+def _output(path, newline=None):
     """The text file at ``path`` opened for writing, or stdout when it is None."""
     if path is None:
         yield sys.stdout
