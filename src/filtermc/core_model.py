@@ -162,8 +162,8 @@ class NonnegMatrix:
         ii = np.array([e[0] for e in entries], dtype=np.int64)
         jj = np.array([e[1] for e in entries], dtype=np.int64)
         vv = np.array([e[2] for e in entries], dtype=float)
-        if (vv <= 0).any():
-            raise ModelError("NonnegMatrix stored values must be strictly positive")
+        if not (np.isfinite(vv).all() and (vv > 0).all()):
+            raise ModelError("NonnegMatrix stored values must be finite and strictly positive")
         if ((ii < 0) | (ii >= rows) | (jj < 0) | (jj >= cols)).any():
             raise ModelError("NonnegMatrix triplet index out of range")
         flat = ii * cols + jj
@@ -183,8 +183,8 @@ class NonnegMatrix:
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2:
             raise ModelError("from_dense expects a 2-d array")
-        if (a < 0).any():
-            raise ModelError("NonnegMatrix entries must be nonnegative")
+        if not (np.isfinite(a).all() and (a >= 0).all()):
+            raise ModelError("NonnegMatrix entries must be finite and nonnegative")
         ii, jj = np.nonzero(a)
         return cls._wrap(_store(a.shape, ii, jj, a[ii, jj]))
 
@@ -478,7 +478,10 @@ def partition_from_lumping(P: TransitionMatrix, g) -> Partition:
     """
     n = P.n
     gl = _lumping_as_list(g, n)
-    labels = sorted(set(gl), key=label_sort_key)
+    try:
+        labels = sorted(set(gl), key=label_sort_key)
+    except TypeError:  # a list label, say, from a model file
+        raise ModelError("lumping labels must be hashable: ints, strings or tuples of those") from None
     if not labels:
         raise ModelError("Partition label set is empty")
     index = {a: t for t, a in enumerate(labels)}

@@ -350,11 +350,23 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 
 
 def load_measure(path) -> DiscreteMeasure:
+    """Read a measure file (schema in :func:`save_measure`), whose weights must be
+    finite and positive and whose points must lie on one simplex.  Only files
+    are checked: ``pushforward``'s points are valid by construction."""
     with open(path) as fh:
         doc = json.load(fh)
     atoms = doc["atoms"]
     if not atoms:
         raise ModelError("measure file has no atoms")
-    w = [float(a["w"]) for a in atoms]
+    w = np.array([float(a["w"]) for a in atoms])
     pts = [np.asarray(a["x"], dtype=float) for a in atoms]
+    if pts[0].ndim != 1 or any(p.shape != pts[0].shape for p in pts):
+        raise ModelError("measure file points must be vectors of one length")
+    pts = np.stack(pts)
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ModelError("measure file weights must be finite and positive")
+    if not (np.isfinite(pts).all() and (pts >= 0).all()):
+        raise ModelError("measure file coordinates must be finite and nonnegative")
+    if (np.abs(pts.sum(axis=1) - 1.0) > PROB_ATOL).any():
+        raise ModelError(f"measure file points must sum to 1 within {PROB_ATOL}")
     return DiscreteMeasure(w, pts, merge_eps=0.0)

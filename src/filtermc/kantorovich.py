@@ -3,8 +3,12 @@ measures on the simplex, barycenter bounds, and a constructive algorithm
 that moves a measure's barycenter to a prescribed target at optimal cost.
 
 The primal transport problem on the bipartite support graph is solved
-exactly (HiGHS, through ``scipy.optimize.linprog``); supports here are
-small, which is what makes equality assertions in the tests meaningful.
+exactly by HiGHS's dual simplex (Huangfu & Hall 2018), on scipy's bundled
+HiGHS core, posed as ``scipy.optimize.linprog`` poses it: the plans are
+bit-equal to ``linprog``'s, without its per-column Python loop over results
+nobody reads.  A scipy without that core runs ``linprog`` itself.  Supports
+here are small, which is what makes equality assertions in the tests
+meaningful.
 """
 
 from __future__ import annotations
@@ -12,8 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # older scipy has no HiGHS core module of its own
+    _highs = None
 
 from .core_model import PROB_ATOL, ModelError, ProbVector, _write_json, as_prob_vector
 from .filter_dynamics import DiscreteMeasure, TestFunction, barycenter
@@ -59,6 +67,72 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return C
 
 
+def _transport_columns(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column starts and row indices of the transportation LP's equality
+    matrix, whose values are all 1: variable ``k = i * n + j`` appears in row
+    ``i`` (mass out of source i) and row ``m + j`` (mass into target j), and
+    the last, redundant row is dropped."""
+    index = np.empty((m, 2 * n), dtype=int)
+    index[:, 0::2] = np.arange(m)[:, None]
+    index[:, 1::2] = np.arange(m, m + n)
+    k = np.arange(m * n + 1)
+    return 2 * k - k // n, index[:, :-1].ravel()
+
+
+def _solve_highs(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The transportation LP on scipy's HiGHS core, with the matrix, bounds
+    and options that ``linprog(method="highs")`` passes, so HiGHS returns
+    the same vertex; its result is checked as ``linprog`` checks it."""
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = m * n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    # the bindings read a numpy array into these fields one numpy scalar at a
+    # time, several times slower than a list (the cost reads its array whole)
+    start, index = _transport_columns(m, n)
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = start.tolist(), index.tolist()
+    lp.a_matrix_.value_ = [1.0] * index.size
+    lp.col_cost_ = c
+    lp.col_lower_ = [0.0] * (m * n)
+    lp.col_upper_ = [_highs.kHighsInf] * (m * n)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    h = _highs._Highs()
+    h.passOptions(options)
+    h.passModel(lp)
+    h.run()
+    status = h.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise ModelError(f"transport solver failed: {h.modelStatusToString(status)}")
+    solution = h.getSolution()
+    x = np.array(solution.col_value)
+    residual = b_eq - np.array(solution.row_value)
+    tol = np.sqrt(1e-9) * 10  # linprog's: the square root of its tol, times 10
+    # negated comparisons, so that NaN fails them too
+    if not ((x >= -tol).all() and (np.abs(residual) <= tol).all()):
+        raise ModelError(f"transport solver returned a plan off the constraints by over {tol:.2e}")
+    return x
+
+
+def _solve_linprog(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The same LP through ``linprog``: the only path on a scipy without the
+    HiGHS core module, and the reference of the direct one."""
+    from scipy.sparse import csc_array  # only this fallback needs a sparse type
+
+    start, index = _transport_columns(m, n)
+    res = linprog(c, A_eq=csc_array((np.ones(index.size), index, start), shape=(m + n - 1, m * n)),
+                  b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise ModelError(f"transport solver failed: {res.message}")
+    return res.x
+
+
 def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, TransportPlan]:
     """Exact Kantorovich distance with l1 ground metric, plus an optimal plan.
 
@@ -69,6 +143,9 @@ def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[floa
     if mu.size == 0 or nu.size == 0:
         raise ModelError("kantorovich_distance requires nonempty supports")
     C = _cost_matrix(mu, nu)
+    weights = np.concatenate([mu.weights, nu.weights])
+    if not (np.isfinite(C).all() and np.isfinite(weights).all()):
+        raise ModelError("kantorovich_distance requires finite weights and points")
     m, n = C.shape
     if m == 1:
         entries = tuple((0, j, float(wj)) for j, wj in enumerate(nu.weights))
@@ -79,24 +156,8 @@ def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[floa
         cost = float(mu.weights @ C[:, 0])
         return cost, TransportPlan(entries, cost)
 
-    # equality-constrained transportation LP: variable k = i * n + j appears
-    # in row i (mass out of source i) and row m + j (mass into target j);
-    # the last (redundant) row is dropped
-    k = np.arange(m * n)
-    A_eq = sp.csr_array((np.ones(2 * k.size), (np.concatenate([k // n, m + k % n]),
-                                               np.concatenate([k, k]))),
-                        shape=(m + n, m * n))[:-1]
-    b_eq = np.concatenate([mu.weights, nu.weights])[:-1]
-    res = linprog(
-        C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        raise ModelError(f"transport solver failed: {res.message}")
-    plan = res.x.reshape(m, n)
+    solve = _solve_highs if _highs is not None else _solve_linprog
+    plan = solve(C.ravel(), weights[:-1], m, n).reshape(m, n)
     plan[plan < 0] = 0.0
     entries = tuple(
         (int(i), int(j), float(plan[i, j]))

@@ -389,3 +389,50 @@ def test_evolve_rejects_a_start_of_the_wrong_dimension(tmp_path, capsys):
     assert (capsys.readouterr().err
             == "error: state vector dimension does not match the partition\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("w, x, message", [
+    (float("nan"), [0.2, 0.8], "measure file weights must be finite and positive"),
+    (0.5, [float("nan"), 1.0], "measure file coordinates must be finite and nonnegative"),
+    (0.5, [-0.5, 1.5], "measure file coordinates must be finite and nonnegative"),
+    (0.5, [0.5, 0.25, 0.25], "measure file points must be vectors of one length"),
+    (0.5, [0.7, 0.7], "measure file points must sum to 1 within 1e-09"),
+], ids=["nan-weight", "nan-coordinate", "negative-coordinate", "unequal-lengths", "off-simplex"])
+def test_distance_rejects_a_malformed_measure_file(tmp_path, capsys, w, x, message):
+    # without the file checks, the NaN-coordinate, negative and off-simplex
+    # points gave exit 0 and a printed distance
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"atoms": [{"w": 0.5, "x": [0.2, 0.8]}, {"w": 0.5, "x": [0.6, 0.4]}]}))
+    bad.write_text(json.dumps({"atoms": [{"w": 0.5, "x": [0.2, 0.8]}, {"w": w, "x": x}]}))
+    assert run(["distance", "--mu", str(bad), "--nu", str(good)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def _model_file(tmp_path, P, partition):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"states": 2, "P": P, "partition": partition}))
+    return str(path)
+
+
+def test_a_model_file_with_a_nan_entry_is_rejected(tmp_path, capsys):
+    # NaN passed the sign test, so this model loaded, evolved and was certified
+    model = _model_file(tmp_path, [[0, 0, float("nan")], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]],
+                        {"lumping": ["a", "b"]})
+    out = tmp_path / "out.json"
+    assert run(["evolve", "--model", model, "--steps", "1", "--x0", "0.5,0.5",
+                "--out", str(out)]) == 1
+    assert run(["check", "--model", model, "--condition", "a", "--out", str(out)]) == 1
+    err = "error: NonnegMatrix stored values must be finite and strictly positive\n"
+    assert capsys.readouterr().err == err * 2
+    assert not out.exists()
+
+
+def test_a_model_file_with_list_lumping_labels_is_rejected(tmp_path, capsys):
+    model = _model_file(tmp_path, [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]],
+                        {"lumping": [[0, 1], [1, 0]]})
+    out = tmp_path / "mu.json"
+    assert run(["evolve", "--model", model, "--steps", "1", "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "error: lumping labels must be hashable: ints, strings or tuples of those\n")
+    assert not out.exists()

@@ -5,7 +5,8 @@ import pytest
 
 import filtermc as fm
 from filtermc import ModelError
-from filtermc.kantorovich import _cost_matrix
+from filtermc import kantorovich
+from filtermc.kantorovich import _cost_matrix, _solve_highs, _solve_linprog
 
 from helpers import random_measure, transport_by_tree_enumeration
 
@@ -270,3 +271,48 @@ def test_cost_matrix_memory_stays_within_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _birkhoff5_measures(seed):
+    """The 1-, 2- and 3-step measures of a random Birkhoff-5 model from a
+    random start: up to 120 atoms, the size of the benchmark's LPs."""
+    rng = np.random.default_rng(seed)
+    D = np.zeros((5, 5))
+    for w in rng.dirichlet(np.ones(8)):
+        D[np.arange(5), rng.permutation(5)] += w
+    m = fm.birkhoff_partition_model(D).partition
+    x0 = rng.dirichlet(np.ones(5))
+    return [fm.evolve(x0, m, t) for t in (1, 2, 3)]
+
+
+def test_direct_highs_solve_is_bit_equal_to_linprog(monkeypatch):
+    if kantorovich._highs is None:
+        pytest.skip("this scipy has no HiGHS core module, so linprog is the only path")
+    measures = _birkhoff5_measures(3) + _birkhoff5_measures(7)
+    assert max(mu.size for mu in measures) == 120
+    pairs = [(mu, nu) for k, mu in enumerate(measures) for nu in measures[k:]]
+    direct = [fm.kantorovich_distance(mu, nu) for mu, nu in pairs]
+    monkeypatch.setattr(kantorovich, "_highs", None)
+    reference = [fm.kantorovich_distance(mu, nu) for mu, nu in pairs]
+    # repr round-trips every double, so equal reprs are equal bits
+    for (d, plan), (d_ref, plan_ref) in zip(direct, reference):
+        assert repr((d, plan.entries)) == repr((d_ref, plan_ref.entries))
+
+
+@pytest.mark.parametrize("path", ["highs", "linprog"])
+def test_a_nan_weight_is_a_model_error(monkeypatch, path):
+    if path == "linprog":
+        monkeypatch.setattr(kantorovich, "_highs", None)
+    mu = fm.DiscreteMeasure([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    nu = fm.DiscreteMeasure([0.5, 0.5], [[0.5, 0.5], [0.25, 0.75]])
+    with pytest.raises(ModelError, match="finite weights and points"):
+        fm.kantorovich_distance(mu, nu)
+
+
+@pytest.mark.parametrize("solve", [_solve_highs, _solve_linprog], ids=["highs", "linprog"])
+def test_an_infeasible_transport_lp_is_a_model_error(solve):
+    if solve is _solve_highs and kantorovich._highs is None:
+        pytest.skip("this scipy has no HiGHS core module")
+    # source masses 0.5 + 0.5, but target 0 alone asks for 2
+    with pytest.raises(ModelError, match="transport solver failed"):
+        solve(np.ones(4), np.array([0.5, 0.5, 2.0]), 2, 2)
