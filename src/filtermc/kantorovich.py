@@ -76,6 +76,8 @@ def _transport_columns(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     index[:, 0::2] = np.arange(m)[:, None]
     index[:, 1::2] = np.arange(m, m + n)
     k = np.arange(m * n + 1)
+    # two entries per column, less one for each of the k // n columns of
+    # target n - 1 that come before column k
     return 2 * k - k // n, index[:, :-1].ravel()
 
 
