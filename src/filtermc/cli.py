@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -178,7 +179,10 @@ def _cmd_gallery(args) -> int:
             Q = {}
             for key, sigma in params["Q"].items():
                 i, k, w = key.split(",", 2)
-                Q[(int(i), int(k), by_text.get(w, w))] = [int(s) for s in sigma]
+                if w not in by_text:
+                    raise ModelError(f"perm-family Q key {key!r} names no label of "
+                                     f"{list(members.labels)!r}")
+                Q[(int(i), int(k), by_text[w])] = [int(s) for s in sigma]
             spec = gallery.PermFamilySpec(base=base, members=members,
                                           d=int(params["d"]), Q=Q)
         model = gallery.perm_family_model(spec)
@@ -217,13 +221,13 @@ def _cmd_entropy(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; `run` reads FILTERMC_THREADS on each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtermc",
         description="Filtering processes of partially observed Markov chains on the simplex.",
     )
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("FILTERMC_THREADS", "1")),
                         help="worker threads (accepted for compatibility; execution is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,12 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on bad flags (2) and --help (0)
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    if args.threads < 1:
+    env = os.environ.get("FILTERMC_THREADS", "1")
+    try:
+        threads = int(env) if args.threads is None else args.threads
+    except ValueError:
+        print(f"error: FILTERMC_THREADS must be an integer, got {env!r}", file=sys.stderr)
+        return EXIT_ERROR
+    if threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_ERROR
     try:

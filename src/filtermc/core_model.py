@@ -21,6 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 
@@ -143,6 +144,23 @@ def _store(shape, ii, jj, vv):
     return sp.csr_array((vv, (ii, jj)), shape=shape)
 
 
+def _csr_product(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
+    """``a @ b`` by the two sparsetools kernels of scipy's ``_matmul_sparse``,
+    on the same index arrays in the same dtype: bit-equal, column order
+    included, without the wrappers that scipy builds on every call."""
+    shape, index = (a.shape[0], b.shape[1]), (a.indptr, a.indices, b.indptr, b.indices)
+    idx = np.int64 if any(v.dtype == np.int64 for v in index) else np.int32
+    nnz = _sparsetools.csr_matmat_maxnnz(*shape, *(v.astype(idx, copy=False) for v in index))
+    if nnz == 0:
+        return sp.csr_array(shape)
+    idx = np.int64 if nnz > np.iinfo(np.int32).max else idx
+    ap, aj, bp, bj = (v.astype(idx, copy=False) for v in index)
+    indptr, indices = np.empty(shape[0] + 1, dtype=idx), np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)  # every NonnegMatrix holds float64
+    _sparsetools.csr_matmat(*shape, ap, aj, a.data, bp, bj, b.data, indptr, indices, data)
+    return sp.csr_array((data, indices, indptr), shape=shape)
+
+
 class NonnegMatrix:
     """Sparse nonnegative matrix stored as strictly positive triplets.
 
@@ -260,7 +278,9 @@ class NonnegMatrix:
     def __matmul__(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if self.cols != other.rows:
             raise ModelError("matrix product dimension mismatch")
-        return NonnegMatrix._wrap(self._mat @ other._mat)
+        a, b = self._mat, other._mat
+        csr = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
+        return NonnegMatrix._wrap(_csr_product(a, b) if csr else a @ b)
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
         """Row vector times matrix: returns ``x @ M`` as a plain array."""
@@ -306,7 +326,7 @@ class TransitionMatrix:
         if bad.any():
             i = int(np.argmax(bad))
             raise ModelError(
-                f"TransitionMatrix row {i} sums to {rs[i]!r}, not 1 within {PROB_ATOL}"
+                f"TransitionMatrix row {i} sums to {float(rs[i])!r}, not 1 within {PROB_ATOL}"
             )
         self.inner = inner
 
@@ -397,20 +417,21 @@ class Partition:
         new axis, ``S`` of shape ``(k, n, n)``, and ``x[..., None, None, :] @ S``
         runs one vector-matrix product per (row, label); the plain ``X @ S``
         would be a gemm, which differs in the last bits.  CSR members lie side
-        by side, ``K`` of shape ``(n, kn)``; ``X @ K`` comes back in Fortran
-        order, whose row sums differ from the one-row masses, so it is made
-        C-contiguous first.
+        by side, ``K`` of shape ``(n, kn)``, kept as ``Kt = K.T`` (a CSC view):
+        ``(Kt @ X.T).T`` is the product ``X @ K`` forms, less building that
+        view per call.  It comes back in Fortran order, whose row sums differ
+        from the one-row masses, so it is made C-contiguous first.
         """
         if x.shape[-1] != self.n:
             raise ModelError("state vector dimension does not match the partition")
         if self._stack is None:
             mats = [self.members[w]._mat for w in self.labels]
             dense = all(isinstance(a, np.ndarray) for a in mats)
-            self._stack = np.stack(mats) if dense else sp.hstack(mats, format="csr")
+            self._stack = np.stack(mats) if dense else sp.hstack(mats, format="csr").T
         if isinstance(self._stack, np.ndarray):
             children = x[..., None, None, :] @ self._stack
         else:
-            children = np.ascontiguousarray(x @ self._stack)
+            children = np.ascontiguousarray((self._stack @ x.T).T)
         children = children.reshape(*x.shape[:-1], len(self.labels), -1)
         return children.sum(axis=-1), children
 
@@ -731,20 +752,30 @@ def _label_from_doc(v):
     return tuple(map(_label_from_doc, v)) if isinstance(v, list) else v
 
 
+def _triplets(rows, field: str) -> list[tuple[int, int, float]]:
+    """The ``[i, j, v]`` rows of a model file's ``field``."""
+    try:
+        return [(int(i), int(j), float(v)) for i, j, v in rows]
+    except (TypeError, ValueError):
+        raise ModelError(f"{field!r} must be a list of [i, j, v] triplets") from None
+
+
 def _partition_from_spec(P: TransitionMatrix, spec: Mapping) -> Partition:
     """The partition of ``P`` that a model file's ``"partition"`` entry
     describes (schema in :func:`save_model`)."""
     n = P.n
+    if not isinstance(spec, Mapping):
+        spec = {}
     if "lumping" in spec:
         return partition_from_lumping(P, spec["lumping"])
     if "observation" in spec:
-        trips = [(int(j), int(a), float(v)) for j, a, v in spec["observation"]]
+        trips = _triplets(spec["observation"], "observation")
         k = max(a for _, a, _ in trips) + 1 if trips else 1
         return partition_from_observation(P, NonnegMatrix(n, k, trips))
     if "explicit" in spec:
         explicit = spec["explicit"]
         labels = map(_label_from_doc, spec["labels"]) if "labels" in spec else explicit
-        return Partition({w: NonnegMatrix(n, n, [(int(i), int(j), float(v)) for i, j, v in trips])
+        return Partition({w: NonnegMatrix(n, n, _triplets(trips, "explicit"))
                           for w, trips in zip(labels, explicit.values())}, P)
     raise ModelError("model file partition must be lumping, observation or explicit")
 
@@ -774,8 +805,12 @@ def load_model(path) -> FilterModel:
     """Read a model file written by :func:`save_model` (schema above)."""
     with open(path) as fh:
         doc = json.load(fh)
-    n = int(doc["states"])
-    P = TransitionMatrix(NonnegMatrix(n, n, [(int(i), int(j), float(v)) for i, j, v in doc["P"]]))
+    if not isinstance(doc, dict):
+        raise ModelError("a model file must be a JSON object")
+    n = doc["states"]
+    if type(n) is not int:
+        raise ModelError(f"model file 'states' must be an integer, got {n!r}")
+    P = TransitionMatrix(NonnegMatrix(n, n, _triplets(doc["P"], "P")))
     meta = dict(doc.get("meta", {}))
     meta["partition_spec"] = doc["partition"]
     return FilterModel(_partition_from_spec(P, doc["partition"]), meta=meta)

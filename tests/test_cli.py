@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import filtermc as fm
-from filtermc.cli import run
+from filtermc.cli import build_parser, run
 
 from helpers import kesten_perm_params, random_measure
 
@@ -436,3 +436,54 @@ def test_a_model_file_with_list_lumping_labels_is_rejected(tmp_path, capsys):
     assert (capsys.readouterr().err
             == "error: lumping labels must be hashable: ints, strings or tuples of those\n")
     assert not out.exists()
+
+
+def test_the_parser_is_built_once_and_filtermc_threads_read_on_each_run(
+        tmp_path, monkeypatch, capsys):
+    model_path = tmp_path / "k.json"
+    argv = ["gallery", "kesten", "--out", str(model_path)]
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("FILTERMC_THREADS", "abc")
+    assert run(argv) == 1  # was an uncaught ValueError from building the parser
+    assert capsys.readouterr().err == "error: FILTERMC_THREADS must be an integer, got 'abc'\n"
+    assert run(["--threads", "2"] + argv) == 0  # the flag wins over the variable
+    monkeypatch.setenv("FILTERMC_THREADS", "0")
+    assert run(argv) == 1  # a later value of the variable still counts
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+    monkeypatch.setenv("FILTERMC_THREADS", "3")
+    assert run(argv) == 0
+
+
+_P2 = [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([2, _P2], "a model file must be a JSON object"),
+    ({"states": 2, "P": 5, "partition": {"lumping": [0, 1]}},
+     "'P' must be a list of [i, j, v] triplets"),
+    ({"states": 2.5, "P": _P2, "partition": {"lumping": [0, 1]}},
+     "model file 'states' must be an integer, got 2.5"),
+    ({"states": 2, "P": _P2, "partition": {"explicit": {"a": 7}}},
+     "'explicit' must be a list of [i, j, v] triplets"),
+    ({"states": 2, "P": _P2, "partition": 5},
+     "model file partition must be lumping, observation or explicit"),
+], ids=["list-document", "P-not-a-list", "fractional-states", "explicit-not-a-list",
+        "partition-not-an-object"])
+def test_a_malformed_model_file_is_an_error_naming_the_field(tmp_path, capsys, doc, message):
+    # the list document and "P": 5 raised a TypeError out of `run`, and
+    # "states": 2.5 was read as 2
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "mu.json"
+    assert run(["evolve", "--model", str(model), "--steps", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gallery_perm_family_rejects_a_q_key_that_names_no_label(tmp_path, capsys):
+    params = kesten_perm_params()
+    params["Q"]["0,0,zzz"] = params["Q"]["0,0,a"]
+    assert _gallery(tmp_path, "perm-family", params) == 1
+    assert ("perm-family Q key '0,0,zzz' names no label of ['a', 'b']"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "model.json").exists()

@@ -44,6 +44,16 @@ def test_transition_matrix_row_sum_check():
         fm.TransitionMatrix.from_dense([[0.6, 0.5], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("n", [2, DENSE_CUTOFF])
+def test_a_bad_row_sum_is_printed_as_a_plain_float(n):
+    # the numpy scalar's repr read "np.float64(1.1)"
+    P = np.eye(n)
+    P[1, 0] = 0.1
+    with pytest.raises(ModelError) as exc:
+        fm.TransitionMatrix.from_dense(P)
+    assert str(exc.value) == "TransitionMatrix row 1 sums to 1.1, not 1 within 1e-09"
+
+
 def test_lumping_splits_columns():
     P = fm.TransitionMatrix.from_dense([[0.5, 0.5], [0.5, 0.5]])
     m = fm.partition_from_lumping(P, ["a", "b"])
