@@ -28,6 +28,11 @@ CORPUS = Path(__file__).parent / "golden" / "cli_sha256.json"
 _B5 = sum(w * np.eye(5)[list(p)] for w, p in [
     (0.3, (0, 1, 2, 3, 4)), (0.2, (1, 2, 3, 4, 0)), (0.15, (2, 0, 4, 1, 3)),
     (0.15, (4, 3, 1, 0, 2)), (0.12, (3, 4, 0, 2, 1)), (0.08, (1, 0, 3, 2, 4))])
+# a doubly stochastic 6 x 6 matrix: seven weighted permutations
+_B6 = sum(w * np.eye(6)[list(p)] for w, p in [
+    (0.25, (0, 1, 2, 3, 4, 5)), (0.2, (1, 2, 3, 4, 5, 0)), (0.15, (5, 4, 3, 2, 1, 0)),
+    (0.12, (2, 0, 1, 5, 3, 4)), (0.1, (3, 5, 4, 0, 2, 1)), (0.1, (1, 0, 3, 2, 5, 4)),
+    (0.08, (4, 3, 5, 1, 0, 2))])
 MODELS = {
     "kesten": ("kesten", None),
     "rw63": ("random-walk", {"case": "a", "n": 63}),
@@ -120,6 +125,15 @@ def jobs(d: Path) -> list[tuple[str, list[str], list[str]]]:
             "--condition", condition, *extra, "--out", "verdict.json", files=["verdict.json"])
     job("check b1 kesten stdout", "check", "--model", "kesten.json", "--condition", "b1",
         "--max-word-len", "3")
+    # appended after the jobs above, so their order and digests stay as recorded
+    (d / "b6.params.json").write_text(json.dumps({"matrix": _B6.tolist()}))
+    job("gallery b6", "gallery", "birkhoff", "--params", "b6.params.json", "--out", "b6.json",
+        files=["b6.json"])
+    job("check thm11 b5 --depth 3", "check", "--model", "b5.json", "--condition", "thm11",
+        "--subset", "0,1,2,3,4", "--depth", "3", "--seed", "8", "--out", "verdict.json",
+        files=["verdict.json"])
+    job("evolve b6 t2 --x0", "evolve", "--model", "b6.json", "--steps", "2", "--x0",
+        _x0(6, 9), "--out", "mu_b6.json", files=["mu_b6.json"])
     return out
 
 
