@@ -760,6 +760,14 @@ def _triplets(rows, field: str) -> list[tuple[int, int, float]]:
         raise ModelError(f"{field!r} must be a list of [i, j, v] triplets") from None
 
 
+def _entry(doc: Mapping, key: str, kind: type, default=None):
+    """A model file's ``doc[key]``, or ``default``: a ``dict`` or ``list``."""
+    v = doc.get(key, default)
+    if not isinstance(v, kind):
+        raise ModelError(f"model file {key!r} must be {'an object' if kind is dict else 'a list'}")
+    return v
+
+
 def _partition_from_spec(P: TransitionMatrix, spec: Mapping) -> Partition:
     """The partition of ``P`` that a model file's ``"partition"`` entry
     describes (schema in :func:`save_model`)."""
@@ -767,14 +775,14 @@ def _partition_from_spec(P: TransitionMatrix, spec: Mapping) -> Partition:
     if not isinstance(spec, Mapping):
         spec = {}
     if "lumping" in spec:
-        return partition_from_lumping(P, spec["lumping"])
+        return partition_from_lumping(P, _entry(spec, "lumping", list))
     if "observation" in spec:
         trips = _triplets(spec["observation"], "observation")
         k = max(a for _, a, _ in trips) + 1 if trips else 1
         return partition_from_observation(P, NonnegMatrix(n, k, trips))
     if "explicit" in spec:
-        explicit = spec["explicit"]
-        labels = map(_label_from_doc, spec["labels"]) if "labels" in spec else explicit
+        explicit = _entry(spec, "explicit", dict)
+        labels = map(_label_from_doc, _entry(spec, "labels", list, list(explicit)))
         return Partition({w: NonnegMatrix(n, n, _triplets(trips, "explicit"))
                           for w, trips in zip(labels, explicit.values())}, P)
     raise ModelError("model file partition must be lumping, observation or explicit")
@@ -811,6 +819,6 @@ def load_model(path) -> FilterModel:
     if type(n) is not int:
         raise ModelError(f"model file 'states' must be an integer, got {n!r}")
     P = TransitionMatrix(NonnegMatrix(n, n, _triplets(doc["P"], "P")))
-    meta = dict(doc.get("meta", {}))
+    meta = dict(_entry(doc, "meta", dict, {}))
     meta["partition_spec"] = doc["partition"]
     return FilterModel(_partition_from_spec(P, doc["partition"]), meta=meta)

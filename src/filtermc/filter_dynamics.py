@@ -60,10 +60,11 @@ class Outcome:
 class DiscreteMeasure:
     """A finitely supported probability measure on the simplex.
 
-    Atoms are ``(weight, point)`` pairs with positive weights summing to 1
-    (renormalised within the usual tolerance).  Construction merges atoms
-    closer than ``merge_eps`` in l1: weights add up and the coordinates of
-    the heavier atom are kept, ties resolved in favour of the first seen.
+    Atoms are ``(weight, point)`` pairs with finite points and positive
+    weights summing to 1 (renormalised within the usual tolerance).
+    Construction merges atoms closer than ``merge_eps`` in l1: weights add
+    up and the coordinates of the heavier atom are kept, ties resolved in
+    favour of the first seen.
     ``pruned_mass``/``pruned_count`` record what pushforward pruning dropped
     upstream: the share of the start's mass, ``1 - prod(1 - s_t)`` over the
     shares ``s_t`` dropped at each step, so never above 1, and the number of
@@ -85,8 +86,10 @@ class DiscreteMeasure:
         if (w <= 0).any():
             raise ModelError("DiscreteMeasure weights must be strictly positive")
         total = float(w.sum())
-        if abs(total - 1.0) > PROB_ATOL:
+        if not abs(total - 1.0) <= PROB_ATOL:  # NaN fails too
             raise ModelError(f"DiscreteMeasure mass {total!r} deviates from 1")
+        if not np.isfinite(pts).all():
+            raise ModelError("DiscreteMeasure points must be finite")
         w = w / total
         if merge_eps > 0.0 and w.size > 1:
             w, pts = _merge_atoms(w, pts, merge_eps)
@@ -115,11 +118,63 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(size={self.size}, dim={self.dim})"
 
 
+_WINDOW_PAIRS = 32  # window pairs per atom above which the merge scans instead
+
+
 def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
-    """Greedy first-seen merge of atoms within l1 distance eps: each atom
-    joins the nearest representative so far (the first on ties) if that lies
-    within eps, else it becomes one.  Representatives fill, in place, arrays
-    of the input's size."""
+    """Greedy first-seen merge of finite atoms within l1 distance eps: each
+    atom joins the nearest representative so far (the first on ties) if that
+    lies within eps, else it becomes one.
+
+    Representatives sit at atoms' points, so only pairs of distinct points
+    within eps matter: those whose keys ``p @ c``, ``c`` in [1/2, 1]^n, lie
+    within ``width``, each distance summed along the contiguous axis as in
+    the scan.  Sound: with u = 2**-53, a computed ``d <= eps`` bounds the
+    true distance by ``eps / (1 - u)**n <= 2 eps``; keys differ by at most
+    that plus their rounding, ``2 n u S`` each for S the largest l1 norm, and
+    the slack covers those and the rounding of ``key + width``.  Above
+    ``_WINDOW_PAIRS`` pairs per atom (say all within eps) it scans instead."""
+    n = pts.shape[1]
+    pts = np.ascontiguousarray(pts)
+    _, first, group = np.unique(pts.view(np.dtype((np.void, 8 * n))).ravel(),
+                                return_index=True, return_inverse=True)
+    pts_u = pts[first]  # the distinct points, numbered as in ``group``
+    keys = pts_u @ (0.5 + 0.5 * np.modf(np.arange(n) * 0.6180339887)[0])
+    order = np.argsort(keys)
+    keys = keys[order]
+    floor, norm = abs(eps), float(np.abs(pts_u).sum(axis=1).max(initial=0))
+    width = 2 * floor + (n + 4) * 2.0**-50 * (norm + floor)
+    count = np.searchsorted(keys, keys + width, side="right") - np.arange(1, keys.size + 1)
+    total = int(count.sum())
+    if np.isfinite(width) and total <= _WINDOW_PAIRS * w.shape[0]:
+        # pair (order[i], order[j]) for j = i + 1 .. i + count[i], 2**16 values a block
+        i = np.repeat(np.arange(keys.size), count)
+        j = i + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+        near = [[] for _ in range(keys.size)]
+        step = 2**16 // n + 1
+        for s in range(0, total, step):
+            a, b = order[i[s:s + step]], order[j[s:s + step]]
+            d = np.abs(pts_u[a] - pts_u[b]).sum(axis=1)
+            hit = d <= eps
+            for g, h, dg in zip(a[hit].tolist(), b[hit].tolist(), d[hit].tolist()):
+                near[g].append((dg, h))
+                near[h].append((dg, g))
+        # an atom at distance 0 from a representative joins it, so no two
+        # representatives ever share a point, and ``rep_at[g]`` is the one
+        # at ``pts_u[g]``, or -1
+        rep_at, rep_w, rep_g = [-1] * keys.size, [], []
+        for g, wk in zip(group.tolist(), w.tolist()):
+            j = rep_at[g]
+            if j < 0:
+                j = min(((d, rep_at[h]) for d, h in near[g] if rep_at[h] >= 0), default=(0, -1))[1]
+            if j < 0:  # a new representative, of weight 0 until this atom's is added
+                j = rep_at[g] = len(rep_w)
+                rep_w.append(0.0)
+                rep_g.append(g)
+            elif wk > rep_w[j]:  # the heavier atom keeps its coordinates
+                rep_at[rep_g[j]], rep_at[g], rep_g[j] = -1, j, g
+            rep_w[j] += wk
+        return np.array(rep_w), pts_u[rep_g]
     rep_w, rep_p, u = np.empty(w.shape[0]), np.empty(pts.shape), 0
     for k, p in enumerate(pts):
         if u:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .core_model import (
     NonnegMatrix,
     Partition,
     check_irreducible_aperiodic,
-    label_sort_key,
     matrix_word_product,
     operator_norm,
 )
@@ -467,29 +466,41 @@ class NonstabilityReport:
         return self.isolated_pass and self.equal_words_pass and self.isometry_pass
 
 
-def _word_key(word: tuple):
-    """Canonical word order: by length, then label by label."""
-    return len(word), label_sort_key(word)
+def _active_words(xs: np.ndarray, m: Partition, n_max: int):
+    """The words of each length 1..n_max with positive mass from each start
+    ``xs[s]``, with one ``fan_out`` over every start's frontier per length.
 
-
-def _active_words(x: np.ndarray, m: Partition, n_max: int):
-    """Words of each length 1..n_max with positive mass from x, together
-    with the (mass, direction) they lead to."""
-    out: dict[tuple, tuple[float, np.ndarray]] = {}
-    stack = [((), x, 1.0)]
-    while stack:
-        word, vec, mass = stack.pop()
-        if len(word) >= n_max:
-            continue
+    Returns ``words``, those active from some start in canonical order (by
+    length, then label by label), and for every active (start, word) the
+    arrays ``start``, ``word`` (an index into ``words``), ``mass`` and
+    ``point``, the direction the word leads to.  Each start's entries are
+    consecutive, in the order of a depth-first walk in label order that
+    lists a word's children, last label first, when it reaches the word:
+    by the parent's labels, prefixes first, then by label descending."""
+    k, words, digits, found = m.num_labels, [], [], []
+    level, rows = [()], np.full((1, n_max), -1)  # each word's label indices, -1 padded
+    vec, mass, start, rank = xs, np.ones(len(xs)), np.arange(len(xs)), np.zeros(len(xs), int)
+    for length in range(n_max):
         masses, children = m.fan_out(vec)
-        for w, p, y in reversed(list(zip(m.labels, masses.tolist(), children))):
-            if p <= 0.0:
-                continue
-            nw = word + (w,)
-            ynorm = y / p
-            out[nw] = (mass * p, ynorm)
-            stack.append((nw, ynorm, mass * p))
-    return out
+        r, lab = np.nonzero(masses > 0.0)
+        p = masses[r, lab]
+        # ``rank`` numbers the previous length's words in canonical order, so
+        # these keys sort this length's words canonically too
+        keys, rank_new = np.unique(rank[r] * k + lab, return_inverse=True)
+        parent = rank[r] + len(words) - len(level)  # -1 for the empty word
+        rows = np.hstack([rows[keys // k, :length], (keys % k)[:, None],
+                          np.full((keys.size, n_max - length - 1), -1)])
+        level = [level[q // k] + (m.labels[q % k],) for q in keys.tolist()]
+        vec, mass, start, rank = children[r, lab] / p[:, None], mass[r] * p, start[r], rank_new
+        found.append((start, rank + len(words), mass, vec, parent, lab))
+        words += level
+        digits.append(rows)
+        if not r.size:
+            break
+    start, word, mass, point, parent, lab = map(np.concatenate, zip(*found))
+    up = np.concatenate(digits + [np.full((1, n_max), -1)])[parent]
+    order = np.lexsort([-lab, *up.T[::-1], start])
+    return words, start[order], word[order], mass[order], point[order]
 
 
 def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int = 4,
@@ -517,15 +528,11 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in subset:
-        e = np.zeros(n)
-        e[i] = 1.0
-        samples.append(e)
-    for _ in range(sample_count):
-        x = np.zeros(n)
+    samples = np.zeros((len(subset) + sample_count, n))
+    samples[np.arange(len(subset)), subset] = 1.0
+    for x in samples[len(subset):]:
         x[list(subset)] = rng.dirichlet(np.ones(len(subset)))
-        samples.append(x)
+    words, start, word, _, points = _active_words(samples, m, n_max)
 
     # orbits are finite point sets; they fail to look isolated only when two
     # distinct points collapse below the dedup floor.  First seen wins: a
@@ -534,13 +541,10 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     # those few only: the atom merge with unit weights, where no later atom
     # is heavier than a representative, so none moves.  Singleton orbits are
     # isolated vacuously and contribute no separation value.
-    orbits = []
     separation = float("inf")
-    for x in samples:
-        act = _active_words(x, m, n_max)
-        pts = np.array([direction for _, direction in act.values()]).reshape(len(act), n)
-        orbits.append((list(act), pts))
-        kept = _merge_atoms(np.ones(len(pts)), pts, dedup_eps)[1]
+    bounds = np.searchsorted(start, np.arange(len(samples) + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        kept = _merge_atoms(np.ones(hi - lo), points[lo:hi], dedup_eps)[1]
         if len(kept) < 2:
             continue
         for i, j, d in _l1_blocks(kept):
@@ -550,45 +554,41 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     isolated = separation > dedup_eps
 
     # pairs and words are visited in a fixed order, so witnesses never
-    # depend on how labels hash; ``row[s, i]`` is the row of sample s's
-    # orbit point after ``words[i]``, or -1 when s does not make it active
-    words = sorted(set().union(*(act for act, _ in orbits)), key=_word_key)
-    index = {word: i for i, word in enumerate(words)}
+    # depend on how labels hash; ``row[s, i]`` is the row in ``points`` of
+    # sample s's orbit point after ``words[i]``, or -1 when s does not make
+    # it active.  A block of pairs spans about 2**16 coordinates of words,
+    # or is one pair where a pair alone spans more
     row = np.full((len(samples), len(words)), -1)
-    for s, (act, _) in enumerate(orbits):
-        row[s, [index[word] for word in act]] = np.arange(len(act))
+    row[start, word] = np.arange(start.size)
     present = row >= 0
-
-    pairs = list(combinations(range(len(samples)), 2))
-    diffs = ((a, b, present[a] != present[b]) for a, b in pairs)
-    words_witness = next(({"pair": (a, b), "differing_word": words[int(diff.argmax())]}
-                          for a, b, diff in diffs if diff.any()), None)
-    equal_words = words_witness is None
-
-    # argmax takes the first largest deviation in word order, and a later
-    # pair must exceed it strictly, so the witness is the first one seen
-    max_dev = 0.0
-    iso_witness = None
-    for a, b in pairs:
-        common = np.flatnonzero(present[a] & present[b])
-        if common.size == 0:
-            continue
-        base_dist = float(np.abs(samples[a] - samples[b]).sum())
-        da = orbits[a][1][row[a, common]]
-        db = orbits[b][1][row[b, common]]
-        dev = np.abs(np.abs(da - db).sum(axis=1) - base_dist)
-        i = int(dev.argmax())
-        if dev[i] > max_dev:
-            max_dev = float(dev[i])
-            iso_witness = {"pair": (a, b), "word": words[common[i]], "deviation": max_dev}
-    isometry_pass = max_dev <= 1e-9
+    pair_a, pair_b = np.triu_indices(len(samples), 1)
+    base = np.abs(samples[pair_a] - samples[pair_b]).sum(axis=1)
+    step = 2**16 // (len(words) * n + 1) + 1
+    words_witness, iso_witness, max_dev = None, None, 0.0
+    for lo in range(0, pair_a.size, step):
+        a, b = pair_a[lo:lo + step], pair_b[lo:lo + step]
+        # the first pair whose word sets differ, and the first such word
+        diff = present[a] != present[b]
+        if words_witness is None and diff.any():
+            p, i = divmod(int(diff.argmax()), len(words))
+            words_witness = {"pair": (int(a[p]), int(b[p])), "differing_word": words[i]}
+        # the first largest deviation in pair order, then word order, which
+        # a later block must exceed strictly
+        p, i = np.nonzero(present[a] & present[b])
+        dev = np.abs(np.abs(points[row[a[p], i]] - points[row[b[p], i]]).sum(axis=1)
+                     - base[lo + p])
+        if dev.size and dev.max() > max_dev:
+            t = int(dev.argmax())
+            max_dev = float(dev[t])
+            iso_witness = {"pair": (int(a[p[t]]), int(b[p[t]])), "word": words[i[t]],
+                           "deviation": max_dev}
 
     return NonstabilityReport(
         subset=subset,
         separation=separation,
         isolated_pass=isolated,
-        equal_words_pass=equal_words,
-        isometry_pass=isometry_pass,
+        equal_words_pass=words_witness is None,
+        isometry_pass=max_dev <= 1e-9,
         max_isometry_deviation=max_dev,
         witnesses={"equal_words": words_witness, "isometry": iso_witness},
     )

@@ -293,7 +293,7 @@ def reference_check_isometry_obstruction(m: Partition, subset, n_max: int = 4,
         x[list(subset)] = rng.dirichlet(np.ones(len(subset)))
         samples.append(x)
 
-    actives = [_active_words(x, m, n_max) for x in samples]
+    actives = [reference_active_words(x, m, n_max) for x in samples]
 
     pairs = list(itertools.combinations(range(len(samples)), 2))
     diffs = ((a, b, set(actives[a]) ^ set(actives[b])) for a, b in pairs)
@@ -717,6 +717,16 @@ def reference_active_words(x: np.ndarray, m: Partition, n_max: int):
             ynorm = y / p
             out[nw] = (mass * p, ynorm)
             stack.append((nw, ynorm, mass * p))
+    return out
+
+
+def active_word_dicts(xs, m: Partition, n_max: int) -> list[dict]:
+    """The batched walk ``_active_words`` from the stacked starts ``xs``, as
+    one dict per start in the form of :func:`reference_active_words`."""
+    words, start, word, mass, point = _active_words(np.asarray(xs, dtype=float), m, n_max)
+    out: list[dict] = [{} for _ in xs]
+    for s, i, mu, pt in zip(start.tolist(), word.tolist(), mass.tolist(), point):
+        out[s][words[i]] = (mu, pt)
     return out
 
 

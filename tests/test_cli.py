@@ -467,11 +467,21 @@ _P2 = [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
      "'explicit' must be a list of [i, j, v] triplets"),
     ({"states": 2, "P": _P2, "partition": 5},
      "model file partition must be lumping, observation or explicit"),
+    ({"states": 2, "P": _P2, "partition": {"lumping": [0, 1]}, "meta": 5},
+     "model file 'meta' must be an object"),
+    ({"states": 2, "P": _P2, "partition": {"lumping": 5}},
+     "model file 'lumping' must be a list"),
+    ({"states": 2, "P": _P2, "partition": {"explicit": {"a": _P2}, "labels": 5}},
+     "model file 'labels' must be a list"),
+    ({"states": 2, "P": _P2, "partition": {"explicit": [_P2]}},
+     "model file 'explicit' must be an object"),
 ], ids=["list-document", "P-not-a-list", "fractional-states", "explicit-not-a-list",
-        "partition-not-an-object"])
+        "partition-not-an-object", "meta-a-number", "lumping-a-number", "labels-a-number",
+        "explicit-a-list"])
 def test_a_malformed_model_file_is_an_error_naming_the_field(tmp_path, capsys, doc, message):
     # the list document and "P": 5 raised a TypeError out of `run`, and
-    # "states": 2.5 was read as 2
+    # "states": 2.5 was read as 2; so did a number for "meta", "lumping" or
+    # "labels", and an "explicit" list raised an AttributeError
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     out = tmp_path / "mu.json"

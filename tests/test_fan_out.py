@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc.entropy import _block_rows, _one_step_entropy
-from filtermc.stability import _active_words
 
 from helpers import (
+    active_word_dicts,
     random_partition,
     random_transition,
     reference_active_words,
@@ -82,7 +82,12 @@ def assert_kernels_match(m, x, depth, prune, threshold, seed, steps):
         assert _one_step_entropy(x[None], m, base) == [reference_one_step_entropy(x, m, base)]
         assert _one_step_entropy(rows, m, base) == [reference_one_step_entropy(r, m, base)
                                                     for r in rows]
-    assert_same_active_words(_active_words(x, m, depth), reference_active_words(x, m, depth))
+    # the start alone, then stacked with a few atoms it reached and vertices
+    assert_same_active_words(active_word_dicts([x], m, depth)[0],
+                             reference_active_words(x, m, depth))
+    starts = np.vstack([x, got_mu.points[:4], np.eye(m.n)[:4]])
+    for got, r in zip(active_word_dicts(starts, m, depth), starts):
+        assert_same_active_words(got, reference_active_words(r, m, depth))
     try:
         want = reference_simulate_filter(x, m, steps, seed=seed, threshold=threshold)
     except fm.ModelError as exc:
@@ -166,6 +171,33 @@ def test_fan_out_of_stacked_rows_is_the_fan_out_of_each_row(make, r):
         want_masses, want_children = m.fan_out(X[i])
         assert np.array_equal(masses[i], want_masses)
         assert np.array_equal(children[i], want_children)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=partitions_and_starts(), depth=st.integers(1, 4), starts=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_walk_matches_the_walk_of_each_start(case, depth, starts, seed):
+    # starts inside the simplex, on its faces and at its vertices walk
+    # together, and their frontiers differ in size from one length to the next
+    m, x = case
+    rng = np.random.default_rng(seed)
+    xs = np.vstack([x, rng.dirichlet(np.ones(m.n), size=starts),
+                    np.eye(m.n)[rng.integers(m.n, size=2)]])
+    if m.n > 1:
+        xs[1, rng.integers(m.n)] = 0.0
+        xs[1] /= xs[1].sum()
+    for got, start in zip(active_word_dicts(xs, m, depth), xs):
+        assert_same_active_words(got, reference_active_words(start, m, depth))
+
+
+@pytest.mark.parametrize("make, depth", [(fm.kesten_model, 5), (_birkhoff5, 3),
+                                         (lambda: fm.random_walk_case_a(64), 3)])
+def test_batched_walk_matches_the_walk_of_each_start_on_gallery_models(make, depth):
+    # Birkhoff-5 words reach the same points many times over; rw64 is CSR
+    m = make().partition
+    xs = np.vstack([np.eye(m.n)[:3], np.random.default_rng(2).dirichlet(np.ones(m.n), size=3)])
+    for got, start in zip(active_word_dicts(xs, m, depth), xs):
+        assert_same_active_words(got, reference_active_words(start, m, depth))
 
 
 @pytest.mark.parametrize("prune, count", [(1e-4, 301), (1e-3, 686)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
-from filtermc.filter_dynamics import _merge_atoms
+from filtermc.filter_dynamics import _WINDOW_PAIRS, _merge_atoms
 
 from helpers import (
     measures_close,
@@ -358,7 +359,7 @@ def assert_merge_matches_reference(w, pts, eps):
     got, want = _merge_atoms(w, pts, eps), reference_merge_atoms(w, pts, eps)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()  # byte for byte: -0.0 is not 0.0
     return got
 
 
@@ -390,6 +391,71 @@ def atom_clouds(draw):
 @given(atom_clouds())
 def test_merge_matches_list_reference(cloud):
     assert_merge_matches_reference(*cloud)
+
+
+@st.composite
+def windowed_clouds(draw):
+    """Atoms for the windowed merge: near-duplicates of a few centres at
+    offsets from 1e-16 up to eps, exact copies of earlier atoms, signed
+    zeros, grid points whose distances tie, and clouds that lie within eps
+    of each other whole, large enough for either side of the fallback.
+    The dimension ranges over numpy's summation regimes: below 8, 8 to 128
+    and above 128 terms."""
+    dim = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 200)))
+    size = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["near", "grid", "within"]))
+    eps = draw(st.sampled_from([1e-10, 1e-9, 1e-3]))
+    if kind == "grid":
+        pts = rng.integers(0, 3, size=(size, dim)) / 4
+        eps = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    else:
+        centres = rng.dirichlet(np.ones(dim), size=1 if kind == "within" else 4)
+        scale = rng.choice([0.0, 1e-16, 1e-13, eps / 4, eps / 2, eps] if kind == "near"
+                           else [0.0, 1e-16, eps / (4 * dim)], size=(size, 1))
+        pts = centres[rng.integers(0, len(centres), size=size)] + scale * rng.random((size, dim))
+    copies = rng.random(size) < 0.2  # exact copies of the atom before
+    pts[1:][copies[1:]] = pts[:-1][copies[1:]]
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    # mostly light atoms, now and then one heavier than all before it
+    w = np.where(rng.random(size) < 0.1, 4.0, rng.integers(1, 5, size=size) / 8)
+    return w, pts, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_clouds())
+def test_windowed_merge_matches_the_scan_byte_for_byte(cloud):
+    assert_merge_matches_reference(*cloud)
+
+
+@pytest.mark.parametrize("size", [_WINDOW_PAIRS * 2 + 1, _WINDOW_PAIRS * 2 + 2])
+def test_merge_within_eps_on_both_sides_of_the_fallback(size):
+    # every pair of these distinct points lies in the window, so 65 atoms
+    # keep to the window's bound of 32 pairs per atom and 66 exceed it
+    rng = np.random.default_rng(size)
+    pts = rng.dirichlet(np.ones(5)) + 1e-13 * rng.random((size, 5))
+    pairs = size * (size - 1) // 2
+    assert (pairs <= _WINDOW_PAIRS * size) == (size == _WINDOW_PAIRS * 2 + 1)
+    w = rng.integers(1, 9, size=size) / 8
+    w[size // 2] = 64.0  # moves the one representative
+    rep_w, rep_p = assert_merge_matches_reference(w, pts, 1e-9)
+    assert rep_w.size == 1 and rep_p[0].tobytes() == pts[size // 2].tobytes()
+
+
+def test_merge_memory_when_every_atom_lies_within_eps():
+    # 4,000 atoms within eps of each other put all 8 million pairs in the
+    # window, 128 MB as index pairs; the merge scans the representatives
+    rng = np.random.default_rng(4)
+    pts = rng.dirichlet(np.ones(8)) + 1e-12 * rng.random((4000, 8))
+    w = np.full(4000, 1 / 4000)
+    tracemalloc.start()
+    try:
+        rep_w, rep_p = _merge_atoms(w, pts, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert rep_w.size == 1 and rep_p[0].tobytes() == pts[0].tobytes()
 
 
 def test_merge_moves_a_representative_towards_its_neighbour():

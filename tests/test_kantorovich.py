@@ -303,10 +303,17 @@ def test_direct_highs_solve_is_bit_equal_to_linprog(monkeypatch):
 def test_a_nan_weight_is_a_model_error(monkeypatch, path):
     if path == "linprog":
         monkeypatch.setattr(kantorovich, "_highs", None)
-    mu = fm.DiscreteMeasure([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
-    nu = fm.DiscreteMeasure([0.5, 0.5], [[0.5, 0.5], [0.25, 0.75]])
-    with pytest.raises(ModelError, match="finite weights and points"):
-        fm.kantorovich_distance(mu, nu)
+    # the mass check was false for NaN, so this measure used to build
+    with pytest.raises(ModelError, match="DiscreteMeasure mass nan deviates from 1"):
+        fm.DiscreteMeasure([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ModelError, match="DiscreteMeasure points must be finite"):
+        fm.DiscreteMeasure([0.5, 0.5], [[np.nan, 1.0], [0.0, 1.0]])
+    # finite points whose distances overflow still reach the solver's check
+    with np.errstate(over="ignore"):
+        mu = fm.DiscreteMeasure([0.5, 0.5], [[1e308, -1e308], [0.0, 1.0]])
+        nu = fm.DiscreteMeasure([0.5, 0.5], [[-1e308, 1e308], [0.25, 0.75]])
+        with pytest.raises(ModelError, match="finite weights and points"):
+            fm.kantorovich_distance(mu, nu)
 
 
 @pytest.mark.parametrize("solve", [_solve_highs, _solve_linprog], ids=["highs", "linprog"])

@@ -13,7 +13,6 @@ import filtermc.stability as stability
 from filtermc import ModelError
 from filtermc.filter_dynamics import _merge_atoms
 from filtermc.stability import (
-    _active_words,
     _connector_word,
     _first_row_spread,
     _l1_blocks,
@@ -23,6 +22,7 @@ from filtermc.stability import (
 )
 
 from helpers import (
+    active_word_dicts,
     random_partition,
     random_transition,
     reference_check_isometry_obstruction,
@@ -638,11 +638,23 @@ def test_isometry_obstruction_separation_is_least_distance_between_distinct_poin
     # each orbit repeats the vertices, whose distinct pairs lie 2 apart
     rng = np.random.default_rng(12)
     m = fm.partition_from_lumping(random_transition(rng, 4), [0, 1, 2, 3])
-    orbit = _active_words(np.full(4, 0.25), m, 3)
+    orbit = active_word_dicts([np.full(4, 0.25)], m, 3)[0]
     assert len(orbit) > 4
     report = fm.check_isometry_obstruction(m, [0, 1, 2, 3], n_max=3, seed=0)
     assert report.separation == 2.0
     assert report.isolated_pass
+
+
+def test_isometry_witness_is_the_first_pair_across_blocks_of_pairs():
+    # identity lumping on 64 states: every word ends at the vertex of its
+    # last label, so each pair of vertex starts deviates by exactly 2 on
+    # every one of its 4,160 common words; with 64 coordinates per word
+    # each pair fills a block of its own, and a tie in a later block must
+    # not replace the first pair's witness
+    rng = np.random.default_rng(13)
+    m = fm.partition_from_lumping(random_transition(rng, 64), list(range(64)))
+    report = _assert_report_matches_reference(m, [0, 1, 2], n_max=2, sample_count=0)
+    assert report.witnesses["isometry"] == {"pair": (0, 1), "word": (0,), "deviation": 2.0}
 
 
 def test_isometry_obstruction_needs_a_positive_depth():
@@ -669,7 +681,7 @@ def test_isometry_obstruction_memory_on_thousands_of_distinct_orbit_points():
     # the least distance, one row against the later ones at a time
     separation = math.inf
     for x in np.eye(6)[:2]:
-        pts = np.array([direction for _, direction in _active_words(x, m, 7).values()])
+        pts = np.array([direction for _, direction in active_word_dicts([x], m, 7)[0].values()])
         kept = _merge_atoms(np.ones(len(pts)), pts, 1e-9)[1]
         assert len(kept) == 3279
         for i in range(len(kept) - 1):
