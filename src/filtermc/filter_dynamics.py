@@ -146,7 +146,7 @@ def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
     width = 2 * floor + (n + 4) * 2.0**-50 * (norm + floor)
     count = np.searchsorted(keys, keys + width, side="right") - np.arange(1, keys.size + 1)
     total = int(count.sum())
-    if np.isfinite(width) and total <= _WINDOW_PAIRS * w.shape[0]:
+    if n and np.isfinite(width) and total <= _WINDOW_PAIRS * w.shape[0]:
         # pair (order[i], order[j]) for j = i + 1 .. i + count[i], 2**16 values a block
         i = np.repeat(np.arange(keys.size), count)
         j = i + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)

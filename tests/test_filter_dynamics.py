@@ -477,6 +477,9 @@ def test_merge_edge_cases():
     # a single atom comes back as it is
     rep_w, rep_p = assert_merge_matches_reference(np.array([1.0]), pts[:1], 0.5)
     assert rep_w.tolist() == [1.0] and rep_p.tolist() == [[0.5, 0.5]]
+    # points without coordinates lie at distance 0 from each other
+    rep_w, _ = assert_merge_matches_reference(np.array([0.25, 0.75]), np.zeros((2, 0)), 0.0)
+    assert rep_w.tolist() == [1.0]
 
 
 def _dropped_shares(x0, m, steps: int, prune: float):
