@@ -57,7 +57,10 @@ def _start_vector(model: FilterModel, x0_arg: str | None):
     if x0_arg:
         return as_prob_vector([float(t) for t in x0_arg.split(",")])
     if "default_start" in model.meta:
-        return as_prob_vector(model.meta["default_start"])
+        try:
+            return as_prob_vector(model.meta["default_start"])
+        except (TypeError, OverflowError):
+            raise ModelError("model file 'default_start' must be a list of numbers") from None
     return model.stationary
 
 

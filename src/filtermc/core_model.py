@@ -17,6 +17,8 @@ import contextlib
 import functools
 import json
 import sys
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -726,11 +728,95 @@ def _output(path, newline=None):
             yield fh
 
 
+_INF = float("inf")
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _float_text(v) -> str:
+    if v != v:
+        return "NaN"
+    return float.__repr__(v) if abs(v) != _INF else "Infinity" if v > 0 else "-Infinity"
+
+
+def _json_parts(doc) -> list[str]:
+    """The pieces of ``json.dumps(doc, indent=1)``, built in memory.  A list
+    of plain scalars is formatted in one pass, and a list of equal-length
+    rows of them column by column, with one ``repr`` per distinct int or
+    float of a column (zeros apart: ``0.0 == -0.0``); no memo outlives its
+    column.  Other scalars go through ``json.dumps``, so what json rejects
+    raises its ``TypeError``."""
+    parts = []
+    put = parts.append
+
+    def texts(col):
+        """The texts of a column of plain scalars, or None."""
+        kinds = set(map(type, col))
+        if kinds == {int} or kinds == {float}:
+            memo, fmt = dict.fromkeys(col), _float_text if float in kinds else int.__repr__
+            for v in memo:
+                memo[v] = fmt(v)
+            if float in kinds and 0.0 in memo:
+                return [memo[v] if v else float.__repr__(v) for v in col]
+            return list(map(memo.__getitem__, col))
+        return list(map(json.dumps, col)) if kinds <= _SCALARS else None
+
+    def rows(o, level):
+        """Equal-length rows of plain scalars at ``level``, joined in pieces
+        of at most 2**14 texts (so no list of every text is held), or None."""
+        if not set(map(type, o)) <= {list, tuple} or len(set(map(len, o))) != 1 or not o[0]:
+            return None
+        cols = [texts(list(map(itemgetter(c), o))) for c in range(len(o[0]))]
+        if None in cols:
+            return None
+        cell, end = ",\n" + " " * (level + 1), "\n" + " " * level + "]"
+        between = end + ",\n" + " " * level + "[" + cell[1:]
+        glue = [x for c in cols for x in (c, repeat(cell))]
+        glue[-1] = repeat(between)
+        body = islice(chain.from_iterable(zip(*glue)), len(o) * len(glue) - 1)
+        body = chain(["[" + cell[1:]], body, [end])
+        return list(iter(lambda: "".join(islice(body, 1 << 14)), ""))
+
+    def enc(o, level):
+        is_list = isinstance(o, (list, tuple))
+        if not (is_list or isinstance(o, dict)):
+            put(json.dumps(o))
+            return
+        if not o:
+            put("[]" if is_list else "{}")
+            return
+        sep = ",\n" + " " * (level + 1)
+        put(("[" if is_list else "{") + sep[1:])
+        if not is_list:
+            for k, (key, v) in enumerate(o.items()):
+                if not (key is None or isinstance(key, (str, int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = key if isinstance(key, str) else json.dumps(key)
+                put((sep if k else "") + json.encoder.encode_basestring_ascii(key) + ": ")
+                enc(v, level + 1)
+        else:
+            flat = texts(o)
+            pieces = [sep.join(flat)] if flat is not None else rows(o, level + 1)
+            if pieces is not None:
+                parts.extend(pieces)
+            else:
+                for k, v in enumerate(o):
+                    if k:
+                        put(sep)
+                    enc(v, level + 1)
+        put("\n" + " " * level + ("]" if is_list else "}"))
+
+    enc(doc, 0)
+    return parts
+
+
 def _write_json(doc, path=None) -> None:
     """The layout of every JSON file the package writes: ``indent=1`` and a
-    trailing newline."""
+    trailing newline, the bytes of ``json.dump``.  The text is built before
+    the file is opened, so a document json rejects leaves no file."""
+    parts = _json_parts(doc)
     with _output(path) as fh:
-        json.dump(doc, fh, indent=1)
+        fh.writelines(parts)
         fh.write("\n")
 
 
@@ -741,14 +827,15 @@ def _partition_spec(model: FilterModel) -> dict:
     typed = not all(isinstance(w, str) for w in model.partition.labels)
     # typed labels are keyed by their JSON form, which tells 1 from "1"
     key = (lambda w: json.dumps(_jsonable(w))) if typed else str
-    spec = {"explicit": {key(w): [[i, j, v] for i, j, v in M.triplets()]
-                         for w, M in model.partition}}
+    spec = {"explicit": {key(w): M.triplets() for w, M in model.partition}}
     if typed:
         spec["labels"] = _jsonable(model.partition.labels)
     return spec
 
 
 def _label_from_doc(v):
+    if isinstance(v, dict):
+        raise ModelError("model file 'labels' must hold ints, strings and lists of those")
     return tuple(map(_label_from_doc, v)) if isinstance(v, list) else v
 
 
@@ -756,8 +843,16 @@ def _triplets(rows, field: str) -> list[tuple[int, int, float]]:
     """The ``[i, j, v]`` rows of a model file's ``field``."""
     try:
         return [(int(i), int(j), float(v)) for i, j, v in rows]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelError(f"{field!r} must be a list of [i, j, v] triplets") from None
+
+
+def _matrix(rows: int, cols: int, trips, field: str) -> NonnegMatrix:
+    """The matrix of a model file's ``field`` from its :func:`_triplets`."""
+    try:
+        return NonnegMatrix(rows, cols, trips)
+    except OverflowError:  # an index numpy cannot hold
+        raise ModelError(f"{field!r} holds an index out of range") from None
 
 
 def _entry(doc: Mapping, key: str, kind: type, default=None):
@@ -779,11 +874,13 @@ def _partition_from_spec(P: TransitionMatrix, spec: Mapping) -> Partition:
     if "observation" in spec:
         trips = _triplets(spec["observation"], "observation")
         k = max(a for _, a, _ in trips) + 1 if trips else 1
-        return partition_from_observation(P, NonnegMatrix(n, k, trips))
+        if k > len(trips):  # a member is built for each of the k labels
+            raise ModelError(f"'observation' names label {k - 1}, but has {len(trips)} entries")
+        return partition_from_observation(P, _matrix(n, k, trips, "observation"))
     if "explicit" in spec:
         explicit = _entry(spec, "explicit", dict)
         labels = map(_label_from_doc, _entry(spec, "labels", list, list(explicit)))
-        return Partition({w: NonnegMatrix(n, n, _triplets(trips, "explicit"))
+        return Partition({w: _matrix(n, n, _triplets(trips, "explicit"), "explicit")
                           for w, trips in zip(labels, explicit.values())}, P)
     raise ModelError("model file partition must be lumping, observation or explicit")
 
@@ -803,7 +900,7 @@ def save_model(model: FilterModel, path) -> None:
     """
     _write_json({
         "states": model.n,
-        "P": [[i, j, v] for i, j, v in model.partition.base.inner.triplets()],
+        "P": model.partition.base.inner.triplets(),
         "partition": _partition_spec(model),
         "meta": {k: v for k, v in model.meta.items() if k != "partition_spec"},
     }, path)
@@ -818,7 +915,10 @@ def load_model(path) -> FilterModel:
     n = doc["states"]
     if type(n) is not int:
         raise ModelError(f"model file 'states' must be an integer, got {n!r}")
-    P = TransitionMatrix(NonnegMatrix(n, n, _triplets(doc["P"], "P")))
+    trips = _triplets(doc["P"], "P")
+    if n > len(trips):  # some row would be empty; checked before n rows are allocated
+        raise ModelError(f"model file 'states' is {n}, but 'P' has {len(trips)} entries")
+    P = TransitionMatrix(_matrix(n, n, trips, "P"))
     meta = dict(_entry(doc, "meta", dict, {}))
     meta["partition_spec"] = doc["partition"]
     return FilterModel(_partition_from_spec(P, doc["partition"]), meta=meta)

@@ -400,8 +400,8 @@ def simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
 
 def save_measure(mu: DiscreteMeasure, path) -> None:
     """Measure file: ``{"atoms": [{"w": weight, "x": [coords]}, ...]}``."""
-    _write_json({"atoms": [{"w": float(w), "x": [float(v) for v in p]}
-                           for w, p in zip(mu.weights, mu.points)]}, path)
+    _write_json({"atoms": [{"w": w, "x": p}
+                           for w, p in zip(mu.weights.tolist(), mu.points.tolist())]}, path)
 
 
 def load_measure(path) -> DiscreteMeasure:

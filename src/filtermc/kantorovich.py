@@ -308,5 +308,4 @@ def fiber_mass_check(mu: DiscreteMeasure, i: int, q=None) -> FiberMassResult:
 
 def save_plan(plan: TransportPlan, path) -> None:
     """Plan file: list of (source, target, mass) triplets plus the cost."""
-    _write_json({"cost": plan.cost, "entries": [[i, j, mass] for i, j, mass in plan.entries]},
-                path)
+    _write_json({"cost": plan.cost, "entries": plan.entries}, path)

@@ -475,13 +475,31 @@ _P2 = [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
      "model file 'labels' must be a list"),
     ({"states": 2, "P": _P2, "partition": {"explicit": [_P2]}},
      "model file 'explicit' must be an object"),
+    ({"states": 2, "P": [[10**30, 0, 0.5]] + _P2[1:], "partition": {"lumping": [0, 1]}},
+     "'P' holds an index out of range"),
+    ({"states": 2, "P": [[float("inf"), 0, 0.5]] + _P2[1:], "partition": {"lumping": [0, 1]}},
+     "'P' must be a list of [i, j, v] triplets"),
+    ({"states": 2, "P": _P2, "partition": {"lumping": [0, 1]},
+      "meta": {"default_start": {"a": 1}}},
+     "model file 'default_start' must be a list of numbers"),
+    ({"states": 2, "P": _P2, "partition": {"explicit": {"[1, {}]": _P2}, "labels": [[1, {}]]}},
+     "model file 'labels' must hold ints, strings and lists of those"),
+    ({"states": 2**40, "P": _P2, "partition": {"lumping": [0, 1]}},
+     "model file 'states' is 1099511627776, but 'P' has 4 entries"),
+    ({"states": 2, "P": _P2, "partition": {"observation": [[0, 2**40, 1.0], [1, 0, 1.0]]}},
+     "'observation' names label 1099511627776, but has 2 entries"),
 ], ids=["list-document", "P-not-a-list", "fractional-states", "explicit-not-a-list",
         "partition-not-an-object", "meta-a-number", "lumping-a-number", "labels-a-number",
-        "explicit-a-list"])
+        "explicit-a-list", "P-index-beyond-int64", "P-index-infinite",
+        "default-start-an-object", "label-an-object", "states-beyond-P",
+        "observation-label-beyond-its-entries"])
 def test_a_malformed_model_file_is_an_error_naming_the_field(tmp_path, capsys, doc, message):
     # the list document and "P": 5 raised a TypeError out of `run`, and
     # "states": 2.5 was read as 2; so did a number for "meta", "lumping" or
-    # "labels", and an "explicit" list raised an AttributeError
+    # "labels", and an "explicit" list raised an AttributeError.  A P index
+    # beyond int64 or infinite raised an OverflowError, an object for
+    # "default_start" or in "labels" a TypeError, and "states" of 2**40 a
+    # MemoryError
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     out = tmp_path / "mu.json"

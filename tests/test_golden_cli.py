@@ -3,11 +3,15 @@
 A fixed list of jobs runs through ``filtermc.cli.run``; the sha256 digests of
 each job's exit code, stdout and output files must equal those recorded in
 ``golden/cli_sha256.json``.  The digests hold for the numpy, scipy and BLAS
-recorded there.  A deliberate change to output bits rewrites the file with
+recorded there.  The OpenBLAS kernel each library picked for the CPU is
+recorded too, as information only: it is printed when digests differ, since
+the summation order of BLAS products can depend on it.  A deliberate change
+to output bits rewrites the file with
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
 """
 
+import ctypes
 import hashlib
 import io
 import json
@@ -49,6 +53,21 @@ def environment() -> dict:
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def blas_cores() -> dict:
+    """The OpenBLAS core name of numpy's and of scipy's copy (None where
+    there is no such library or symbol)."""
+    cores = {}
+    for mod, symbol in ((np, "scipy_openblas_get_corename64_"),
+                        (scipy, "scipy_openblas_get_corename")):
+        cores[mod.__name__] = None
+        for lib in sorted(Path(mod.__file__).parent.parent.glob(f"{mod.__name__}.libs/*openblas*")):
+            fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                cores[mod.__name__] = fn().decode()
+    return cores
 
 
 def _x0(n: int, seed: int) -> str:
@@ -164,13 +183,15 @@ def test_cli_outputs_match_the_golden_corpus(tmp_path):
     got = digests(tmp_path)
     assert list(got) == list(golden["jobs"])
     changed = [name for name in got if got[name] != golden["jobs"][name]]
-    assert not changed, f"output bytes changed: {changed}"
+    cores = f"BLAS cores: corpus {golden['environment'].get('blas_core')}, here {blas_cores()}"
+    assert not changed, f"output bytes changed: {changed}; {cores}"
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"environment": environment(), "jobs": digests(Path(tmp))}
+        doc = {"environment": {**environment(), "blas_core": blas_cores()},
+               "jobs": digests(Path(tmp))}
     CORPUS.write_text(json.dumps(doc, indent=1) + "\n")
     sys.stdout.write(f"wrote {len(doc['jobs'])} job digests to {CORPUS}\n")
