@@ -243,6 +243,8 @@ def entropy_rate_mc(m: Partition, burn_in: int = 200, samples: int = 5000, seed:
     (otherwise the path need not equilibrate; the caller is expected to have
     vetted stability).
     """
+    if burn_in < 0:  # steps[burn_in:] would then keep only the last -burn_in states
+        raise ModelError(f"burn_in must be >= 0, got {burn_in}")
     if samples < batches:
         raise ModelError("need at least as many samples as batches")
     start = as_prob_vector(x0) if x0 is not None else stationary_vector(m.base)

@@ -9,8 +9,10 @@ and seeded simulation of sample paths.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -264,22 +266,34 @@ class FilterTrace:
         coordinate.  A path repeats its values (each state is zero off the
         columns of the last ``M(w)``), so each distinct float64 bit pattern
         is formatted once per call: bits, not values, as ``-0.0 == 0.0``.
+        Rows go in blocks of about 2**13 values, which bounds the memory
+        beyond the memo: each block looks up its distinct bit patterns
+        (``np.unique``) and gathers its cells from their texts in one pass.
         A float's ``repr`` never needs quoting; each label's ``label,``
         prefix is still quoted by ``csv.writer``, once per label."""
+        n = self.x0.dim
+        rows = [("", self.x0), *self.steps]
+        block = max(1, 2**13 // n)
         memo, prefixes = {}, {}
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(["step", "label"] + [f"x{i}" for i in range(self.x0.dim)])
-            for k, (lab, state) in enumerate([("", self.x0), *self.steps]):
-                prefix = prefixes.get(id(lab))  # the trace keeps every label alive
-                if prefix is None:
-                    buf = io.StringIO()
-                    csv.writer(buf).writerow([lab, "x"])
-                    prefix = prefixes[id(lab)] = buf.getvalue()[:-3]  # drop "x\r\n"
-                bits = state.coords.view(np.int64).tolist()
-                for b, v in zip(bits, state.coords.tolist()):
+            csv.writer(fh).writerow(["step", "label"] + [f"x{i}" for i in range(n)])
+            for start in range(0, len(rows), block):
+                part = rows[start:start + block]
+                coords = np.stack([state.coords for _, state in part])
+                bits, inv = np.unique(coords.view(np.int64), return_inverse=True)
+                keys = bits.tolist()
+                for b, v in zip(keys, bits.view(np.float64).tolist()):
                     if b not in memo:
                         memo[b] = repr(v)
-                fh.write(f"{k},{prefix}{','.join(map(memo.__getitem__, bits))}\r\n")
+                texts = np.array(list(map(memo.__getitem__, keys)), dtype=object)
+                for k, (lab, _), cells in zip(range(start, start + len(part)), part,
+                                              texts[inv].reshape(len(part), n).tolist()):
+                    prefix = prefixes.get(id(lab))  # the trace keeps every label alive
+                    if prefix is None:
+                        buf = io.StringIO()
+                        csv.writer(buf).writerow([lab, "x"])
+                        prefix = prefixes[id(lab)] = buf.getvalue()[:-3]  # drop "x\r\n"
+                    fh.write(f"{k},{prefix}{','.join(cells)}\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +388,22 @@ def simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
     """Sample one path of the filtering process with a seeded generator.
 
     Each step draws among the outcomes (sorted by label) by inverse CDF, so
-    a fixed seed reproduces the trace bit for bit.
+    a fixed seed reproduces the trace bit for bit.  The uniforms are drawn
+    in one call, the same stream as one ``rng.random()`` per step, and the
+    CDF is summed left to right in Python floats, as ``np.cumsum`` sums.
     """
     if steps < 1:
         raise ModelError("simulate_filter requires steps >= 1")
     x = x0 = as_prob_vector(x0)
-    rng = np.random.default_rng(seed)
     path = []
-    for _ in range(steps):
+    for u in np.random.default_rng(seed).random(steps).tolist():
         masses, children = m.fan_out(x.coords)
-        live = np.flatnonzero(masses > threshold)
-        if live.size == 0:
+        p = masses.tolist()
+        live = [i for i, q in enumerate(p) if q > threshold]
+        if not live:
             raise ModelError("no outcome above threshold; filter cannot move")
-        cdf = np.cumsum(masses[live])
-        k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        i = live[min(k, live.size - 1)]
+        cdf = list(itertools.accumulate(p[i] for i in live))
+        i = live[min(bisect.bisect_right(cdf, u * cdf[-1]), len(live) - 1)]
         x = ProbVector(children[i] / masses[i])
         path.append((m.labels[i], x))
     return FilterTrace(x0=x0, steps=tuple(path), seed=seed)

@@ -10,8 +10,10 @@ own budget bookkeeping) for the shared search engine, the all-pairs
 distance kernel, the first-row bound and the fixed-point power walk, the
 list-based atom merge for the one filled in place, the per-label loops of
 the filter kernel (one ``left_apply`` per label) for ``Partition.fan_out``
-and its batched callers, the trace writer with one ``repr`` per coordinate
-for the memoised one, the triplet scans of the partition constructors
+and its batched callers, the simulator's per-step numpy draw (one
+``rng.random()``, ``np.cumsum`` and ``searchsorted`` a step) for the draw
+on Python floats, the trace writer with one ``repr`` per coordinate for
+the memoised and blocked one, the triplet scans of the partition constructors
 for their masks, and the dense support-graph walks and the stationary
 power iteration for the sparse graph check, connector search and direct
 stationary solve.

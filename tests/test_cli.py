@@ -370,6 +370,20 @@ def test_entropy_rejects_an_unknown_mc_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mc, burn", [(["burn=-5"], -5),
+                                      (["samples=2000", "burn=-1000"], -1000)])
+def test_entropy_rejects_a_negative_burn(tmp_path, capsys, mc, burn):
+    # burn=-5 raised a ValueError from reshape; burn=-1000 averaged only the
+    # last 1,000 of the 2,000 samples
+    model_path = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(model_path)])
+    assert run(["entropy", "--model", str(model_path), "--horizon", "1", "--mc", *mc,
+                "--out", str(tmp_path / "h.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: burn_in must be >= 0, got {burn}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("condition", ["b1", "thm93"])
 def test_check_rejects_a_negative_tol(tmp_path, capsys, condition):
     assert _gallery(tmp_path, "random-walk", {"case": "a", "n": 8}) == 0

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
+from filtermc.core_model import DENSE_CUTOFF
 from filtermc.entropy import _block_rows, _one_step_entropy
 
 from helpers import (
@@ -45,10 +46,19 @@ def assert_same_measure(got, want):
     assert (got.pruned_mass, got.pruned_count) == (want.pruned_mass, want.pruned_count)
 
 
-def assert_same_trace(got, want):
+def assert_same_simulation(m, x, steps, seed, threshold):
+    """``simulate_filter`` and its reference give the same labels and state
+    bits, or the same error."""
+    try:
+        want = reference_simulate_filter(x, m, steps, seed=seed, threshold=threshold)
+    except fm.ModelError as exc:
+        with pytest.raises(fm.ModelError, match=re.escape(str(exc))):
+            fm.simulate_filter(x, m, steps, seed=seed, threshold=threshold)
+        return
+    got = fm.simulate_filter(x, m, steps, seed=seed, threshold=threshold)
     assert got.labels() == want.labels()
     for (_, a), (_, b) in zip(got.steps, want.steps):
-        assert np.array_equal(a.coords, b.coords)
+        assert a.coords.tobytes() == b.coords.tobytes()
 
 
 def assert_same_active_words(got, want):
@@ -88,13 +98,7 @@ def assert_kernels_match(m, x, depth, prune, threshold, seed, steps):
     starts = np.vstack([x, got_mu.points[:4], np.eye(m.n)[:4]])
     for got, r in zip(active_word_dicts(starts, m, depth), starts):
         assert_same_active_words(got, reference_active_words(r, m, depth))
-    try:
-        want = reference_simulate_filter(x, m, steps, seed=seed, threshold=threshold)
-    except fm.ModelError as exc:
-        with pytest.raises(fm.ModelError, match=re.escape(str(exc))):
-            fm.simulate_filter(x, m, steps, seed=seed, threshold=threshold)
-        return
-    assert_same_trace(fm.simulate_filter(x, m, steps, seed=seed, threshold=threshold), want)
+    assert_same_simulation(m, x, steps, seed, threshold)
 
 
 @st.composite
@@ -119,6 +123,30 @@ def partitions_and_starts(draw):
 def test_kernels_match_the_label_loops(case, depth, prune, threshold, seed):
     m, x = case
     assert_kernels_match(m, x, depth, prune, threshold, seed, steps=12)
+
+
+@st.composite
+def simulate_cases(draw):
+    # dense members below the cutoff, CSR at and above it; a vertex start on
+    # a sparse chain gives most labels zero mass at the first step
+    n = draw(st.sampled_from([2, 5, DENSE_CUTOFF - 1, DENSE_CUTOFF, DENSE_CUTOFF + 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = random_transition(rng, n, sparsity=draw(st.sampled_from([0.0, 0.9, 0.99])))
+    m = random_partition(rng, P, draw(st.integers(1, 8)), kind=draw(
+        st.sampled_from(["lumping", "lumping", "observation", "explicit"])))
+    x = np.eye(n)[rng.integers(n)] if draw(st.booleans()) else rng.dirichlet(np.ones(n))
+    return m, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=simulate_cases(), steps=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([0.0, 0.0, 0.5, 0.9, 1.5]))
+def test_simulate_filter_matches_the_per_step_draws(case, steps, seed, share):
+    # one uniform drawn a step and the CDF taken by np.cumsum and searchsorted;
+    # a threshold of a share of the mean label mass cuts labels, and above 1
+    # often leaves none
+    m, x = case
+    assert_same_simulation(m, x, steps, seed, threshold=share / len(m.labels))
 
 
 @pytest.mark.parametrize("make", [fm.kesten_model, lambda: fm.random_walk_case_a(63),

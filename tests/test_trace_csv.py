@@ -97,8 +97,8 @@ def test_trace_csv_signed_zeros_tiny_values_and_quoted_labels():
 
 def test_trace_csv_memory_is_bounded_and_released(tmp_path):
     # 130 steps of the 1024-state walk from pi (a paths benchmark job): the
-    # writer holds one row and the memo of its distinct values, and keeps
-    # nothing once it returns
+    # writer holds one block of rows and the memo of its distinct values, and
+    # keeps nothing once it returns
     model = fm.gallery.random_walk_case_a(1024)
     trace = fm.simulate_filter(model.stationary, model.partition, 130, seed=5)
     path = tmp_path / "trace.csv"
