@@ -151,24 +151,39 @@ def _cmd_check(args) -> int:
     return code
 
 
+def _param(params: dict, key: str, convert, what: str, default=None):
+    """``convert(params[key])``, or ``default`` if there is one and ``key``
+    is absent; ``convert`` raises TypeError or ValueError on a bad value."""
+    if key not in params and default is not None:
+        return default
+    try:
+        return convert(params[key])
+    except KeyError:
+        raise ModelError(f"gallery params need {key!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"gallery param {key!r} must be {what}, got {params[key]!r}") from None
+
+
 def _cmd_gallery(args) -> int:
     params = {}
     if args.params:
         with open(args.params) as fh:
             params = json.load(fh)
+        if not isinstance(params, dict):
+            raise ModelError("gallery params must be a JSON object")
     if args.kind == "kesten":
         model = gallery.kesten_model()
     elif args.kind == "random-walk":
         if "case" in params or not params:
-            case, n = params.get("case", "a"), int(params.get("n", 64))
+            case, n = params.get("case", "a"), _param(params, "n", int, "an integer", 64)
             if case not in ("a", "b"):
                 raise ModelError(f"random-walk case must be 'a' or 'b', got {case!r}")
             model = gallery.random_walk_case_a(n) if case == "a" else gallery.random_walk_case_b(n)
         else:
-            rw = gallery.RandomWalkParams(
-                a=tuple(params["a"]), b=tuple(params["b"]), c=tuple(params["c"]),
-                n_trunc=int(params["n"]))
-            model = gallery.random_walk_model(rw)
+            n = _param(params, "n", int, "an integer")
+            a, b, c = (_param(params, k, lambda v: tuple(map(float, v)), "a list of numbers")
+                       for k in "abc")
+            model = gallery.random_walk_model(gallery.RandomWalkParams(a, b, c, n))
     elif args.kind == "perm-family":
         if not params:
             spec = gallery.kesten_perm_spec()
@@ -190,7 +205,8 @@ def _cmd_gallery(args) -> int:
                                           d=int(params["d"]), Q=Q)
         model = gallery.perm_family_model(spec)
     elif args.kind == "birkhoff":
-        model = gallery.birkhoff_partition_model(np.asarray(params["matrix"], dtype=float))
+        model = gallery.birkhoff_partition_model(_param(
+            params, "matrix", lambda v: np.asarray(v, dtype=float), "a square matrix of numbers"))
     else:
         raise ModelError(f"unknown gallery kind {args.kind!r}")
     save_model(model, args.out)
@@ -198,6 +214,8 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    if args.horizon < 1:
+        raise ModelError(f"--horizon must be >= 1, got {args.horizon}")
     mc = {}
     for tok in args.mc or ():
         key, _, val = tok.partition("=")
@@ -210,6 +228,9 @@ def _cmd_entropy(args) -> int:
     report = entropy_bracket(m, args.horizon, prune=args.prune, pi=pi) if args.bracket else None
     series = report.series if report else entropy_series(pi, m, args.horizon + 1, prune=args.prune)
     lower, upper = report.bracket if report else (None, None)
+    # computed before the CSV is written, so that a failed run writes nothing
+    mc_line = ("mc_estimate={:.12g} mc_stderr={:.12g}".format(*entropy_rate_mc(m, **mc))
+               if args.mc is not None else None)
     v = series.values
     with _output(args.out, newline="") as out:
         writer = csv.writer(out)
@@ -218,9 +239,8 @@ def _cmd_entropy(args) -> int:
             writer.writerow([k + 1, repr(v[k]), repr(v[k + 1] - v[k]),
                              repr(lower[k]) if lower else "", repr(upper[k]) if upper else "",
                              repr(series.pruned_mass)])
-    if args.mc is not None:
-        est, err = entropy_rate_mc(m, **mc)
-        print(f"mc_estimate={est:.12g} mc_stderr={err:.12g}")
+    if mc_line is not None:
+        print(mc_line)
     return EXIT_OK
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "PROB_ATOL",
     "PARTITION_ATOL",
     "STATIONARY_ATOL",
-    "DENSE_CUTOFF",
     "ProbVector",
     "NonnegMatrix",
     "TransitionMatrix",
@@ -55,9 +54,6 @@ __all__ = [
 PROB_ATOL = 1e-9
 PARTITION_ATOL = 1e-9
 STATIONARY_ATOL = 1e-8
-# Below this dimension matrices are stored dense; at or above it, CSR.  Only
-# `_store` reads it.  Moving it changes the last bits of results near it.
-DENSE_CUTOFF = 64
 
 
 class ModelError(ValueError):
@@ -135,49 +131,43 @@ def as_prob_vector(x) -> ProbVector:
 # matrices
 # ---------------------------------------------------------------------------
 
-def _store(shape, ii, jj, vv):
-    """Storage for strictly positive entries ``vv`` at ``(ii, jj)``: a dense
-    array below :data:`DENSE_CUTOFF`, CSR at or above.  The one storage
-    decision; every operation works on either kind, and keeps its operands'."""
-    if max(shape) < DENSE_CUTOFF:
-        mat = np.zeros(shape)
-        mat[ii, jj] = vv
-        return mat
-    return sp.csr_array((vv, (ii, jj)), shape=shape)
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def _csr_product(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
-    """``a @ b`` by the two sparsetools kernels of scipy's ``_matmul_sparse``,
-    on the same index arrays in the same dtype: bit-equal, column order
-    included, without the wrappers that scipy builds on every call."""
-    shape, index = (a.shape[0], b.shape[1]), (a.indptr, a.indices, b.indptr, b.indices)
-    idx = np.int64 if any(v.dtype == np.int64 for v in index) else np.int32
-    nnz = _sparsetools.csr_matmat_maxnnz(*shape, *(v.astype(idx, copy=False) for v in index))
-    if nnz == 0:
-        return sp.csr_array(shape)
-    idx = np.int64 if nnz > np.iinfo(np.int32).max else idx
-    ap, aj, bp, bj = (v.astype(idx, copy=False) for v in index)
-    indptr, indices = np.empty(shape[0] + 1, dtype=idx), np.empty(nnz, dtype=idx)
-    data = np.empty(nnz)  # every NonnegMatrix holds float64
-    _sparsetools.csr_matmat(*shape, ap, aj, a.data, bp, bj, b.data, indptr, indices, data)
-    return sp.csr_array((data, indices, indptr), shape=shape)
+def _index_arrays(arrays, maxval: int = 0):
+    """The int32 or int64 index ``arrays`` in the dtype scipy picks for the
+    array built from them: int64 if one of them is or ``maxval`` needs it."""
+    if maxval > _INT32_MAX or len({a.dtype for a in arrays}) > 1:
+        return [a.astype(np.int64) for a in arrays]
+    return arrays
+
+
+def _kernel_result(kernel, shape, a: "NonnegMatrix", b: "NonnegMatrix", size: int | None = None):
+    """What the sparsetools ``kernel`` makes of ``a`` and ``b``, called as
+    scipy calls it: into arrays for ``size`` entries (by default both
+    operands' entries), cut to those written, as no zero sum is stored."""
+    size = a.data.size + b.data.size if size is None else size
+    ap, aj, bp, bj = _index_arrays((a.indptr, a.indices, b.indptr, b.indices), size)
+    indptr, indices, data = np.empty(shape[0] + 1, ap.dtype), np.empty(size, ap.dtype), np.empty(size)
+    kernel(*shape, ap, aj, a.data, bp, bj, b.data, indptr, indices, data)
+    return NonnegMatrix._csr(shape, indptr, indices[:indptr[-1]], data[:indptr[-1]])
 
 
 class NonnegMatrix:
-    """Sparse nonnegative matrix stored as strictly positive triplets.
+    """Sparse nonnegative matrix: the CSR arrays of a scipy ``csr_array``,
+    worked on by the sparsetools kernels that scipy's operators call, so
+    results are bit-equal to scipy's, column order included.  Constructors
+    store positive values in sorted columns; products leave columns
+    unsorted, scaling may store underflowed zeros.  No array is written once
+    a matrix holds it, so matrices may share them."""
 
-    Storage (dense or CSR) is chosen by :func:`_store` from the dimensions.
-    The stored values are strictly positive and duplicate ``(i, j)``
-    triplets are rejected.
-    """
-
-    __slots__ = ("rows", "cols", "_mat")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data")
+    # every matrix is CSR; perfbench/tracer.py's csr_frac hooks still read this
+    is_dense = False
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:
             raise ModelError("NonnegMatrix dims must be positive")
-        self.rows = int(rows)
-        self.cols = int(cols)
         entries = list(entries)
         ii = np.array([e[0] for e in entries], dtype=np.int64)
         jj = np.array([e[1] for e in entries], dtype=np.int64)
@@ -189,13 +179,25 @@ class NonnegMatrix:
         flat = ii * cols + jj
         if np.unique(flat).size != flat.size:
             raise ModelError("NonnegMatrix duplicate (i, j) triplet")
-        self._mat = _store((self.rows, self.cols), ii, jj, vv)
+        built = NonnegMatrix._from_entries((int(rows), int(cols)), ii, jj, vv)
+        for slot in NonnegMatrix.__slots__:
+            setattr(self, slot, getattr(built, slot))
 
     @classmethod
-    def _wrap(cls, mat) -> "NonnegMatrix":
+    def _from_entries(cls, shape, ii, jj, vv) -> "NonnegMatrix":
+        """The values ``vv`` at the distinct ``(ii, jj)``, stored as scipy's COO
+        conversion stores them: rows in order, column indices sorted in each."""
+        idx = np.int32 if max(*shape, vv.size) <= _INT32_MAX else np.int64
+        order = np.lexsort((jj, ii))
+        indptr = np.zeros(shape[0] + 1, dtype=idx)
+        np.cumsum(np.bincount(ii, minlength=shape[0]), out=indptr[1:])
+        return cls._csr(shape, indptr, jj[order].astype(idx), vv[order].astype(float, copy=False))
+
+    @classmethod
+    def _csr(cls, shape, indptr, indices, data) -> "NonnegMatrix":
         out = object.__new__(cls)
-        out.rows, out.cols = mat.shape
-        out._mat = mat
+        out.rows, out.cols = shape
+        out.indptr, out.indices, out.data = indptr, indices, data
         return out
 
     @classmethod
@@ -206,41 +208,39 @@ class NonnegMatrix:
         if not (np.isfinite(a).all() and (a >= 0).all()):
             raise ModelError("NonnegMatrix entries must be finite and nonnegative")
         ii, jj = np.nonzero(a)
-        return cls._wrap(_store(a.shape, ii, jj, a[ii, jj]))
+        return cls._from_entries(a.shape, ii, jj, a[ii, jj])
 
     @classmethod
     def identity(cls, n: int) -> "NonnegMatrix":
-        diag = np.arange(n)
-        return cls._wrap(_store((n, n), diag, diag, np.ones(n)))
+        diag = np.arange(n + 1, dtype=np.int32)
+        return cls._csr((n, n), diag, diag[:-1], np.ones(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "NonnegMatrix":
         return cls(rows, cols, [])
 
     # -- views ---------------------------------------------------------------
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self._mat, np.ndarray)
-
     def toarray(self) -> np.ndarray:
-        return self._mat.copy() if self.is_dense else self._mat.toarray()
+        out = np.zeros((self.rows, self.cols))
+        _sparsetools.csr_todense(self.rows, self.cols, self.indptr, self.indices, self.data, out)
+        return out
+
+    def _coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the stored entries, in stored order."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices, self.data
 
     def support(self) -> sp.csr_array:
         """The support digraph: a boolean CSR array of the positive entries,
         column indices sorted in each row.  Stored zeros are left out."""
-        ii, jj = self._mat.nonzero()
-        graph = sp.csr_array((np.ones(ii.size, dtype=bool), (ii, jj)), shape=self._mat.shape)
-        graph.sort_indices()
-        return graph
+        ii, jj, _ = self._entries()
+        return sp.csr_array((np.ones(ii.size, dtype=bool), (ii, jj)), shape=(self.rows, self.cols))
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the positive entries, sorted by (row, col)."""
-        ii, jj = self._mat.nonzero()
-        if ii.size == 0:  # a CSR array indexed by empty arrays returns a sparse array
-            return ii, jj, np.zeros(0)
-        order = np.lexsort((jj, ii))
-        ii, jj = ii[order], jj[order]
-        return ii, jj, np.asarray(self._mat[ii, jj])
+        ii, jj, vv = self._coords()
+        pos = vv > 0
+        order = np.lexsort((jj[pos], ii[pos]))
+        return ii[pos][order], jj[pos][order], vv[pos][order]
 
     def triplets(self) -> list[tuple[int, int, float]]:
         """Strictly positive entries sorted by (row, col)."""
@@ -248,68 +248,74 @@ class NonnegMatrix:
 
     @property
     def nnz(self) -> int:
-        # a CSR product may store entries that underflowed to zero
-        return int(np.count_nonzero(self._mat) if self.is_dense else self._mat.count_nonzero())
+        """Positive entries.  Like scipy's ``count_nonzero``, first sorts unsorted
+        column indices (into new arrays), so later products sum in that order."""
+        if not _sparsetools.csr_has_canonical_format(self.rows, self.indptr, self.indices):
+            self.indices, self.data = self.indices.copy(), self.data.copy()
+            _sparsetools.csr_sort_indices(self.rows, self.indptr, self.indices, self.data)
+        return int(np.count_nonzero(self.data))
 
     def is_zero(self) -> bool:
         return self.nnz == 0
 
     def _support_counts(self) -> tuple[int, int, int]:
         """Numbers of positive entries, of rows with one and of columns with
-        one, counted in the matrix's own storage; stored zeros are left out."""
-        a = self._mat
-        if self.is_dense:
-            sup = a > 0
-            return (int(np.count_nonzero(sup)), int(np.count_nonzero(sup.any(axis=1))),
-                    int(np.count_nonzero(sup.any(axis=0))))
-        before = np.concatenate(([0], np.cumsum(a.data > 0)))  # positive entries before each slot
-        rows = np.count_nonzero(before[a.indptr[1:]] > before[a.indptr[:-1]])
+        one; stored zeros are left out."""
+        before = np.concatenate(([0], np.cumsum(self.data > 0)))  # positive entries before each slot
+        rows = np.count_nonzero(before[self.indptr[1:]] > before[self.indptr[:-1]])
         return int(before[-1]), int(rows), self.nonzero_column_count()
 
     def _same_layout(self, other: "NonnegMatrix") -> bool:
-        """True iff both store the same values in the same layout (a CSR
-        product leaves its column indices unsorted), so that every product
-        formed with either is bit-equal."""
-        a, b = self._mat, other._mat
-        if self.is_dense:
-            return np.array_equal(a, b)
-        return all(np.array_equal(getattr(a, k), getattr(b, k))
-                   for k in ("indptr", "indices", "data"))
+        """True iff both store the same bits in the same layout (products leave
+        columns unsorted), so that every product formed with either is bit-equal."""
+        return all(getattr(self, k).tobytes() == getattr(other, k).tobytes()
+                   for k in ("data", "indices", "indptr"))
 
     # -- algebra ---------------------------------------------------------------
     def __matmul__(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if self.cols != other.rows:
             raise ModelError("matrix product dimension mismatch")
-        a, b = self._mat, other._mat
-        csr = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
-        return NonnegMatrix._wrap(_csr_product(a, b) if csr else a @ b)
+        shape = (self.rows, other.cols)
+        index = _index_arrays((self.indptr, self.indices, other.indptr, other.indices))
+        nnz = _sparsetools.csr_matmat_maxnnz(*shape, *index)
+        if nnz == 0:  # scipy's empty array of the product's shape
+            return NonnegMatrix._csr(shape, np.zeros(shape[0] + 1, np.int32), np.zeros(0, np.int32),
+                                     np.zeros(0))
+        return _kernel_result(_sparsetools.csr_matmat, shape, self, other, nnz)
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
-        """Row vector times matrix: returns ``x @ M`` as a plain array."""
-        return x @ self._mat
+        """``x @ M`` for a row ``x`` or each row of a stack, as scipy forms it:
+        ``csc_matvec`` or ``csc_matvecs`` on the transpose.  A stack's result
+        is made C-contiguous, since Fortran-order row sums would differ."""
+        out = np.zeros((self.cols,) + np.shape(x)[:-1])
+        if out.ndim == 1:
+            _sparsetools.csc_matvec(self.cols, self.rows, self.indptr, self.indices, self.data, x, out)
+            return out
+        _sparsetools.csc_matvecs(self.cols, self.rows, out.shape[1], self.indptr, self.indices,
+                                 self.data, np.transpose(x), out)
+        return np.ascontiguousarray(out.T)
 
     def scaled(self, factor: float) -> "NonnegMatrix":
         if factor <= 0:
             raise ModelError("scale factor must be positive")
-        return NonnegMatrix._wrap(self._mat * factor)
+        return NonnegMatrix._csr((self.rows, self.cols), self.indptr, self.indices,
+                                 self.data * factor)
 
     def add(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ModelError("matrix sum dimension mismatch")
-        return NonnegMatrix._wrap(self._mat + other._mat)
+        return _kernel_result(_sparsetools.csr_plus_csr, (self.rows, self.cols), self, other)
 
     def row_sums(self) -> np.ndarray:
-        return self._mat.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self._mat.sum(axis=0)
+        """Row sums in stored order, by ``reduceat`` as scipy's ``sum(axis=1)``."""
+        out = np.zeros(self.rows)
+        filled = (self.indptr[1:] != self.indptr[:-1]).nonzero()[0]
+        out[filled] = np.add.reduceat(self.data, self.indptr[filled])
+        return out
 
     def nonzero_column_count(self) -> int:
-        """Columns with a positive entry, counted in the matrix's own storage."""
-        a = self._mat
-        if self.is_dense:
-            return int(np.count_nonzero((a > 0).any(axis=0)))
-        return int(np.count_nonzero(np.bincount(a.indices[a.data > 0])))
+        """Columns with a positive entry."""
+        return int(np.count_nonzero(np.bincount(self.indices[self.data > 0])))
 
     def __repr__(self) -> str:
         return f"NonnegMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -375,7 +381,8 @@ class Partition:
             if (m.rows, m.cols) != (n, n):
                 raise ModelError(f"Partition member {w!r} has wrong dimensions")
         total = functools.reduce(NonnegMatrix.add, (members[w] for w in labels))
-        dev = float(abs(total._mat - base.inner._mat).max())
+        diff = _kernel_result(_sparsetools.csr_minus_csr, (n, n), total, base.inner)
+        dev = float(np.abs(diff.data).max(initial=0.0))
         if dev > PARTITION_ATOL:
             raise ModelError(
                 f"Partition members sum to the base only within {dev!r} > {PARTITION_ATOL}"
@@ -383,7 +390,11 @@ class Partition:
         self.labels = labels
         self.members = {w: members[w] for w in labels}
         self.base = base
-        self._stack = None
+        mats = self.members.values()  # side by side, n x kn, for fan_out
+        self._stack = NonnegMatrix._from_entries(
+            (n, len(labels) * n), np.concatenate([M._coords()[0] for M in mats]),
+            np.concatenate([M.indices + t * n for t, M in enumerate(mats)]),
+            np.concatenate([M.data for M in mats]))
 
     @classmethod
     def trivial(cls, P: TransitionMatrix, label="w0") -> "Partition":
@@ -415,26 +426,12 @@ class Partition:
         ``(..., k, n)``), in label order.  Each child is bit-equal to
         ``M(w).left_apply(row)``, and each mass is its child's sum.
 
-        The members are stacked once, on first use.  Dense members lie on a
-        new axis, ``S`` of shape ``(k, n, n)``, and ``x[..., None, None, :] @ S``
-        runs one vector-matrix product per (row, label); the plain ``X @ S``
-        would be a gemm, which differs in the last bits.  CSR members lie side
-        by side, ``K`` of shape ``(n, kn)``, kept as ``Kt = K.T`` (a CSC view):
-        ``(Kt @ X.T).T`` is the product ``X @ K`` forms, less building that
-        view per call.  It comes back in Fortran order, whose row sums differ
-        from the one-row masses, so it is made C-contiguous first.
+        The rows are left-applied to the members stacked side by side, one
+        ``n x kn`` matrix built with the partition.
         """
         if x.shape[-1] != self.n:
             raise ModelError("state vector dimension does not match the partition")
-        if self._stack is None:
-            mats = [self.members[w]._mat for w in self.labels]
-            dense = all(isinstance(a, np.ndarray) for a in mats)
-            self._stack = np.stack(mats) if dense else sp.hstack(mats, format="csr").T
-        if isinstance(self._stack, np.ndarray):
-            children = x[..., None, None, :] @ self._stack
-        else:
-            children = np.ascontiguousarray((self._stack @ x.T).T)
-        children = children.reshape(*x.shape[:-1], len(self.labels), -1)
+        children = self._stack.left_apply(x).reshape(*x.shape[:-1], len(self.labels), self.n)
         return children.sum(axis=-1), children
 
     def __repr__(self) -> str:
@@ -513,7 +510,7 @@ def partition_from_lumping(P: TransitionMatrix, g) -> Partition:
     members = {}
     for t, a in enumerate(labels):
         sel = col_label == t
-        members[a] = NonnegMatrix._wrap(_store((n, n), ii[sel], jj[sel], vv[sel]))
+        members[a] = NonnegMatrix._from_entries((n, n), ii[sel], jj[sel], vv[sel])
     return Partition(members, P)
 
 
@@ -525,12 +522,8 @@ def partition_from_observation(P: TransitionMatrix, R, labels: Sequence | None =
     states of ``P`` and each row must sum to 1.  A 0/1-valued ``R`` reproduces
     the lumping construction exactly.
     """
-    if isinstance(R, NonnegMatrix):
-        Rm = R
-    elif isinstance(R, TransitionMatrix):
-        Rm = R.inner
-    else:
-        Rm = NonnegMatrix.from_dense(R)
+    Rm = R.inner if isinstance(R, TransitionMatrix) else R
+    Rm = Rm if isinstance(Rm, NonnegMatrix) else NonnegMatrix.from_dense(Rm)
     n = P.n
     if Rm.rows != n:
         raise ModelError("observation matrix rows must be indexed by the states of P")
@@ -550,7 +543,7 @@ def partition_from_observation(P: TransitionMatrix, R, labels: Sequence | None =
         values = vv[sel] * Rd[jj[sel], a_idx]
         if (values <= 0).any():  # underflow
             raise ModelError("NonnegMatrix stored values must be strictly positive")
-        members[a] = NonnegMatrix._wrap(_store((n, n), ii[sel], jj[sel], values))
+        members[a] = NonnegMatrix._from_entries((n, n), ii[sel], jj[sel], values)
     return Partition(members, P)
 
 
@@ -598,8 +591,7 @@ def operator_norm(M: NonnegMatrix) -> float:
     For a nonnegative matrix this is the maximum row sum (the sup is attained
     at a vertex of the l1 ball).
     """
-    rs = M.row_sums()
-    return float(rs.max()) if rs.size else 0.0
+    return float(M.row_sums().max(initial=0.0))  # row sums are nonnegative
 
 
 def check_irreducible_aperiodic(P) -> dict:
@@ -612,9 +604,9 @@ def check_irreducible_aperiodic(P) -> dict:
     """
     M = P.inner if isinstance(P, TransitionMatrix) else P
     n = M.rows
-    graph = M.support()
+    u, v, _ = M._entries()
+    graph = sp.csr_array((np.ones(u.size), (u, v)), shape=(n, n))
     ncomp, comp = connected_components(graph, directed=True, connection="strong")
-    u, v = graph.nonzero()
     inside = comp[u] == comp[v]
     u, v, cu = u[inside], v[inside], comp[u[inside]]
     # BFS depths over the internal edges from one root per component; internal
@@ -629,7 +621,7 @@ def check_irreducible_aperiodic(P) -> dict:
     return {"irreducible": bool(ncomp == 1), "aperiodic": bool((periods == 1).all())}
 
 
-def _pinned_solution(P: sp.coo_array, k: int, leak: float = 0.0) -> np.ndarray:
+def _pinned_solution(P: NonnegMatrix, k: int, leak: float = 0.0) -> np.ndarray:
     """Solution of ``x Q = 0`` with ``x[k] = 1``, where the generator ``Q``
     has the off-diagonal entries of ``P`` and, on its diagonal, minus each
     row's off-diagonal sum.
@@ -649,8 +641,9 @@ def _pinned_solution(P: sp.coo_array, k: int, leak: float = 0.0) -> np.ndarray:
     def drop_k(idx):
         return idx - (idx > k)
 
-    off = P.row != P.col
-    ii, jj, vv, n = P.row[off], P.col[off], P.data[off], P.shape[0]
+    ii, jj, vv = P._coords()
+    off, n = ii != jj, P.rows
+    ii, jj, vv = ii[off], jj[off], vv[off]
     outflow = np.bincount(ii, vv, minlength=n) * (1.0 + leak)
     inner = (ii != k) & (jj != k)
     diag = np.arange(n - 1)
@@ -682,9 +675,8 @@ def stationary_vector(P: TransitionMatrix, tol: float = 1e-12) -> ProbVector:
     verdict = check_irreducible_aperiodic(P)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError(f"stationary_vector requires an irreducible aperiodic chain, got {verdict}")
-    entries = sp.coo_array(P.inner._mat)
-    k = int(np.argmax(_pinned_solution(entries, 0, leak=1e-9)))
-    x = np.maximum(_pinned_solution(entries, k), 0.0)
+    k = int(np.argmax(_pinned_solution(P.inner, 0, leak=1e-9)))
+    x = np.maximum(_pinned_solution(P.inner, k), 0.0)
     x /= x.sum()
     residual = float(np.abs(P.left_apply(x) - x * P.inner.row_sums()).sum())
     if not residual <= tol:

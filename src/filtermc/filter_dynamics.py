@@ -419,17 +419,26 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
                            for w, p in zip(mu.weights.tolist(), mu.points.tolist())]}, path)
 
 
+def _atom_values(atoms: list, key: str, convert, what: str) -> list:
+    """``convert`` applied to the ``key`` of every measure-file atom."""
+    try:
+        return [convert(a[key]) for a in atoms]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ModelError(f"measure file atom {key!r} must be {what}") from None
+
+
 def load_measure(path) -> DiscreteMeasure:
     """Read a measure file (schema in :func:`save_measure`), whose weights must be
     finite and positive and whose points must lie on one simplex.  Only files
     are checked: ``pushforward``'s points are valid by construction."""
     with open(path) as fh:
         doc = json.load(fh)
-    atoms = doc["atoms"]
-    if not atoms:
-        raise ModelError("measure file has no atoms")
-    w = np.array([float(a["w"]) for a in atoms])
-    pts = [np.asarray(a["x"], dtype=float) for a in atoms]
+    atoms = doc.get("atoms") if isinstance(doc, dict) else None
+    if not (isinstance(atoms, list) and atoms and all(isinstance(a, dict) for a in atoms)):
+        raise ModelError("a measure file must be an object whose 'atoms' is a nonempty list "
+                         "of objects")
+    w = np.array(_atom_values(atoms, "w", float, "a number"))
+    pts = _atom_values(atoms, "x", lambda x: np.asarray(x, dtype=float), "a list of numbers")
     if pts[0].ndim != 1 or any(p.shape != pts[0].shape for p in pts):
         raise ModelError("measure file points must be vectors of one length")
     pts = np.stack(pts)

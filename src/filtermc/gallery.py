@@ -197,11 +197,9 @@ class PermFamilySpec:
         ):
             raise ModelError("members must partition the base chain")
         for w, M in self.members:
-            arr = M.toarray()
-            if (np.count_nonzero(arr, axis=1) > 1).any():
-                raise ModelError(
-                    f"member {w!r} violates column exclusivity (a row has two positive entries)"
-                )
+            if (np.bincount(M._entries()[0]) > 1).any():
+                raise ModelError(f"member {w!r} violates column exclusivity "
+                                 "(a row has two positive entries)")
 
     def perm(self, i: int, k: int, w) -> np.ndarray:
         if callable(self.Q):

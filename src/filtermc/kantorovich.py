@@ -6,9 +6,8 @@ The primal transport problem on the bipartite support graph is solved
 exactly by HiGHS's dual simplex (Huangfu & Hall 2018), on scipy's bundled
 HiGHS core, posed as ``scipy.optimize.linprog`` poses it: the plans are
 bit-equal to ``linprog``'s, without its per-column Python loop over results
-nobody reads.  A scipy without that core runs ``linprog`` itself.  Supports
-here are small, which is what makes equality assertions in the tests
-meaningful.
+nobody reads.  Supports here are small, which is what makes equality
+assertions in the tests meaningful.
 """
 
 from __future__ import annotations
@@ -16,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # older scipy has no HiGHS core module of its own
-    _highs = None
+from scipy.optimize import linprog  # noqa: F401  (perfbench/tracer.py's SPANS name it here)
+from scipy.optimize._highspy import _core as _highs
 
 from .core_model import PROB_ATOL, ModelError, ProbVector, _write_json, as_prob_vector
 from .filter_dynamics import DiscreteMeasure, TestFunction, barycenter
@@ -121,20 +116,6 @@ def _solve_highs(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
     return x
 
 
-def _solve_linprog(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The same LP through ``linprog``: the only path on a scipy without the
-    HiGHS core module, and the reference of the direct one."""
-    from scipy.sparse import csc_array  # only this fallback needs a sparse type
-
-    start, index = _transport_columns(m, n)
-    res = linprog(c, A_eq=csc_array((np.ones(index.size), index, start), shape=(m + n - 1, m * n)),
-                  b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise ModelError(f"transport solver failed: {res.message}")
-    return res.x
-
-
 def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, TransportPlan]:
     """Exact Kantorovich distance with l1 ground metric, plus an optimal plan.
 
@@ -158,8 +139,7 @@ def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[floa
         cost = float(mu.weights @ C[:, 0])
         return cost, TransportPlan(entries, cost)
 
-    solve = _solve_highs if _highs is not None else _solve_linprog
-    plan = solve(C.ravel(), weights[:-1], m, n).reshape(m, n)
+    plan = _solve_highs(C.ravel(), weights[:-1], m, n).reshape(m, n)
     plan[plan < 0] = 0.0
     entries = tuple(
         (int(i), int(j), float(plan[i, j]))

@@ -14,9 +14,11 @@ and its batched callers, the simulator's per-step numpy draw (one
 ``rng.random()``, ``np.cumsum`` and ``searchsorted`` a step) for the draw
 on Python floats, the trace writer with one ``repr`` per coordinate for
 the memoised and blocked one, the triplet scans of the partition constructors
-for their masks, and the dense support-graph walks and the stationary
-power iteration for the sparse graph check, connector search and direct
-stationary solve.
+for their masks, the dense support-graph walks and the stationary power
+iteration for the sparse graph check, connector search and direct
+stationary solve, and ``linprog`` for the transport LP on the HiGHS core.
+``from_csr_array`` and ``as_csr_array`` move CSR arrays between
+``NonnegMatrix`` and scipy, for the differential tests of its kernels.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
 from filtermc import (
@@ -49,6 +52,7 @@ from filtermc import (
 from filtermc.core_model import ProbVector, _lumping_as_list, as_prob_vector, label_sort_key
 from filtermc.entropy import EntropySeries, _Kahan, h
 from filtermc.filter_dynamics import Outcome, evolve, simulate_filter
+from filtermc.kantorovich import _transport_columns
 from filtermc.stability import (
     NonstabilityReport,
     _active_words,
@@ -56,6 +60,16 @@ from filtermc.stability import (
     default_search_depth,
 )
 
+
+
+def from_csr_array(a) -> NonnegMatrix:
+    """The ``NonnegMatrix`` holding the arrays of a scipy CSR array as they are."""
+    return NonnegMatrix._csr(a.shape, a.indptr, a.indices, a.data)
+
+
+def as_csr_array(M: NonnegMatrix) -> sp.csr_array:
+    """A scipy CSR array on a copy of ``M``'s arrays."""
+    return sp.csr_array((M.data.copy(), M.indices.copy(), M.indptr.copy()), shape=(M.rows, M.cols))
 
 # ---------------------------------------------------------------------------
 # random model generators
@@ -131,6 +145,19 @@ def random_affine_max(rng, n: int, pieces: int = 3) -> TestFunction:
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def reference_solve_linprog(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The transportation LP of ``kantorovich._solve_highs`` through
+    ``linprog(method="highs")``, which the direct HiGHS call reproduces."""
+    start, index = _transport_columns(m, n)
+    A_eq = sp.csc_array((np.ones(index.size), index, start), shape=(m + n - 1, m * n))
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise ModelError(f"transport solver failed: {res.message}")
+    return res.x
+
 
 def operator_norm_by_sign_vectors(M: NonnegMatrix) -> float:
     """Brute force over the extreme points +-e_i of the l1 unit ball."""

@@ -529,3 +529,94 @@ def test_gallery_perm_family_rejects_a_q_key_that_names_no_label(tmp_path, capsy
     assert ("perm-family Q key '0,0,zzz' names no label of ['a', 'b']"
             in capsys.readouterr().err)
     assert not (tmp_path / "model.json").exists()
+
+
+_ATOMS = [{"w": 0.5, "x": [0.2, 0.8]}, {"w": 0.5, "x": [0.6, 0.4]}]
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "a measure file must be an object whose 'atoms' is a nonempty list of objects"),
+    (_ATOMS, "a measure file must be an object whose 'atoms' is a nonempty list of objects"),
+    ({"atoms": 5}, "a measure file must be an object whose 'atoms' is a nonempty list of objects"),
+    ({"atoms": []}, "a measure file must be an object whose 'atoms' is a nonempty list of objects"),
+    ({"atoms": [5]}, "a measure file must be an object whose 'atoms' is a nonempty list of objects"),
+    ({"atoms": [{"w": {}, "x": [0.2, 0.8]}]}, "measure file atom 'w' must be a number"),
+    ({"atoms": [{"w": 1.0, "x": [{}, 0.8]}]}, "measure file atom 'x' must be a list of numbers"),
+    ({"atoms": [{"w": 1.0}]}, "measure file atom 'x' must be a list of numbers"),
+    ({"atoms": [{"w": 10**400, "x": [0.2, 0.8]}]}, "measure file atom 'w' must be a number"),
+], ids=["null", "list", "atoms-a-number", "atoms-empty", "atom-a-number", "w-an-object",
+        "coordinate-an-object", "no-x", "w-beyond-float"])
+def test_a_malformed_measure_file_is_an_error_naming_the_field(tmp_path, capsys, doc, message):
+    # all but the atom without "x" (`error: KeyError: 'x'`) raised a
+    # TypeError or OverflowError out of `run`
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"atoms": _ATOMS}))
+    bad.write_text(json.dumps(doc))
+    plan = tmp_path / "plan.json"
+    for mu, nu in ((bad, good), (good, bad)):
+        assert run(["distance", "--mu", str(mu), "--nu", str(nu), "--plan", str(plan)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not plan.exists()
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("birkhoff", None, "gallery params must be a JSON object"),
+    ("random-walk", None, "gallery params must be a JSON object"),
+    ("perm-family", [], "gallery params must be a JSON object"),
+    ("random-walk", {"n": {}}, "gallery param 'n' must be an integer, got {}"),
+    ("random-walk", {"n": 8}, "gallery params need 'a'"),
+    ("random-walk", {"case": "a", "n": {}}, "gallery param 'n' must be an integer, got {}"),
+    ("random-walk", {"case": "a", "n": 1e400}, "gallery param 'n' must be an integer, got inf"),
+    ("random-walk", {"a": [0.5], "b": 5, "c": [0.5, 0.5], "n": 2},
+     "gallery param 'b' must be a list of numbers, got 5"),
+    ("birkhoff", {}, "gallery params need 'matrix'"),
+    ("birkhoff", {"matrix": [[{}, 1.0], [1.0, 0.0]]},
+     "gallery param 'matrix' must be a square matrix of numbers, got [[{}, 1.0], [1.0, 0.0]]"),
+], ids=["birkhoff-null", "random-walk-null", "perm-family-list", "random-walk-n-only",
+        "random-walk-n-missing-a", "random-walk-n-an-object", "random-walk-n-infinite", "random-walk-b-a-number",
+        "birkhoff-no-matrix", "birkhoff-matrix-with-an-object"])
+def test_malformed_gallery_params_are_an_error_naming_the_problem(tmp_path, capsys, kind,
+                                                                   params, message):
+    # null params and an object for "n" or inside "matrix" raised a
+    # TypeError out of `run`, {"n": {}} gave `error: KeyError: 'a'`, and an
+    # infinite "n" an OverflowError
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    out = tmp_path / "model.json"
+    assert run(["gallery", kind, "--params", str(tmp_path / "params.json"),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def kesten_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("kesten") / "k.json"
+    assert run(["gallery", "kesten", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--horizon", "0"],
+    ["entropy", "--horizon", "0", "--bracket"],
+    ["entropy", "--horizon", "2", "--mc", "samples=5"],
+    ["entropy", "--horizon", "2", "--mc", "burn=-3"],
+    ["entropy", "--horizon", "2", "--mc", "seed=-1"],
+    ["entropy", "--horizon", "2", "--bracket", "--mc", "samples=10", "seed=x"],
+    ["evolve", "--steps", "2", "--x0", "0.5,0.5"],
+    ["simulate", "--steps", "2", "--x0", "0.5,0.5"],
+    ["check", "--condition", "thm11"],
+    ["check", "--condition", "b1", "--tol", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_a_failed_run_leaves_no_output_file(tmp_path, capsys, kesten_file, argv):
+    # `--mc samples=5` and `burn=-3` exited 1 after writing the whole CSV,
+    # and `--horizon 0` exited 0 with a header-only one
+    out = tmp_path / "out"
+    code = run([argv[0], "--model", str(kesten_file), *argv[1:], "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_entropy_checks_the_horizon_before_anything_else(tmp_path, capsys, kesten_file):
+    assert run(["entropy", "--model", str(kesten_file), "--horizon", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --horizon must be >= 1, got 0\n"

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
-from filtermc.core_model import DENSE_CUTOFF
-
-from helpers import operator_norm_by_sign_vectors, random_partition, random_transition
+from helpers import (
+    from_csr_array,
+    operator_norm_by_sign_vectors,
+    random_partition,
+    random_transition,
+)
 
 
 def test_prob_vector_renormalizes_within_tolerance():
@@ -44,7 +47,7 @@ def test_transition_matrix_row_sum_check():
         fm.TransitionMatrix.from_dense([[0.6, 0.5], [0.5, 0.5]])
 
 
-@pytest.mark.parametrize("n", [2, DENSE_CUTOFF])
+@pytest.mark.parametrize("n", [2, 64])
 def test_a_bad_row_sum_is_printed_as_a_plain_float(n):
     # the numpy scalar's repr read "np.float64(1.1)"
     P = np.eye(n)
@@ -382,19 +385,17 @@ def test_model_file_observation_partition(tmp_path):
 
 
 @pytest.mark.parametrize("n", [63, 64])
-def test_nonneg_matrix_either_side_of_the_dense_cutoff(n):
+def test_nonneg_matrix_operations_at_63_and_64_states(n):
     rng = np.random.default_rng(n)
     a, b = ((rng.random((n, n)) < 0.1) * rng.random((n, n)) for _ in range(2))
     A = fm.NonnegMatrix.from_dense(a)
     ii, jj = np.nonzero(b)
     B = fm.NonnegMatrix(n, n, [(j, i, b[i, j]) for i, j in zip(ii[::-1], jj[::-1])])
-    assert A.is_dense == B.is_dense == (n < DENSE_CUTOFF)
     ii, jj = np.nonzero(a)
     assert A.triplets() == [(int(i), int(j), float(a[i, j])) for i, j in zip(ii, jj)]
     assert A.nnz == ii.size and np.array_equal(A.toarray(), a)
     assert np.array_equal(B.toarray(), b.T)
     assert A.row_sums() == pytest.approx(a.sum(axis=1), rel=1e-14)
-    assert A.col_sums() == pytest.approx(a.sum(axis=0), rel=1e-14)
     prod = (A @ B).toarray()
     assert np.array_equal(prod > 0, (a @ b.T) > 0)
     assert prod == pytest.approx(a @ b.T, rel=1e-14)
@@ -403,11 +404,10 @@ def test_nonneg_matrix_either_side_of_the_dense_cutoff(n):
     eye = fm.NonnegMatrix.identity(n)
     assert eye.triplets() == [(i, i, 1.0) for i in range(n)]
     assert np.array_equal((A @ eye).toarray(), a)
-    # a product that underflows is the zero matrix, whatever the storage
+    # a product that underflows is the zero matrix
     tiny = fm.NonnegMatrix(n, n, [(0, 1, 1e-200), (1, 0, 1e-200)])
     square = tiny @ tiny
     assert square.is_zero() and square.nnz == 0 and square.triplets() == []
-    assert square.is_dense == tiny.is_dense
 
 
 def test_model_file_keeps_labels_with_one_string_form(tmp_path):
@@ -461,12 +461,12 @@ def test_nonzero_column_count_matches_column_sums():
     for _ in range(150):
         rows, cols = (int(v) for v in rng.integers(1, 90, size=2))
         a = (rng.random((rows, cols)) < 0.03) * rng.random((rows, cols))
-        dense_or_csr = fm.NonnegMatrix.from_dense(a)  # CSR once a side reaches the cutoff
-        # CSR with stored zeros, some of them alone in their column
+        built = fm.NonnegMatrix.from_dense(a)
+        # stored zeros, some of them alone in their column
         ii, jj = np.nonzero((a > 0) | (rng.random((rows, cols)) < 0.02))
-        with_zeros = fm.NonnegMatrix._wrap(sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols)))
-        stored_zeros += with_zeros._mat.nnz - with_zeros.nnz
-        for M in (dense_or_csr, with_zeros):
-            want = int((M.col_sums() > 0).sum())
+        with_zeros = from_csr_array(sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols)))
+        stored_zeros += with_zeros.data.size - with_zeros.nnz
+        for M in (built, with_zeros):
+            want = int((a.sum(axis=0) > 0).sum())
             assert M.nonzero_column_count() == want == M._support_counts()[2]
     assert stored_zeros > 0

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
-from filtermc.core_model import DENSE_CUTOFF
 from filtermc.entropy import _block_rows, _one_step_entropy
 
 from helpers import (
@@ -127,9 +126,9 @@ def test_kernels_match_the_label_loops(case, depth, prune, threshold, seed):
 
 @st.composite
 def simulate_cases(draw):
-    # dense members below the cutoff, CSR at and above it; a vertex start on
-    # a sparse chain gives most labels zero mass at the first step
-    n = draw(st.sampled_from([2, 5, DENSE_CUTOFF - 1, DENSE_CUTOFF, DENSE_CUTOFF + 9]))
+    # small and larger chains; a vertex start on a sparse chain gives most
+    # labels zero mass at the first step
+    n = draw(st.sampled_from([2, 5, 63, 64, 73]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     P = random_transition(rng, n, sparsity=draw(st.sampled_from([0.0, 0.9, 0.99])))
     m = random_partition(rng, P, draw(st.integers(1, 8)), kind=draw(
@@ -153,8 +152,8 @@ def test_simulate_filter_matches_the_per_step_draws(case, steps, seed, share):
                                   lambda: fm.random_walk_case_a(64),
                                   lambda: fm.random_walk_case_a(70)])
 def test_kernels_match_the_label_loops_on_gallery_models(make):
-    # rw64 and rw70 store their members as CSR, which the small random
-    # partitions above never reach
+    # gallery chains of up to 70 states, which the small random partitions
+    # above never reach
     m = make().partition
     rng = np.random.default_rng(m.n)
     for k in range(3):
@@ -187,7 +186,6 @@ def _birkhoff5():
                                   lambda: fm.random_walk_case_a(256)])
 @pytest.mark.parametrize("r", [1, 2, 9])
 def test_fan_out_of_stacked_rows_is_the_fan_out_of_each_row(make, r):
-    # dense members (Kesten, Birkhoff-5, rw63) and CSR members (rw64, rw256)
     m = make().partition
     rng = np.random.default_rng(r)
     X = rng.dirichlet(np.ones(m.n), size=r)
@@ -221,7 +219,7 @@ def test_batched_walk_matches_the_walk_of_each_start(case, depth, starts, seed):
 @pytest.mark.parametrize("make, depth", [(fm.kesten_model, 5), (_birkhoff5, 3),
                                          (lambda: fm.random_walk_case_a(64), 3)])
 def test_batched_walk_matches_the_walk_of_each_start_on_gallery_models(make, depth):
-    # Birkhoff-5 words reach the same points many times over; rw64 is CSR
+    # Birkhoff-5 words reach the same points many times over; rw64 has the most states
     m = make().partition
     xs = np.vstack([np.eye(m.n)[:3], np.random.default_rng(2).dirichlet(np.ones(m.n), size=3)])
     for got, start in zip(active_word_dicts(xs, m, depth), xs):
@@ -276,9 +274,7 @@ def test_one_step_entropy_callers_match_the_row_loops(make):
 def _storage(m):
     out = [m.labels]
     for _, M in m:
-        a = M._mat
-        arrays = [a] if isinstance(a, np.ndarray) else [a.indptr, a.indices, a.data]
-        out.append([(b.dtype, b.shape, b.tobytes()) for b in arrays])
+        out.append([(b.dtype, b.shape, b.tobytes()) for b in (M.indptr, M.indices, M.data)])
     return out
 
 

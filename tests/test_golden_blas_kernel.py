@@ -1,12 +1,13 @@
 """The golden corpus under another OpenBLAS kernel.
 
-OpenBLAS picks its kernel from the CPU, and the summation order of the dense
-products (gemv and gemm, used by members with n < 64) and of SuperLU's BLAS
-calls in the stationary solve depends on it.  The corpus is recorded where
+OpenBLAS picks its kernel from the CPU, and the summation order of
+SuperLU's BLAS calls in the stationary solve depends on it.  Matrix
+products no longer use BLAS: every ``NonnegMatrix`` calls scipy's
+sparsetools kernels, whose order is fixed.  The corpus is recorded where
 OpenBLAS picks ``SkylakeX``.  Here it reruns in a child process with
 ``OPENBLAS_CORETYPE=Haswell``, the kernel of an AVX2 host, set in that
-child's environment only.  Until those products leave the output path, the
-digests that move must be among the five known to depend on the kernel.
+child's environment only.  Until the stationary solve leaves BLAS, the
+digests that move must be among the two known to depend on the kernel.
 """
 
 import json
@@ -21,12 +22,8 @@ import pytest
 import filtermc as fm
 from test_golden_cli import CORPUS, environment
 
-# the rw63 jobs from a Dirichlet start run dense members; the b5 jobs also
-# use its stationary vector, whose last bits come from SuperLU
+# the b5 jobs use its stationary vector, whose last bits come from SuperLU
 KERNEL_DEPENDENT = {
-    "simulate rw63 --x0",
-    "evolve rw63 t2 --x0",
-    "evolve rw63 t8 --x0 pruned",
     "evolve b5 t2",
     "entropy b5 h3 --bracket --mc samples=200 burn=20 seed=6",
 }

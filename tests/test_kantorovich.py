@@ -6,9 +6,9 @@ import pytest
 import filtermc as fm
 from filtermc import ModelError
 from filtermc import kantorovich
-from filtermc.kantorovich import _cost_matrix, _solve_highs, _solve_linprog
+from filtermc.kantorovich import _cost_matrix, _solve_highs
 
-from helpers import random_measure, transport_by_tree_enumeration
+from helpers import random_measure, reference_solve_linprog, transport_by_tree_enumeration
 
 
 def test_distance_between_point_masses_is_l1():
@@ -286,13 +286,11 @@ def _birkhoff5_measures(seed):
 
 
 def test_direct_highs_solve_is_bit_equal_to_linprog(monkeypatch):
-    if kantorovich._highs is None:
-        pytest.skip("this scipy has no HiGHS core module, so linprog is the only path")
     measures = _birkhoff5_measures(3) + _birkhoff5_measures(7)
     assert max(mu.size for mu in measures) == 120
     pairs = [(mu, nu) for k, mu in enumerate(measures) for nu in measures[k:]]
     direct = [fm.kantorovich_distance(mu, nu) for mu, nu in pairs]
-    monkeypatch.setattr(kantorovich, "_highs", None)
+    monkeypatch.setattr(kantorovich, "_solve_highs", reference_solve_linprog)
     reference = [fm.kantorovich_distance(mu, nu) for mu, nu in pairs]
     # repr round-trips every double, so equal reprs are equal bits
     for (d, plan), (d_ref, plan_ref) in zip(direct, reference):
@@ -302,7 +300,7 @@ def test_direct_highs_solve_is_bit_equal_to_linprog(monkeypatch):
 @pytest.mark.parametrize("path", ["highs", "linprog"])
 def test_a_nan_weight_is_a_model_error(monkeypatch, path):
     if path == "linprog":
-        monkeypatch.setattr(kantorovich, "_highs", None)
+        monkeypatch.setattr(kantorovich, "_solve_highs", reference_solve_linprog)
     # the mass check was false for NaN, so this measure used to build
     with pytest.raises(ModelError, match="DiscreteMeasure mass nan deviates from 1"):
         fm.DiscreteMeasure([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
@@ -316,10 +314,9 @@ def test_a_nan_weight_is_a_model_error(monkeypatch, path):
             fm.kantorovich_distance(mu, nu)
 
 
-@pytest.mark.parametrize("solve", [_solve_highs, _solve_linprog], ids=["highs", "linprog"])
+@pytest.mark.parametrize("solve", [_solve_highs, reference_solve_linprog],
+                         ids=["highs", "linprog"])
 def test_an_infeasible_transport_lp_is_a_model_error(solve):
-    if solve is _solve_highs and kantorovich._highs is None:
-        pytest.skip("this scipy has no HiGHS core module")
     # source masses 0.5 + 0.5, but target 0 alone asks for 2
     with pytest.raises(ModelError, match="transport solver failed"):
         solve(np.ones(4), np.array([0.5, 0.5, 2.0]), 2, 2)

@@ -1,5 +1,5 @@
-"""Mutated model files and ``--x0`` strings: ``evolve`` and ``simulate``
-exit 0 or 1 through ``run`` and never raise.
+"""Mutated model files, measure files and ``--x0`` strings: ``evolve``,
+``simulate`` and ``distance`` exit 0 or 1 through ``run`` and never raise.
 
 Gallery-written Kesten, Birkhoff-5 and perm-family files each get one node
 (the document itself, an object member or a list item) replaced by a random
@@ -8,7 +8,9 @@ any size, floats with NaN and infinities, and text.  Start vectors for Kesten
 are written in several number formats, at lengths around its 8 states, and
 may get a run of digits, signs, commas, ``e``, ``nan``, ``inf`` or spaces
 spliced in; a run exits 0 only for a start that ``ProbVector`` accepts at
-length 8.
+length 8.  Measure files that ``evolve`` wrote for Birkhoff-5 get the same
+node replacements, and ``distance`` exits 0 only for a file whose atoms
+``DiscreteMeasure`` and ``ProbVector`` accept.
 """
 
 import json
@@ -19,12 +21,14 @@ from hypothesis import strategies as st
 
 from filtermc.cli import run
 from filtermc.core_model import ProbVector
+from filtermc.filter_dynamics import DiscreteMeasure
 
 from helpers import kesten_perm_params
 from test_golden_cli import _B5
 
 _KEYS = st.sampled_from(["states", "P", "partition", "meta", "lumping", "observation",
-                         "explicit", "labels", "default_start", "name", "a", "b", "0"])
+                         "explicit", "labels", "default_start", "name", "a", "b", "0",
+                         "atoms", "w", "x"])
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2, 9)
             | st.floats() | st.text(max_size=4))
 _VALUES = st.recursive(
@@ -111,3 +115,39 @@ def test_a_mutated_x0_is_run_or_rejected(models, x0):
     for argv in (["evolve", "--steps", "2", "--out", str(d / "mu.json")],
                  ["simulate", "--steps", "3", "--seed", "1", "--out", str(d / "trace.csv")]):
         assert run(argv + ["--model", str(d / "kesten.json"), f"--x0={x0}"]) == (0 if valid else 1)
+
+
+@pytest.fixture(scope="module")
+def measures(models) -> tuple:
+    """Two Birkhoff-5 measure files, and the first's document with the paths
+    of its nodes."""
+    d, _ = models
+    for steps in ("1", "2"):
+        assert run(["evolve", "--model", str(d / "b5.json"), "--steps", steps,
+                    "--out", str(d / f"mu{steps}.json")]) == 0
+    doc = json.loads((d / "mu1.json").read_text())
+    return d, doc, list(_nodes(doc))
+
+
+def _accepted(doc) -> bool:
+    """Whether the library's constructors accept the atoms of ``doc``."""
+    try:
+        atoms = doc["atoms"]
+        DiscreteMeasure([a["w"] for a in atoms], [ProbVector(a["x"]).coords for a in atoms],
+                        merge_eps=0.0)
+        return True
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError):
+        return False
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), value=_VALUES)
+def test_a_mutated_measure_file_is_run_or_rejected(measures, data, value):
+    d, doc, nodes = measures
+    mutated = _replace(doc, data.draw(st.sampled_from(nodes), label="node"), value)
+    mu = d / "mutated.json"
+    mu.write_text(json.dumps(mutated))
+    code = run(["distance", "--mu", str(mu), "--nu", str(d / "mu2.json"),
+                "--plan", str(d / "plan.json")])
+    assert code in (0, 1)
+    assert code == 1 or _accepted(mutated)

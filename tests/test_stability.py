@@ -23,6 +23,7 @@ from filtermc.stability import (
 
 from helpers import (
     active_word_dicts,
+    from_csr_array,
     random_partition,
     random_transition,
     reference_check_isometry_obstruction,
@@ -58,7 +59,7 @@ def _csr_with_stored_zeros(rng, rows: int, cols: int):
     zeros = ~positive & (rng.random((rows, cols)) < 0.01)
     ii, jj = np.nonzero(positive | zeros)
     mat = sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols))
-    return fm.NonnegMatrix._wrap(mat), a
+    return from_csr_array(mat), a
 
 
 def test_subrectangular_matches_quantifier_bruteforce():
@@ -68,11 +69,11 @@ def test_subrectangular_matches_quantifier_bruteforce():
         k = int(rng.integers(1, 9))
         a = (rng.random((n, k)) < 0.35) * rng.random((n, k))
         assert fm.is_subrectangular(a) == subrectangular_by_quantifiers(a)
-    # CSR storage (n >= 64) with stored zeros, which are not support
+    # larger matrices with stored zeros, which are not support
     verdicts = set()
     for _ in range(120):
         M, a = _csr_with_stored_zeros(rng, int(rng.integers(64, 80)), int(rng.integers(64, 80)))
-        assert not M.is_dense and M._mat.nnz > M.nnz
+        assert M.data.size > M.nnz
         want = subrectangular_by_quantifiers(a)
         assert fm.is_subrectangular(M) == want
         assert fm.is_subrectangular(a) == want
@@ -341,7 +342,6 @@ def small_partitions(draw):
 
 
 def assert_same_matrix(A, B):
-    assert A.is_dense == B.is_dense
     assert np.array_equal(A.toarray(), B.toarray())
 
 
@@ -429,7 +429,6 @@ def test_connector_word_matches_reference(m, max_len):
 @pytest.mark.parametrize("n", [64, 70])
 def test_connector_word_matches_reference_in_csr(n):
     m = fm.random_walk_case_a(n).partition
-    assert not m.member(1).is_dense
     for start in range(0, n, 7):
         for goal in (0, 1, n // 2, n - 2, n - 1):
             for max_len in (3, 2 * n):
@@ -697,7 +696,6 @@ def test_rank_one_proximity_memory_on_a_large_word_product():
     # all 1024 rows of an rw1024 word product are kept: 8 rows against all
     # the others would take 64 MB per block, and the distance matrix 8 MB
     H = fm.matrix_word_product(fm.random_walk_case_a(1024).partition, (1, 2, 1, 2))
-    assert not H.is_dense
     tracemalloc.start()
     try:
         prox = fm.rank_one_proximity(H, 1e-4)
