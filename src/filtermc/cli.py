@@ -164,6 +164,9 @@ def _param(params: dict, key: str, convert, what: str, default=None):
         raise ModelError(f"gallery param {key!r} must be {what}, got {params[key]!r}") from None
 
 
+_floats = functools.partial(np.asarray, dtype=float)
+
+
 def _cmd_gallery(args) -> int:
     params = {}
     if args.params:
@@ -188,25 +191,35 @@ def _cmd_gallery(args) -> int:
         if not params:
             spec = gallery.kesten_perm_spec()
         else:
-            base = TransitionMatrix.from_dense(params["base"])
-            members = _partition_from_spec(base, params["members"])
+            base = TransitionMatrix.from_dense(
+                _param(params, "base", _floats, "a square matrix of numbers"))
+            members = _partition_from_spec(base, _param(params, "members", dict, "an object"))
             by_text = {str(w): w for w in members.labels}  # Q keys name labels by their text
             if len(by_text) < members.num_labels:
                 raise ModelError(f"two perm-family labels in {list(members.labels)!r} "
                                  "have the same text")
             Q = {}
-            for key, sigma in params["Q"].items():
-                i, k, w = key.split(",", 2)
+            for key, sigma in _param(params, "Q", dict.items, "an object"):
+                try:
+                    i, k, w = key.split(",", 2)
+                    blocks = int(i), int(k)
+                except ValueError:
+                    raise ModelError(f"perm-family Q key {key!r} must be 'i,k,label' "
+                                     "with integers i and k") from None
                 if w not in by_text:
                     raise ModelError(f"perm-family Q key {key!r} names no label of "
                                      f"{list(members.labels)!r}")
-                Q[(int(i), int(k), by_text[w])] = [int(s) for s in sigma]
+                try:
+                    Q[(*blocks, by_text[w])] = [int(s) for s in sigma]
+                except (TypeError, ValueError, OverflowError):
+                    raise ModelError(f"perm-family Q[{key!r}] must be a list of integers, "
+                                     f"got {sigma!r}") from None
             spec = gallery.PermFamilySpec(base=base, members=members,
-                                          d=int(params["d"]), Q=Q)
+                                          d=_param(params, "d", int, "an integer"), Q=Q)
         model = gallery.perm_family_model(spec)
     elif args.kind == "birkhoff":
-        model = gallery.birkhoff_partition_model(_param(
-            params, "matrix", lambda v: np.asarray(v, dtype=float), "a square matrix of numbers"))
+        model = gallery.birkhoff_partition_model(
+            _param(params, "matrix", _floats, "a square matrix of numbers"))
     else:
         raise ModelError(f"unknown gallery kind {args.kind!r}")
     save_model(model, args.out)

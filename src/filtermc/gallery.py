@@ -209,10 +209,10 @@ class PermFamilySpec:
                 sigma = self.Q[(i, k, w)]
             except KeyError:
                 raise ModelError(f"no permutation supplied for transition ({i}, {k}, {w!r})") from None
-        sigma = np.asarray(sigma, dtype=int)
-        if sorted(sigma.tolist()) != list(range(self.d)):
+        # the length first: a large d would build a long range, a large int an overflow
+        if len(sigma) != self.d or sorted(sigma) != list(range(self.d)):
             raise ModelError(f"Q({i}, {k}, {w!r}) is not a permutation of range(d)")
-        return sigma
+        return np.asarray(sigma, dtype=int)
 
 
 def perm_family_model(spec: PermFamilySpec) -> FilterModel:

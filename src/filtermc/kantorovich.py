@@ -4,10 +4,13 @@ that moves a measure's barycenter to a prescribed target at optimal cost.
 
 The primal transport problem on the bipartite support graph is solved
 exactly by HiGHS's dual simplex (Huangfu & Hall 2018), on scipy's bundled
-HiGHS core, posed as ``scipy.optimize.linprog`` poses it: the plans are
-bit-equal to ``linprog``'s, without its per-column Python loop over results
-nobody reads.  Supports here are small, which is what makes equality
-assertions in the tests meaningful.
+HiGHS core, posed as ``scipy.optimize.linprog`` poses it but with presolve
+only where a doubleton rule can fire (two atoms on a side): elsewhere no
+presolve rule reduces the LP, so the simplex starts from the same model and
+ends at the same vertex.  The plans are bit-equal to ``linprog``'s, without
+its presolve pass and its per-column Python loop over results nobody reads.
+Supports here are small, which is what makes equality assertions in the
+tests meaningful.
 """
 
 from __future__ import annotations
@@ -79,7 +82,18 @@ def _transport_columns(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _solve_highs(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
     """The transportation LP on scipy's HiGHS core, with the matrix, bounds
     and options that ``linprog(method="highs")`` passes, so HiGHS returns
-    the same vertex; its result is checked as ``linprog`` checks it."""
+    the same vertex; its result is checked as ``linprog`` checks it.
+
+    Presolve runs only when ``min(m, n) == 2``.  With three or more atoms on
+    each side every equality row has at least three unit entries and a
+    positive right-hand side, and the row duals are free, so no singleton,
+    doubleton, forcing-row or dominated-column reduction applies (Andersen &
+    Andersen 1995): HiGHS would pass the unreduced LP to the same dual
+    simplex, so skipping presolve gives the same vertex and saves about
+    half the solve time of a 120-atom LP.
+    With two atoms on a side, that side's rows are doubleton equations;
+    presolve substitutes them out, which can move the vertex among tied
+    optima, so it stays on to keep the plans bit-equal to ``linprog``'s."""
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = m * n
     lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
@@ -94,7 +108,7 @@ def _solve_highs(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> np.ndarray:
     lp.col_upper_ = [_highs.kHighsInf] * (m * n)
     lp.row_lower_ = lp.row_upper_ = b_eq
     options = _highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if min(m, n) == 2 else "off"
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
     options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -132,11 +146,11 @@ def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[floa
     m, n = C.shape
     if m == 1:
         entries = tuple((0, j, float(wj)) for j, wj in enumerate(nu.weights))
-        cost = float(C[0] @ nu.weights)
+        cost = float((C[0] * nu.weights).sum())
         return cost, TransportPlan(entries, cost)
     if n == 1:
         entries = tuple((i, 0, float(wi)) for i, wi in enumerate(mu.weights))
-        cost = float(mu.weights @ C[:, 0])
+        cost = float((mu.weights * C[:, 0]).sum())
         return cost, TransportPlan(entries, cost)
 
     plan = _solve_highs(C.ravel(), weights[:-1], m, n).reshape(m, n)

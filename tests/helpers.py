@@ -558,7 +558,12 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
     for _ in range(power_iters):
         if reference_rank_one_proximity(H, row_floor) <= tol:
             return word, H
-        H = _reference_normalized(H @ base)
+        H = H @ base
+        # a vanishing power ends the walk, as in reference_power_curve; the
+        # check sorts the product's columns, so later powers sum in that order
+        if H.is_zero():
+            return None
+        H = _reference_normalized(H)
     return None
 
 

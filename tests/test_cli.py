@@ -559,6 +559,13 @@ def test_a_malformed_measure_file_is_an_error_naming_the_field(tmp_path, capsys,
         assert not plan.exists()
 
 
+def _perm_params(**edits) -> dict:
+    """The Kesten perm family's params with ``edits`` applied; an edit to
+    None removes its key."""
+    params = {**kesten_perm_params(), **edits}
+    return {k: v for k, v in params.items() if v is not None}
+
+
 @pytest.mark.parametrize("kind, params, message", [
     ("birkhoff", None, "gallery params must be a JSON object"),
     ("random-walk", None, "gallery params must be a JSON object"),
@@ -572,14 +579,37 @@ def test_a_malformed_measure_file_is_an_error_naming_the_field(tmp_path, capsys,
     ("birkhoff", {}, "gallery params need 'matrix'"),
     ("birkhoff", {"matrix": [[{}, 1.0], [1.0, 0.0]]},
      "gallery param 'matrix' must be a square matrix of numbers, got [[{}, 1.0], [1.0, 0.0]]"),
+    ("perm-family", _perm_params(Q=[1]), "gallery param 'Q' must be an object, got [1]"),
+    ("perm-family", _perm_params(Q={"0,0,a": 5}),
+     "perm-family Q['0,0,a'] must be a list of integers, got 5"),
+    ("perm-family", _perm_params(Q={"0,0,a": [0, 1, 3, 2**70]}),
+     "Q(0, 0, 'a') is not a permutation of range(d)"),
+    ("perm-family", _perm_params(d={}), "gallery param 'd' must be an integer, got {}"),
+    ("perm-family", _perm_params(d=10**12), "Q(0, 0, 'a') is not a permutation of range(d)"),
+    ("perm-family", _perm_params(Q={"0,0a": [0, 1, 3, 2]}),
+     "perm-family Q key '0,0a' must be 'i,k,label' with integers i and k"),
+    ("perm-family", _perm_params(Q={"x,0,a": [0, 1, 3, 2]}),
+     "perm-family Q key 'x,0,a' must be 'i,k,label' with integers i and k"),
+    ("perm-family", _perm_params(base=None), "gallery params need 'base'"),
+    ("perm-family", _perm_params(base=[[0.5, 0.5], [0.5]]),
+     "gallery param 'base' must be a square matrix of numbers, got [[0.5, 0.5], [0.5]]"),
+    ("perm-family", _perm_params(members=None), "gallery params need 'members'"),
 ], ids=["birkhoff-null", "random-walk-null", "perm-family-list", "random-walk-n-only",
         "random-walk-n-missing-a", "random-walk-n-an-object", "random-walk-n-infinite", "random-walk-b-a-number",
-        "birkhoff-no-matrix", "birkhoff-matrix-with-an-object"])
+        "birkhoff-no-matrix", "birkhoff-matrix-with-an-object", "perm-family-q-a-list",
+        "perm-family-permutation-a-number", "perm-family-permutation-beyond-int64",
+        "perm-family-d-an-object", "perm-family-d-beyond-memory", "perm-family-q-key-with-one-comma",
+        "perm-family-q-key-with-a-text-index", "perm-family-no-base", "perm-family-ragged-base",
+        "perm-family-no-members"])
 def test_malformed_gallery_params_are_an_error_naming_the_problem(tmp_path, capsys, kind,
                                                                    params, message):
     # null params and an object for "n" or inside "matrix" raised a
     # TypeError out of `run`, {"n": {}} gave `error: KeyError: 'a'`, and an
-    # infinite "n" an OverflowError
+    # infinite "n" an OverflowError; in perm-family params, a list as "Q" raised
+    # an AttributeError, a number as a permutation or "d" a TypeError, and an
+    # index beyond int64 an OverflowError, a "d" beyond memory built range(d)
+    # as a list, and a Q key without two commas or with a text index, a ragged
+    # base and a missing key printed their ValueError or KeyError
     (tmp_path / "params.json").write_text(json.dumps(params))
     out = tmp_path / "model.json"
     assert run(["gallery", kind, "--params", str(tmp_path / "params.json"),

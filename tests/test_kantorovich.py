@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
@@ -295,6 +297,37 @@ def test_direct_highs_solve_is_bit_equal_to_linprog(monkeypatch):
     # repr round-trips every double, so equal reprs are equal bits
     for (d, plan), (d_ref, plan_ref) in zip(direct, reference):
         assert repr((d, plan.entries)) == repr((d_ref, plan_ref.entries))
+
+
+@st.composite
+def transport_lps(draw):
+    """(costs, right-hand side, m, n) of a transportation LP between m and n
+    atoms, 2 to 12 each and one side of two atoms in half the draws: the
+    points are Dirichlet draws, points of the grid {0, 1/2, 1} (tied costs),
+    or targets that reuse source points (zero-cost columns); the weights are
+    uniform or random."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    if draw(st.booleans()):  # the sizes where presolve runs
+        m, n = draw(st.sampled_from([(2, n), (m, 2)]))
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = draw(st.sampled_from(["dirichlet", "grid", "reused"]))
+    if points == "grid":
+        X, Y = (rng.choice([0.0, 0.5, 1.0], size=(k, dim)) for k in (m, n))
+    else:
+        X = rng.dirichlet(np.ones(dim), size=m)
+        Y = X[rng.integers(0, m, size=n)] if points == "reused" else rng.dirichlet(np.ones(dim), size=n)
+    C = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
+    w = [np.full(k, 1.0 / k) if draw(st.booleans()) else rng.dirichlet(np.ones(k)) for k in (m, n)]
+    return C.ravel(), np.concatenate(w)[:-1], m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=transport_lps())
+def test_the_highs_solve_is_bit_equal_to_linprog_on_random_lps(lp):
+    # presolve skipped where no rule applies leaves the vertex; skipped also
+    # at two atoms, where the doubleton rule fires, it moves some of them
+    assert _solve_highs(*lp).tobytes() == reference_solve_linprog(*lp).tobytes()
 
 
 @pytest.mark.parametrize("path", ["highs", "linprog"])

@@ -10,7 +10,12 @@ may get a run of digits, signs, commas, ``e``, ``nan``, ``inf`` or spaces
 spliced in; a run exits 0 only for a start that ``ProbVector`` accepts at
 length 8.  Measure files that ``evolve`` wrote for Birkhoff-5 get the same
 node replacements, and ``distance`` exits 0 only for a file whose atoms
-``DiscreteMeasure`` and ``ProbVector`` accept.
+``DiscreteMeasure`` and ``ProbVector`` accept.  So do the ``gallery
+--params`` documents of Birkhoff-5, a three-state random walk and the Kesten
+perm family, and ``gallery`` exits 0 or 1.  The random walk's document is
+the form whose ``"n"`` is checked against the lengths of ``"a"``, ``"b"``
+and ``"c"``: in the ``"case"`` form ``"n"`` alone sizes the chain, so a
+random integer there would ask for a chain of that many states.
 """
 
 import json
@@ -28,7 +33,8 @@ from test_golden_cli import _B5
 
 _KEYS = st.sampled_from(["states", "P", "partition", "meta", "lumping", "observation",
                          "explicit", "labels", "default_start", "name", "a", "b", "0",
-                         "atoms", "w", "x"])
+                         "atoms", "w", "x", "matrix", "n", "c", "base", "members", "d",
+                         "Q", "0,0,a", "1,1,b"])
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2, 9)
             | st.floats() | st.text(max_size=4))
 _VALUES = st.recursive(
@@ -151,3 +157,32 @@ def test_a_mutated_measure_file_is_run_or_rejected(measures, data, value):
                 "--plan", str(d / "plan.json")])
     assert code in (0, 1)
     assert code == 1 or _accepted(mutated)
+
+
+# a birth-death chain on three states: b[0] + c[0] = 1, a[i-1] + b[i] + c[i] = 1
+_WALK3 = {"a": [0.5, 0.5], "b": [0.5, 0.25, 0.25], "c": [0.5, 0.25, 0.25], "n": 3}
+
+
+@pytest.fixture(scope="module")
+def params(models) -> tuple:
+    """Each gallery kind's params document with the paths of its nodes."""
+    d, _ = models
+    docs = {"birkhoff": {"matrix": _B5.tolist()}, "random-walk": _WALK3,
+            "perm-family": kesten_perm_params()}
+    for kind, doc in docs.items():
+        (d / "params.json").write_text(json.dumps(doc))
+        assert run(["gallery", kind, "--params", str(d / "params.json"),
+                    "--out", str(d / "gallery.json")]) == 0
+    return d, {kind: (doc, list(_nodes(doc))) for kind, doc in docs.items()}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), value=_VALUES)
+def test_mutated_gallery_params_are_built_or_rejected(params, data, value):
+    d, docs = params
+    kind = data.draw(st.sampled_from(sorted(docs)), label="kind")
+    doc, nodes = docs[kind]
+    (d / "params.json").write_text(json.dumps(
+        _replace(doc, data.draw(st.sampled_from(nodes), label="node"), value)))
+    assert run(["gallery", kind, "--params", str(d / "params.json"),
+                "--out", str(d / "gallery.json")]) in (0, 1)
