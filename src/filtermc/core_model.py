@@ -145,7 +145,8 @@ def _index_arrays(arrays, maxval: int = 0):
 def _kernel_result(kernel, shape, a: "NonnegMatrix", b: "NonnegMatrix", size: int | None = None):
     """What the sparsetools ``kernel`` makes of ``a`` and ``b``, called as
     scipy calls it: into arrays for ``size`` entries (by default both
-    operands' entries), cut to those written, as no zero sum is stored."""
+    operands' entries), cut to those written, as no zero sum is stored.
+    Only the product kernel leaves columns unsorted; ``__matmul__`` sorts them."""
     size = a.data.size + b.data.size if size is None else size
     ap, aj, bp, bj = _index_arrays((a.indptr, a.indices, b.indptr, b.indices), size)
     indptr, indices, data = np.empty(shape[0] + 1, ap.dtype), np.empty(size, ap.dtype), np.empty(size)
@@ -153,33 +154,50 @@ def _kernel_result(kernel, shape, a: "NonnegMatrix", b: "NonnegMatrix", size: in
     return NonnegMatrix._csr(shape, indptr, indices[:indptr[-1]], data[:indptr[-1]])
 
 
+class _EntryError(ModelError):
+    """A triplet :class:`NonnegMatrix` rejects; ``in_field`` says why in a model file's terms."""
+
+    def __init__(self, message: str, in_field: str):
+        super().__init__(message)
+        self.in_field = in_field
+
+
 class NonnegMatrix:
     """Sparse nonnegative matrix: the CSR arrays of a scipy ``csr_array``,
-    worked on by the sparsetools kernels that scipy's operators call, so
-    results are bit-equal to scipy's, column order included.  Constructors
-    store positive values in sorted columns; products leave columns
-    unsorted, scaling may store underflowed zeros.  No array is written once
-    a matrix holds it, so matrices may share them."""
+    worked on by the sparsetools kernels that scipy's operators call.  Every
+    matrix stores its columns sorted in each row, and a product is bit-equal
+    to scipy's operator followed by ``sort_indices``.  Constructors store
+    positive values only; scaling may store underflowed zeros.  No array is
+    written or replaced once a matrix holds it, so reads never change a
+    matrix and matrices may share arrays."""
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data")
     # every matrix is CSR; perfbench/tracer.py's csr_frac hooks still read this
     is_dense = False
 
     def __init__(self, rows: int, cols: int, entries):
-        if rows < 1 or cols < 1:
-            raise ModelError("NonnegMatrix dims must be positive")
-        entries = list(entries)
-        ii = np.array([e[0] for e in entries], dtype=np.int64)
-        jj = np.array([e[1] for e in entries], dtype=np.int64)
-        vv = np.array([e[2] for e in entries], dtype=float)
+        """The values at the distinct integral ``(i, j)`` of ``(i, j, v)`` triplets."""
+        if rows < 1 or cols < 1 or rows % 1 or cols % 1:  # int() would let indices past the end
+            raise ModelError("NonnegMatrix dims must be positive integers")
+        try:
+            t = np.array(list(entries) if isinstance(entries, Iterator) else entries, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            t = np.empty(())
+        t = t.reshape(0, 3) if t.shape == (0,) else t
+        if (t.ndim != 2 or t.shape[1] != 3 or not np.isfinite(t[:, :2]).all()
+                or (np.trunc(t[:, :2]) != t[:, :2]).any()):
+            raise _EntryError("NonnegMatrix entries must be (i, j, v) triplets with integral i and j",
+                              "must be a list of [i, j, v] triplets")
+        ii, jj, vv = t.T
         if not (np.isfinite(vv).all() and (vv > 0).all()):
             raise ModelError("NonnegMatrix stored values must be finite and strictly positive")
         if ((ii < 0) | (ii >= rows) | (jj < 0) | (jj >= cols)).any():
-            raise ModelError("NonnegMatrix triplet index out of range")
-        flat = ii * cols + jj
-        if np.unique(flat).size != flat.size:
+            raise _EntryError("NonnegMatrix triplet index out of range", "holds an index out of range")
+        built = NonnegMatrix._from_entries((int(rows), int(cols)), ii.astype(np.int64),
+                                           jj.astype(np.int64), vv)
+        ii, jj, _ = built._coords()  # sorted by (row, col): duplicates are neighbours
+        if ((ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1])).any():
             raise ModelError("NonnegMatrix duplicate (i, j) triplet")
-        built = NonnegMatrix._from_entries((int(rows), int(cols)), ii, jj, vv)
         for slot in NonnegMatrix.__slots__:
             setattr(self, slot, getattr(built, slot))
 
@@ -239,8 +257,7 @@ class NonnegMatrix:
         """Rows, columns and values of the positive entries, sorted by (row, col)."""
         ii, jj, vv = self._coords()
         pos = vv > 0
-        order = np.lexsort((jj[pos], ii[pos]))
-        return ii[pos][order], jj[pos][order], vv[pos][order]
+        return ii[pos], jj[pos], vv[pos]
 
     def triplets(self) -> list[tuple[int, int, float]]:
         """Strictly positive entries sorted by (row, col)."""
@@ -248,11 +265,7 @@ class NonnegMatrix:
 
     @property
     def nnz(self) -> int:
-        """Positive entries.  Like scipy's ``count_nonzero``, first sorts unsorted
-        column indices (into new arrays), so later products sum in that order."""
-        if not _sparsetools.csr_has_canonical_format(self.rows, self.indptr, self.indices):
-            self.indices, self.data = self.indices.copy(), self.data.copy()
-            _sparsetools.csr_sort_indices(self.rows, self.indptr, self.indices, self.data)
+        """Positive entries."""
         return int(np.count_nonzero(self.data))
 
     def is_zero(self) -> bool:
@@ -266,8 +279,8 @@ class NonnegMatrix:
         return int(before[-1]), int(rows), self.nonzero_column_count()
 
     def _same_layout(self, other: "NonnegMatrix") -> bool:
-        """True iff both store the same bits in the same layout (products leave
-        columns unsorted), so that every product formed with either is bit-equal."""
+        """True iff both store the same bits in the same layout (underflowed
+        zeros included), so that every product formed with either is bit-equal."""
         return all(getattr(self, k).tobytes() == getattr(other, k).tobytes()
                    for k in ("data", "indices", "indptr"))
 
@@ -281,7 +294,9 @@ class NonnegMatrix:
         if nnz == 0:  # scipy's empty array of the product's shape
             return NonnegMatrix._csr(shape, np.zeros(shape[0] + 1, np.int32), np.zeros(0, np.int32),
                                      np.zeros(0))
-        return _kernel_result(_sparsetools.csr_matmat, shape, self, other, nnz)
+        out = _kernel_result(_sparsetools.csr_matmat, shape, self, other, nnz)
+        _sparsetools.csr_sort_indices(shape[0], out.indptr, out.indices, out.data)
+        return out
 
     def left_apply(self, x: np.ndarray) -> np.ndarray:
         """``x @ M`` for a row ``x`` or each row of a stack, as scipy forms it:
@@ -831,20 +846,12 @@ def _label_from_doc(v):
     return tuple(map(_label_from_doc, v)) if isinstance(v, list) else v
 
 
-def _triplets(rows, field: str) -> list[tuple[int, int, float]]:
-    """The ``[i, j, v]`` rows of a model file's ``field``."""
+def _matrix(rows: int, cols: int, entries, field: str) -> NonnegMatrix:
+    """The matrix of a model file's ``field`` from its ``[i, j, v]`` rows."""
     try:
-        return [(int(i), int(j), float(v)) for i, j, v in rows]
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"{field!r} must be a list of [i, j, v] triplets") from None
-
-
-def _matrix(rows: int, cols: int, trips, field: str) -> NonnegMatrix:
-    """The matrix of a model file's ``field`` from its :func:`_triplets`."""
-    try:
-        return NonnegMatrix(rows, cols, trips)
-    except OverflowError:  # an index numpy cannot hold
-        raise ModelError(f"{field!r} holds an index out of range") from None
+        return NonnegMatrix(rows, cols, entries)
+    except _EntryError as exc:
+        raise ModelError(f"{field!r} {exc.in_field}") from None
 
 
 def _entry(doc: Mapping, key: str, kind: type, default=None):
@@ -864,15 +871,16 @@ def _partition_from_spec(P: TransitionMatrix, spec: Mapping) -> Partition:
     if "lumping" in spec:
         return partition_from_lumping(P, _entry(spec, "lumping", list))
     if "observation" in spec:
-        trips = _triplets(spec["observation"], "observation")
-        k = max(a for _, a, _ in trips) + 1 if trips else 1
-        if k > len(trips):  # a member is built for each of the k labels
-            raise ModelError(f"'observation' names label {k - 1}, but has {len(trips)} entries")
-        return partition_from_observation(P, _matrix(n, k, trips, "observation"))
+        # room for any int64 label, then cut to the labels named: each gets a member
+        R = _matrix(n, np.iinfo(np.int64).max, spec["observation"], "observation")
+        k = int(R.indices.max(initial=0)) + 1
+        if k > R.data.size:
+            raise ModelError(f"'observation' names label {k - 1}, but has {R.data.size} entries")
+        return partition_from_observation(P, NonnegMatrix._from_entries((n, k), *R._coords()))
     if "explicit" in spec:
         explicit = _entry(spec, "explicit", dict)
         labels = map(_label_from_doc, _entry(spec, "labels", list, list(explicit)))
-        return Partition({w: _matrix(n, n, _triplets(trips, "explicit"), "explicit")
+        return Partition({w: _matrix(n, n, trips, "explicit")
                           for w, trips in zip(labels, explicit.values())}, P)
     raise ModelError("model file partition must be lumping, observation or explicit")
 
@@ -907,8 +915,8 @@ def load_model(path) -> FilterModel:
     n = doc["states"]
     if type(n) is not int:
         raise ModelError(f"model file 'states' must be an integer, got {n!r}")
-    trips = _triplets(doc["P"], "P")
-    if n > len(trips):  # some row would be empty; checked before n rows are allocated
+    trips = doc["P"]
+    if isinstance(trips, list) and n > len(trips):  # some row would be empty; checked first
         raise ModelError(f"model file 'states' is {n}, but 'P' has {len(trips)} entries")
     P = TransitionMatrix(_matrix(n, n, trips, "P"))
     meta = dict(_entry(doc, "meta", dict, {}))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core_model import ModelError, Partition, ProbVector, as_prob_vector, stationary_vector
 from .filter_dynamics import DEFAULT_PRUNE, evolve, simulate_filter
@@ -182,13 +181,12 @@ def entropy_rate_increment(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE
 
 
 def _one_step_entropy(points, m: Partition, base: str) -> list[float]:
-    """The one-step entropy of each row of ``points`` (a dense or sparse
-    2-d array), taken in blocks of rows; each sum is in label order."""
+    """The one-step entropy of each row of the 2-d array ``points``, taken
+    in blocks of rows; each sum is in label order."""
     rows = _block_rows(m)
     out = []
     for s in range(0, points.shape[0], rows):
-        block = points[s:s + rows]
-        for masses in m.fan_out(block.toarray() if sp.issparse(block) else block)[0].tolist():
+        for masses in m.fan_out(points[s:s + rows])[0].tolist():
             total = 0.0
             for p in masses:
                 if p <= 0.0:
@@ -266,7 +264,8 @@ def check_entropy_condition(m: Partition, sample_count: int = 32, seed: int = 0)
     lower estimate of the sup, and is reported as such.
     """
     rng = np.random.default_rng(seed)
-    # the vertices as sparse rows: no n x n identity is formed
-    points = sp.vstack([sp.identity(m.n, format="csr"),
-                        sp.csr_array(rng.dirichlet(np.ones(m.n), size=sample_count))], format="csr")
-    return max([0.0, *_one_step_entropy(points, m, "ln")])
+    n, rows = m.n, _block_rows(m)
+    values = _one_step_entropy(rng.dirichlet(np.ones(n), size=sample_count), m, "ln")
+    for s in range(0, n, rows):  # the vertices a block at a time: no n x n identity is formed
+        values += _one_step_entropy(np.eye(min(rows, n - s), n, s), m, "ln")
+    return max([0.0, *values])

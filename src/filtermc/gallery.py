@@ -51,10 +51,7 @@ _KESTEN_SUPPORT = [
 def kesten_model() -> FilterModel:
     """The 8-state doubly stochastic chain, lumped into two 4-state blocks,
     whose filter chain is periodic (hence not asymptotically stable)."""
-    entries = []
-    for i, (j1, j2) in enumerate(_KESTEN_SUPPORT):
-        entries.append((i, j1, 0.5))
-        entries.append((i, j2, 0.5))
+    entries = [(i, j, 0.5) for i, pair in enumerate(_KESTEN_SUPPORT) for j in pair]
     P = TransitionMatrix(NonnegMatrix(8, 8, entries))
     lumping = ["a"] * 4 + ["b"] * 4
     partition = partition_from_lumping(P, lumping)
@@ -82,56 +79,54 @@ class RandomWalkParams:
     (reflection), which keeps the truncated matrix exactly stochastic.
     """
 
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: tuple[float, ...]
+    a: Sequence[float]
+    b: Sequence[float]
+    c: Sequence[float]
     n_trunc: int
 
     def __post_init__(self):
         n = self.n_trunc
         if n < 2:
             raise ModelError("random walk needs at least two states")
-        if len(self.b) != n or len(self.c) != n or len(self.a) != n - 1:
+        a, b, c = self._arrays()
+        if b.shape != (n,) or c.shape != (n,) or a.shape != (n - 1,):
             raise ModelError("coefficient arrays must have lengths n, n, n-1")
-        if min(self.b) <= 0 or min(self.c) <= 0 or min(self.a) <= 0:
+        if (b <= 0).any() or (c <= 0).any() or (a <= 0).any():
             raise ModelError("random walk coefficients must be strictly positive")
-        if abs(self.b[0] + self.c[0] - 1.0) > PROB_ATOL:
+        if abs(b[0] + c[0] - 1.0) > PROB_ATOL:
             raise ModelError("b[0] + c[0] must equal 1")
-        for i in range(1, n):
-            if abs(self.a[i - 1] + self.b[i] + self.c[i] - 1.0) > PROB_ATOL:
-                raise ModelError(f"a[{i}] + b[{i}] + c[{i}] must equal 1")
+        bad = np.abs(a + b[1:] + c[1:] - 1.0) > PROB_ATOL
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise ModelError(f"a[{i}] + b[{i}] + c[{i}] must equal 1")
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``a``, ``b`` and ``c`` as float arrays."""
+        return tuple(np.asarray(v, dtype=float) for v in (self.a, self.b, self.c))
 
     def ratio_partial_sums(self) -> list[float]:
         """Partial sums of prod_{i<=k} c[i-1]/a[i]; boundedness of these is
         the positive-recurrence proxy for the untruncated chain."""
-        sums = []
-        total = 0.0
-        prod = 1.0
-        for k in range(1, self.n_trunc):
-            prod *= self.c[k - 1] / self.a[k - 1]
-            total += prod
-            sums.append(total)
-        return sums
+        a, _, c = self._arrays()
+        return np.cumsum(np.cumprod(c[:-1] / a)).tolist()
 
 
 def random_walk_model(params: RandomWalkParams) -> FilterModel:
     """Truncated birth-death chain observed through column parity: one
     member keeps the odd columns, the other the even columns."""
     n = params.n_trunc
-    entries = [(0, 0, params.b[0]), (0, 1, params.c[0])]
-    for i in range(1, n - 1):
-        entries.append((i, i - 1, params.a[i - 1]))
-        entries.append((i, i, params.b[i]))
-        entries.append((i, i + 1, params.c[i]))
-    entries.append((n - 1, n - 2, params.a[n - 2]))
-    entries.append((n - 1, n - 1, params.b[n - 1] + params.c[n - 1]))
+    a, b, c = params._arrays()
+    hold = np.append(b[:-1], b[-1] + c[-1])  # the up-rate folded in at the top
+    i = np.arange(n)
+    entries = np.concatenate([np.column_stack((i[1:], i[:-1], a)), np.column_stack((i, i, hold)),
+                              np.column_stack((i[:-1], i[1:], c[:-1]))])
     P = TransitionMatrix(NonnegMatrix(n, n, entries))
     lumping = [1 if j % 2 == 1 else 2 for j in range(n)]
     partition = partition_from_lumping(P, lumping)
     meta = {
         "name": "random_walk",
         "partition_spec": {"lumping": lumping},
-        "boundary": {"rule": "reflect", "folded_up_rate": params.c[n - 1]},
+        "boundary": {"rule": "reflect", "folded_up_rate": float(c[-1])},
         "ratio_partial_sums": params.ratio_partial_sums(),
     }
     return FilterModel(partition, meta=meta)
@@ -227,12 +222,8 @@ def perm_family_model(spec: PermFamilySpec) -> FilterModel:
     n = nb * d
     members = {}
     for w, M in spec.members:
-        entries = []
-        for i, k, v in M.triplets():
-            sigma = spec.perm(i, k, w)
-            for j in range(d):
-                entries.append((i * d + j, k * d + int(sigma[j]), v))
-        members[w] = NonnegMatrix(n, n, entries)
+        members[w] = NonnegMatrix(n, n, [(i * d + j, k * d + s, v) for i, k, v in M.triplets()
+                                         for j, s in enumerate(spec.perm(i, k, w).tolist())])
     P = TransitionMatrix(functools.reduce(NonnegMatrix.add, members.values()))
     partition = Partition(members, P)
     meta = {

@@ -148,9 +148,10 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
     """Normalised powers ``(k, H_k)``, k = 1..iters, of a word product:
     ``H_1 = base / |base|`` and ``H_k = H_{k-1} H_1 / |H_{k-1} H_1|``.
     Every power costs one unit; the curve ends before the first power that
-    vanishes, so a zero ``base`` yields nothing.  Once a power is stored
-    exactly as the one before it, every later power is too, so from there
-    on that same object is yielded without multiplying."""
+    vanishes, so a zero ``base`` yields nothing, and checking leaves each
+    power's bits as they are.  Every product stores sorted columns, so once
+    a power is stored exactly as the one before it every later power is too,
+    and from there on that same object is yielded without multiplying."""
     if base.is_zero():
         return
     H = H1 = _normalized(base)

@@ -14,8 +14,9 @@ and its batched callers, the simulator's per-step numpy draw (one
 ``rng.random()``, ``np.cumsum`` and ``searchsorted`` a step) for the draw
 on Python floats, the trace writer with one ``repr`` per coordinate for
 the memoised and blocked one, the triplet scans of the partition constructors
-for their masks, the dense support-graph walks and the stationary power
-iteration for the sparse graph check, connector search and direct
+for their masks, the random-walk gallery's tuple loops for its arrays, the
+dense support-graph walks and the stationary power iteration for the sparse
+graph check, connector search and direct
 stationary solve, and ``linprog`` for the transport LP on the HiGHS core.
 ``from_csr_array`` and ``as_csr_array`` move CSR arrays between
 ``NonnegMatrix`` and scipy, for the differential tests of its kernels.
@@ -30,6 +31,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 
 from filtermc import (
@@ -49,7 +51,13 @@ from filtermc import (
     partition_from_observation,
     stationary_vector,
 )
-from filtermc.core_model import ProbVector, _lumping_as_list, as_prob_vector, label_sort_key
+from filtermc.core_model import (
+    PROB_ATOL,
+    ProbVector,
+    _lumping_as_list,
+    as_prob_vector,
+    label_sort_key,
+)
 from filtermc.entropy import EntropySeries, _Kahan, h
 from filtermc.filter_dynamics import Outcome, evolve, simulate_filter
 from filtermc.kantorovich import _transport_columns
@@ -63,7 +71,11 @@ from filtermc.stability import (
 
 
 def from_csr_array(a) -> NonnegMatrix:
-    """The ``NonnegMatrix`` holding the arrays of a scipy CSR array as they are."""
+    """The ``NonnegMatrix`` holding the arrays of a scipy CSR array as they
+    are.  A matrix stores sorted columns without duplicates, so an array
+    that does not is rejected: sort it with ``sort_indices`` first."""
+    if not _sparsetools.csr_has_canonical_format(a.shape[0], a.indptr, a.indices):
+        raise ValueError("from_csr_array needs sorted column indices without duplicates")
     return NonnegMatrix._csr(a.shape, a.indptr, a.indices, a.data)
 
 
@@ -559,8 +571,7 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
         if reference_rank_one_proximity(H, row_floor) <= tol:
             return word, H
         H = H @ base
-        # a vanishing power ends the walk, as in reference_power_curve; the
-        # check sorts the product's columns, so later powers sum in that order
+        # a vanishing power ends the walk, as in reference_power_curve
         if H.is_zero():
             return None
         H = _reference_normalized(H)
@@ -588,6 +599,33 @@ def reference_partition_from_observation(P: TransitionMatrix, R) -> Partition:
         members[a] = NonnegMatrix(P.n, P.n, [(i, j, v * Rd[j, a]) for i, j, v in P.inner.triplets()
                                              if Rd[j, a] > 0.0])
     return Partition(members, P)
+
+
+def reference_random_walk(a, b, c, n: int):
+    """What ``RandomWalkParams`` and ``random_walk_model`` made of the
+    coefficients with tuple loops: the error message, or None and the
+    chain's triplets (sorted) and ratio partial sums."""
+    if n < 2:
+        return "random walk needs at least two states", None, None
+    if len(b) != n or len(c) != n or len(a) != n - 1:
+        return "coefficient arrays must have lengths n, n, n-1", None, None
+    if min(b) <= 0 or min(c) <= 0 or min(a) <= 0:
+        return "random walk coefficients must be strictly positive", None, None
+    if abs(b[0] + c[0] - 1.0) > PROB_ATOL:
+        return "b[0] + c[0] must equal 1", None, None
+    for i in range(1, n):
+        if abs(a[i - 1] + b[i] + c[i] - 1.0) > PROB_ATOL:
+            return f"a[{i}] + b[{i}] + c[{i}] must equal 1", None, None
+    entries = [(0, 0, b[0]), (0, 1, c[0])]
+    for i in range(1, n - 1):
+        entries += [(i, i - 1, a[i - 1]), (i, i, b[i]), (i, i + 1, c[i])]
+    entries += [(n - 1, n - 2, a[n - 2]), (n - 1, n - 1, b[n - 1] + c[n - 1])]
+    sums, total, prod = [], 0.0, 1.0
+    for k in range(1, n):
+        prod *= c[k - 1] / a[k - 1]
+        total += prod
+        sums.append(total)
+    return None, sorted(entries), sums
 
 
 # ---------------------------------------------------------------------------

@@ -502,18 +502,26 @@ _P2 = [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
      "model file 'states' is 1099511627776, but 'P' has 4 entries"),
     ({"states": 2, "P": _P2, "partition": {"observation": [[0, 2**40, 1.0], [1, 0, 1.0]]}},
      "'observation' names label 1099511627776, but has 2 entries"),
+    ({"states": 2, "P": [_P2[0], [0, 1.5, 0.5]] + _P2[2:], "partition": {"lumping": [0, 1]}},
+     "'P' must be a list of [i, j, v] triplets"),
+    ({"states": 2, "P": _P2, "partition": {"explicit": {"a": [[0.5, 0, 0.5]] + _P2[1:]}}},
+     "'explicit' must be a list of [i, j, v] triplets"),
+    ({"states": 2, "P": _P2, "partition": {"observation": [[0, 0, 1.0], [1, 0.9, 1.0]]}},
+     "'observation' must be a list of [i, j, v] triplets"),
 ], ids=["list-document", "P-not-a-list", "fractional-states", "explicit-not-a-list",
         "partition-not-an-object", "meta-a-number", "lumping-a-number", "labels-a-number",
         "explicit-a-list", "P-index-beyond-int64", "P-index-infinite",
         "default-start-an-object", "label-an-object", "states-beyond-P",
-        "observation-label-beyond-its-entries"])
+        "observation-label-beyond-its-entries", "P-index-fractional",
+        "explicit-index-fractional", "observation-label-fractional"])
 def test_a_malformed_model_file_is_an_error_naming_the_field(tmp_path, capsys, doc, message):
     # the list document and "P": 5 raised a TypeError out of `run`, and
     # "states": 2.5 was read as 2; so did a number for "meta", "lumping" or
     # "labels", and an "explicit" list raised an AttributeError.  A P index
     # beyond int64 or infinite raised an OverflowError, an object for
     # "default_start" or in "labels" a TypeError, and "states" of 2**40 a
-    # MemoryError
+    # MemoryError.  A fractional index was truncated: [0, 1.5, 0.5] in P
+    # loaded as column 1
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     out = tmp_path / "mu.json"

@@ -42,6 +42,24 @@ def test_nonneg_matrix_rejects_duplicates_and_nonpositive():
         fm.NonnegMatrix(2, 2, [(0, 0, 0.0)])
 
 
+@pytest.mark.parametrize("entries", [[(0.9, 1.7, 1.0)], [(0, float("inf"), 1.0)], [(0, 1)],
+                                     [(0, 0, 1.0, 2.0)], 5, [(0, 0, "x")]])
+def test_nonneg_matrix_rejects_entries_that_are_not_integral_triplets(entries):
+    # (0.9, 1.7, 1.0) was stored at (0, 1)
+    with pytest.raises(ModelError, match="must be .i, j, v. triplets with integral i and j"):
+        fm.NonnegMatrix(2, 2, entries)
+
+
+@pytest.mark.parametrize("rows, cols, entries", [(2, 2.5, [(0, 2, 1.0)]), (2.5, 2, [(2, 0, 1.0)]),
+                                                  (0, 2, []), (2, float("nan"), [])])
+def test_nonneg_matrix_rejects_dims_that_are_not_positive_integers(rows, cols, entries):
+    # the entries were checked against 2.5 and stored in a 2 x 2 matrix:
+    # column 2 was written past the end of its row, and row 2 raised a
+    # numpy ValueError
+    with pytest.raises(ModelError, match="dims must be positive integers"):
+        fm.NonnegMatrix(rows, cols, entries)
+
+
 def test_transition_matrix_row_sum_check():
     with pytest.raises(ModelError):
         fm.TransitionMatrix.from_dense([[0.6, 0.5], [0.5, 0.5]])

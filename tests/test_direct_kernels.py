@@ -1,7 +1,9 @@
 """Differential tests of the sparsetools kernels that ``NonnegMatrix`` and
 ``Partition.fan_out`` call on their own CSR arrays, against the scipy
 operators on ``csr_array``s of the same arrays: every result must be
-bit-equal, down to the column order and index dtype of every product.
+bit-equal, down to the column order and index dtype of every product.  A
+product is scipy's operator followed by ``sort_indices``, as every matrix
+stores sorted columns.
 """
 
 import numpy as np
@@ -16,6 +18,11 @@ from filtermc import core_model
 from filtermc.core_model import NonnegMatrix
 
 from helpers import as_csr_array, from_csr_array, random_partition, random_transition
+
+
+def canonical(M: NonnegMatrix) -> bool:
+    """Sorted columns without duplicates in every row."""
+    return bool(_sparsetools.csr_has_canonical_format(M.rows, M.indptr, M.indices))
 
 
 def csr(rng, rows, cols, density, wide=False):
@@ -35,8 +42,11 @@ def assert_same_csr(got: NonnegMatrix, want: sp.csr_array):
         assert np.array_equal(g, w), key
 
 
-def sorted_indices(M: NonnegMatrix) -> bool:
-    return bool(_sparsetools.csr_has_canonical_format(M.rows, M.indptr, M.indices))
+def product(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
+    """scipy's product, its columns sorted as ``NonnegMatrix`` stores them."""
+    out = a @ b
+    out.sort_indices()
+    return out
 
 
 def test_the_two_kernels_are_the_ones_core_model_calls():
@@ -53,10 +63,9 @@ def test_the_two_kernels_are_the_ones_core_model_calls():
        reads=st.lists(st.sampled_from([None, "row_sums", "is_zero", "nnz", "triplets"]),
                       min_size=6, max_size=6))
 def test_chains_of_products_match_scipy_bit_for_bit(dims, density, seed, wide, reads):
-    # a chain of three or more products, whose partial products have
-    # unsorted column indices; some factors have int64 index arrays, and
-    # some partial products are read first (`is_zero` and `nnz` sort them,
-    # as scipy's `count_nonzero` sorts in place)
+    # a chain of three or more products, whose kernel leaves columns
+    # unsorted; some factors have int64 index arrays, and some partial
+    # products are read first
     rng = np.random.default_rng(seed)
     factors = [csr(rng, r, c, density, w) for r, c, w in zip(dims, dims[1:], wide)]
     got = from_csr_array(factors[0])
@@ -74,30 +83,52 @@ def test_chains_of_products_match_scipy_bit_for_bit(dims, density, seed, wide, r
                 zip(ii.tolist(), jj.tolist(), want.toarray()[ii, jj].tolist()))
         assert_same_csr(got, want)
         got = got @ from_csr_array(f)
-        want = want @ f
+        want = product(want, f)
         assert_same_csr(got, want)
 
 
-def test_products_of_unsorted_and_of_canonicalised_operands():
-    # only counting sorts a product's indices
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.2, 0.6, 1.0]), power=st.integers(1, 3),
+       word=st.lists(st.integers(0, 2), max_size=6))
+def test_every_matrix_stores_sorted_columns(n, k, seed, density, power, word):
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, n)) < density, rng.random((n, n)) + 0.01, 0.0)
+    ii, jj = np.nonzero(dense)
+    shuffled = rng.permutation(ii.size)
+    built = NonnegMatrix(n, n, list(zip(ii[shuffled].tolist(), jj[shuffled].tolist(),
+                                        dense[ii, jj][shuffled].tolist())))
+    other = NonnegMatrix.from_dense(dense.T)
+    m = random_partition(rng, random_transition(rng, n, sparsity=0.5), k)
+    chained = built
+    for _ in range(3):  # the product kernel leaves these columns unsorted
+        chained = chained @ m.base.inner
+    mats = [built, other, NonnegMatrix.identity(n), built @ other, other @ built, chained,
+            built.add(other), chained.scaled(1e-300), m._stack,
+            fm.matrix_word_product(m, [m.labels[i % m.num_labels] for i in word]),
+            *fm.partition_power(m, power).members.values()]
+    assert all(canonical(M) for M in mats)
+
+
+def test_reads_never_change_a_matrix():
+    # reads leave a product's arrays as they are, the same objects with the
+    # same bytes, so a product formed after a read is bit-equal to one
+    # formed without it
     rng = np.random.default_rng(3)
     a, b, c = (from_csr_array(csr(rng, 20, 20, 0.3)) for _ in range(3))
+    untouched = (a @ b) @ c
     ab = a @ b
-    unsorted = as_csr_array(a) @ as_csr_array(b) @ as_csr_array(c)
-    assert not sorted_indices(ab)
-    assert_same_csr(ab @ c, unsorted)
-    for read in (ab.row_sums, ab.toarray, ab.triplets, ab.support, ab.nonzero_column_count,
-                 ab._support_counts, lambda: ab.left_apply(np.ones(20)), lambda: ab.scaled(2.0),
+    arrays = (ab.indices, ab.data)
+    copies = [x.copy() for x in arrays]
+    for read in (lambda: ab.nnz, ab.is_zero, ab.triplets, ab.support, ab.row_sums,
+                 lambda: repr(ab), ab.toarray, ab.nonzero_column_count, ab._support_counts,
+                 lambda: ab.left_apply(np.ones(20)), lambda: ab.scaled(2.0),
                  lambda: ab.add(c), lambda: ab._same_layout(c)):
         read()
-        assert not sorted_indices(ab)
-    assert_same_csr(ab @ c, unsorted)
-    shared = ab.scaled(0.5)  # shares the index arrays of ab
-    assert not ab.is_zero()  # sorts into new arrays
-    assert sorted_indices(ab) and not sorted_indices(shared)
-    assert_same_csr(ab @ c, as_csr_array(ab) @ as_csr_array(c))
-    assert not np.array_equal((ab @ c).data, unsorted.data)
-    assert_same_csr(shared, as_csr_array(a @ b) * 0.5)
+        assert all(x is y for x, y in zip((ab.indices, ab.data), arrays))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(arrays, copies))
+    assert ab._same_layout(a @ b)
+    assert_same_csr(ab @ c, as_csr_array(untouched))
 
 
 def test_mixed_index_dtypes_give_scipys_index_dtype():
@@ -105,7 +136,7 @@ def test_mixed_index_dtypes_give_scipys_index_dtype():
     for wa, wb in [(False, False), (True, False), (False, True), (True, True)]:
         a, b = csr(rng, 9, 7, 0.4, wa), csr(rng, 7, 11, 0.4, wb)
         got = from_csr_array(a) @ from_csr_array(b)
-        assert_same_csr(got, a @ b)
+        assert_same_csr(got, product(a, b))
         assert got.indices.dtype == (np.int64 if wa or wb else np.int32)
         c = csr(rng, 9, 7, 0.4, wb)
         assert_same_csr(from_csr_array(a).add(from_csr_array(c)), a + c)
@@ -113,14 +144,14 @@ def test_mixed_index_dtypes_give_scipys_index_dtype():
 
 def test_empty_products_are_empty_csr_arrays_of_the_product_shape():
     rng = np.random.default_rng(7)
-    a = csr(rng, 6, 4, 0.5)
-    a = sp.csr_array((a.data, np.zeros_like(a.indices), a.indptr), shape=a.shape)  # column 0 only
+    a = sp.csr_array((rng.random(6) + 0.01, np.zeros(6, np.int32), np.arange(7)),
+                     shape=(6, 4))  # column 0 only
     b = sp.csr_array((np.ones(2), [1, 2], [0, 0, 1, 2, 2]), shape=(4, 5))  # row 0 empty
     zero = sp.csr_array((4, 5))
     for left, right in [(a, b), (a, zero), (zero.T.tocsr(), b)]:
         got = from_csr_array(left) @ from_csr_array(right)
         assert got.nnz == 0 and got.is_zero() and got.triplets() == []
-        assert_same_csr(got, left @ right)
+        assert_same_csr(got, product(left, right))
         assert np.array_equal(got.row_sums(), np.zeros(got.rows))
 
 
@@ -131,7 +162,7 @@ def test_underflowed_products_keep_scipys_arrays():
     a = sp.csr_array((np.full(n, 1e-200), np.arange(n), np.arange(n + 1)), shape=(n, n))
     a[0, 1] = 0.5
     got = from_csr_array(a) @ from_csr_array(a)
-    assert_same_csr(got, a @ a)
+    assert_same_csr(got, product(a, a))
     assert got.nnz == 1 and np.array_equal(got.row_sums(), (a @ a).sum(axis=1))
     scaled = got.scaled(1e-300)  # stores its entry as a zero
     assert scaled.data.size == 1 and scaled.nnz == 0 and scaled.is_zero()
@@ -144,7 +175,7 @@ def test_word_products_of_a_csr_model_match_scipy():
         word = tuple(m.labels[i % len(m.labels)] for i in (0, 1, 1, 0, 0, 1, 0, 1, 1, 1))
         want = sp.eye_array(n, format="csr")
         for w in word:
-            want = want @ as_csr_array(m.member(w))
+            want = product(want, as_csr_array(m.member(w)))
         assert_same_csr(fm.matrix_word_product(m, word), want.astype(float))
 
 
@@ -153,12 +184,12 @@ def test_word_products_of_a_csr_model_match_scipy():
        density=st.sampled_from([0.0, 0.1, 0.5, 1.0]), chain=st.booleans(),
        wide=st.booleans())
 def test_elementwise_kernels_match_scipy(rows, cols, seed, density, chain, wide):
-    # on constructed matrices and on unsorted products alike
+    # on constructed matrices and on products alike
     rng = np.random.default_rng(seed)
     a, b = csr(rng, rows, cols, density, wide), csr(rng, rows, cols, density)
     if chain:
         c = csr(rng, cols, cols, 0.3)
-        a, b = a @ c, b @ c
+        a, b = product(a, c), product(b, c)
     A, B = from_csr_array(a), from_csr_array(b)
     x, X = rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(rows), size=3)
     assert np.array_equal(A.left_apply(x), x @ a)

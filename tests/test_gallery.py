@@ -1,9 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
 from filtermc.gallery import KESTEN_DEFAULT_START
+
+from helpers import reference_random_walk
 
 
 def test_kesten_matrix_shape_and_rows():
@@ -53,6 +59,40 @@ def test_random_walk_params_validation():
         fm.RandomWalkParams(a=(0.5,), b=(0.4, 0.3), c=(0.5, 0.3), n_trunc=2)
     ok = fm.RandomWalkParams(a=(0.5,), b=(0.25, 0.25), c=(0.75, 0.25), n_trunc=2)
     assert ok.ratio_partial_sums()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       fault=st.sampled_from([None, None, "length", "zero", "negative", "sum", "nan"]))
+def test_random_walk_arrays_match_the_tuple_loops(n, seed, fault):
+    # coefficients whose rows sum to 1, or with one fault; the same error,
+    # or the same triplets and partial sums bit for bit
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(3), size=max(n, 1))
+    rows[0] = [0.0, *rng.dirichlet(np.ones(2))]
+    a, b, c = (list(v) for v in (rows[1:, 0], rows[:, 1], rows[:, 2]))
+    if fault is not None and n >= 2:
+        where = [a, b, c][int(rng.integers(3))]
+        k = int(rng.integers(len(where)))
+        if fault == "length":
+            where.pop()
+        else:
+            where[k] = {"zero": 0.0, "negative": -where[k], "sum": where[k] + 1e-6,
+                        "nan": float("nan")}[fault]
+    a, b, c = (tuple(map(float, v)) for v in (a, b, c))
+    message, entries, sums = reference_random_walk(a, b, c, n)
+    if message is not None:
+        with pytest.raises(ModelError, match=re.escape(message)):
+            fm.random_walk_model(fm.RandomWalkParams(a, b, c, n))
+        return
+    try:
+        model = fm.random_walk_model(fm.RandomWalkParams(a, b, c, n))
+    except ModelError as exc:  # NaN passes the tuple checks; the matrix rejects it
+        assert fault == "nan" and "finite" in str(exc)
+        return
+    assert model.partition.base.inner.triplets() == entries
+    assert model.meta["ratio_partial_sums"] == sums
+    assert model.meta["boundary"]["folded_up_rate"] == c[-1]
 
 
 def test_random_walk_case_a_ratio_test_converges():
