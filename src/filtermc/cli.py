@@ -166,6 +166,10 @@ def _param(params: dict, key: str, convert, what: str, default=None):
 
 _floats = functools.partial(np.asarray, dtype=float)
 
+# the largest "n" of a random-walk case: building and writing the chain
+# peaks at about 1 KB a state, so 2**20 states take about 1.1 GB
+RANDOM_WALK_MAX_STATES = 2**20
+
 
 def _cmd_gallery(args) -> int:
     params = {}
@@ -181,6 +185,9 @@ def _cmd_gallery(args) -> int:
             case, n = params.get("case", "a"), _param(params, "n", int, "an integer", 64)
             if case not in ("a", "b"):
                 raise ModelError(f"random-walk case must be 'a' or 'b', got {case!r}")
+            if n > RANDOM_WALK_MAX_STATES:
+                raise ModelError(f"gallery param 'n' must be at most {RANDOM_WALK_MAX_STATES}, "
+                                 f"got {n}")
             model = gallery.random_walk_case_a(n) if case == "a" else gallery.random_walk_case_b(n)
         else:
             n = _param(params, "n", int, "an integer")

@@ -145,27 +145,31 @@ def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
 
 
 def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
-    """Normalised powers ``(k, H_k)``, k = 1..iters, of a word product:
+    """Normalised powers ``(k, H_k, lag)``, k = 1..iters, of a word product:
     ``H_1 = base / |base|`` and ``H_k = H_{k-1} H_1 / |H_{k-1} H_1|``.
-    Every power costs one unit; the curve ends before the first power that
-    vanishes, so a zero ``base`` yields nothing, and checking leaves each
-    power's bits as they are.  Every product stores sorted columns, so once
-    a power is stored exactly as the one before it every later power is too,
-    and from there on that same object is yielded without multiplying."""
+    Every power costs one unit; the walk ends before the first power that
+    vanishes.  A power is a function of the previous one's stored bits, so
+    once ``H_k`` is stored as ``H_{k-lag}`` they cycle: no more products are
+    formed, and from ``k`` on each comes as ``(k, None, lag)``, before with
+    ``lag`` 0.  Brent's test (*BIT* 20, 1980) against the previous power and
+    a checkpoint moved at powers of two finds period λ after μ powers within
+    2 max(μ, λ) + λ powers; besides ``H_1`` it holds two earlier powers."""
     if base.is_zero():
         return
-    H = H1 = _normalized(base)
-    fixed = False
+    H = H1 = mark = _normalized(base)
+    lag = 0
     for k in range(1, iters + 1):
-        if k > 1 and not fixed:
+        if k > 1 and not lag:
             nxt = H @ H1
             if nxt.is_zero():
                 return
             nxt = _normalized(nxt)
-            fixed = nxt._same_layout(H)
-            H = H if fixed else nxt
+            lag = 1 if nxt._same_layout(H) else k - c if nxt._same_layout(mark) else 0
+            H = nxt
+        if k & (k - 1) == 0:
+            mark, c = H, k
         budget.spent += 1
-        yield k, H
+        yield k, None if lag else H, lag
 
 
 def _word_search(m: Partition, predicate, max_len: int, budget: int):
@@ -286,14 +290,15 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     limits whose row-scale vector has zero entries.
 
     One unit of ``budget`` is one word popped by the enumeration, one power
-    of a repeated word, or one candidate product of the greedy word.  When
-    the powers of a repeated word reach a fixed point (a power stored
-    exactly as the one before it), no further products are formed, but
-    each later power still costs one unit and adds one entry, the same
-    proximity, to its curve.
+    of a repeated word, or one candidate product of the greedy word.  It is
+    checked between repeated words, and the first is walked even when the
+    enumeration spent it all, so ``examined`` can exceed ``budget`` by up to
+    ``power_iters``.  Once the powers cycle, each power stored exactly as
+    the one ``lag`` before it costs a unit but no product, and adds that
+    power's proximity to its curve again.
 
-    The curves record every value, so each power of a repeated word and
-    each greedy prefix has its proximity computed in full.  A word of the
+    The curves record every value, so each power before a cycle and each
+    greedy prefix has its proximity computed in full.  A word of the
     enumeration is only bounded first, by the distances from its first
     kept row (:func:`_first_row_spread`), which never exceed its
     proximity: when that bound already reaches the least proximity so
@@ -316,16 +321,13 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     diagnostics: dict = {"tol": tol, "row_floor": row_floor, "curves": {}}
     work = _Budget(budget)
     best: list = [float("inf"), None]  # least proximity so far and a word attaining it
-    last: list = [None, None]  # the last matrix measured and its proximity
 
-    def converged(word, H, curve=None) -> bool:
+    def converged(word, H, curve=None, lag=0) -> bool:
         # best[0] > tol while the search runs, so an exhaustive word whose
         # bound reaches it can neither converge nor improve min_proximity
         if curve is None and _first_row_spread(H, row_floor) >= best[0]:
             return False
-        # a power walk at its fixed point yields the same object again
-        prox = last[1] if H is last[0] else rank_one_proximity(H, row_floor)
-        last[:] = H, prox
+        prox = curve[-lag] if lag else rank_one_proximity(H, row_floor)
         if curve is not None:
             curve.append(prox)
         if prox < best[0]:
@@ -348,8 +350,8 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
             repeat_words = [(w,) for w in m.labels] + list(permutations(m.labels, 2))
         for unit in map(tuple, repeat_words):
             curve = diagnostics["curves"][repr(unit)] = []
-            for k, H in _power_walk(matrix_word_product(m, unit), power_iters, work):
-                if converged(unit * k, H, curve):
+            for k, H, lag in _power_walk(matrix_word_product(m, unit), power_iters, work):
+                if converged(unit * k, H, curve, lag):
                     return verdict("repeat", unit, H, repetitions=k)
             if not work.left():
                 break
@@ -406,8 +408,8 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     entry; its normalised powers then converge to rank one, and the witness
     ``(word, W)`` is returned.  None means some prerequisite word was not
     found within the budget, or the powers did not come within ``tol`` of
-    rank one in ``power_iters`` steps or reached a fixed point that is not —
-    an inconclusive outcome.
+    rank one in ``power_iters`` steps, or cycled (a fixed point is a cycle
+    of period 1) through matrices that are not — an inconclusive outcome.
     """
     if not tol >= 0:
         raise ModelError(f"tol must be nonnegative, got {tol!r}")
@@ -434,13 +436,11 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
         return None
 
     word = tuple(word_d) + tuple(word_a) + tuple(word_c) + tuple(word_b)
-    prev = None
-    for _, H in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
-        if H is prev:  # a fixed point already found above tol
+    for _, H, lag in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
+        if lag:  # the powers cycle through matrices already found above tol
             return None
         if _first_row_spread(H, row_floor) <= tol and rank_one_proximity(H, row_floor) <= tol:
             return word, H
-        prev = H
     return None
 
 

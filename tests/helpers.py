@@ -424,6 +424,17 @@ def _reference_normalized(M: NonnegMatrix) -> NonnegMatrix:
     return M.scaled(1.0 / nrm)
 
 
+def reference_powers(base: NonnegMatrix, iters: int) -> list:
+    """The normalised powers 1..iters of ``base``, every one formed from the
+    one before; the list ends before the first power that vanishes."""
+    powers: list = []
+    H = base
+    while len(powers) < iters and not H.is_zero():
+        powers.append(_reference_normalized(H))
+        H = powers[-1] @ powers[0]
+    return powers
+
+
 def reference_power_curve(m: Partition, unit: tuple, tol: float, row_floor: float, iters: int):
     base = matrix_word_product(m, unit)
     if base.is_zero():

@@ -582,6 +582,10 @@ def _perm_params(**edits) -> dict:
     ("random-walk", {"n": 8}, "gallery params need 'a'"),
     ("random-walk", {"case": "a", "n": {}}, "gallery param 'n' must be an integer, got {}"),
     ("random-walk", {"case": "a", "n": 1e400}, "gallery param 'n' must be an integer, got inf"),
+    ("random-walk", {"case": "a", "n": 2**20 + 1},
+     "gallery param 'n' must be at most 1048576, got 1048577"),
+    ("random-walk", {"case": "b", "n": 10**30},
+     f"gallery param 'n' must be at most 1048576, got {10**30}"),
     ("random-walk", {"a": [0.5], "b": 5, "c": [0.5, 0.5], "n": 2},
      "gallery param 'b' must be a list of numbers, got 5"),
     ("birkhoff", {}, "gallery params need 'matrix'"),
@@ -603,7 +607,9 @@ def _perm_params(**edits) -> dict:
      "gallery param 'base' must be a square matrix of numbers, got [[0.5, 0.5], [0.5]]"),
     ("perm-family", _perm_params(members=None), "gallery params need 'members'"),
 ], ids=["birkhoff-null", "random-walk-null", "perm-family-list", "random-walk-n-only",
-        "random-walk-n-missing-a", "random-walk-n-an-object", "random-walk-n-infinite", "random-walk-b-a-number",
+        "random-walk-n-missing-a", "random-walk-n-an-object", "random-walk-n-infinite",
+        "random-walk-case-n-beyond-bound", "random-walk-case-n-beyond-memory",
+        "random-walk-b-a-number",
         "birkhoff-no-matrix", "birkhoff-matrix-with-an-object", "perm-family-q-a-list",
         "perm-family-permutation-a-number", "perm-family-permutation-beyond-int64",
         "perm-family-d-an-object", "perm-family-d-beyond-memory", "perm-family-q-key-with-one-comma",
@@ -617,7 +623,8 @@ def test_malformed_gallery_params_are_an_error_naming_the_problem(tmp_path, caps
     # an AttributeError, a number as a permutation or "d" a TypeError, and an
     # index beyond int64 an OverflowError, a "d" beyond memory built range(d)
     # as a list, and a Q key without two commas or with a text index, a ragged
-    # base and a missing key printed their ValueError or KeyError
+    # base and a missing key printed their ValueError or KeyError; a random-walk
+    # case with an "n" beyond memory built its chain's tuples
     (tmp_path / "params.json").write_text(json.dumps(params))
     out = tmp_path / "model.json"
     assert run(["gallery", kind, "--params", str(tmp_path / "params.json"),

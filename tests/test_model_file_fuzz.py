@@ -11,11 +11,12 @@ spliced in; a run exits 0 only for a start that ``ProbVector`` accepts at
 length 8.  Measure files that ``evolve`` wrote for Birkhoff-5 get the same
 node replacements, and ``distance`` exits 0 only for a file whose atoms
 ``DiscreteMeasure`` and ``ProbVector`` accept.  So do the ``gallery
---params`` documents of Birkhoff-5, a three-state random walk and the Kesten
-perm family, and ``gallery`` exits 0 or 1.  The random walk's document is
-the form whose ``"n"`` is checked against the lengths of ``"a"``, ``"b"``
-and ``"c"``: in the ``"case"`` form ``"n"`` alone sizes the chain, so a
-random integer there would ask for a chain of that many states.
+--params`` documents of Birkhoff-5, a three-state random walk in both forms
+(coefficients, and a ``"case"`` with ``"n"``) and the Kesten perm family,
+and ``gallery`` exits 0 or 1.  In the ``"case"`` form ``"n"`` alone sizes
+the chain, up to ``RANDOM_WALK_MAX_STATES``; the test lowers that bound to
+64 states, so that an accepted random integer builds a small chain and a
+larger one meets the bound's check.
 """
 
 import json
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from filtermc import cli
 from filtermc.cli import run
 from filtermc.core_model import ProbVector
 from filtermc.filter_dynamics import DiscreteMeasure
@@ -34,7 +36,7 @@ from test_golden_cli import _B5
 _KEYS = st.sampled_from(["states", "P", "partition", "meta", "lumping", "observation",
                          "explicit", "labels", "default_start", "name", "a", "b", "0",
                          "atoms", "w", "x", "matrix", "n", "c", "base", "members", "d",
-                         "Q", "0,0,a", "1,1,b"])
+                         "Q", "0,0,a", "1,1,b", "case"])
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2, 9)
             | st.floats() | st.text(max_size=4))
 _VALUES = st.recursive(
@@ -168,21 +170,31 @@ def params(models) -> tuple:
     """Each gallery kind's params document with the paths of its nodes."""
     d, _ = models
     docs = {"birkhoff": {"matrix": _B5.tolist()}, "random-walk": _WALK3,
-            "perm-family": kesten_perm_params()}
-    for kind, doc in docs.items():
+            "random-walk case": {"case": "b", "n": 3}, "perm-family": kesten_perm_params()}
+    for name, doc in docs.items():
         (d / "params.json").write_text(json.dumps(doc))
-        assert run(["gallery", kind, "--params", str(d / "params.json"),
+        assert run(["gallery", name.split()[0], "--params", str(d / "params.json"),
                     "--out", str(d / "gallery.json")]) == 0
-    return d, {kind: (doc, list(_nodes(doc))) for kind, doc in docs.items()}
+    return d, {name: (doc, list(_nodes(doc))) for name, doc in docs.items()}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), value=_VALUES)
 def test_mutated_gallery_params_are_built_or_rejected(params, data, value):
     d, docs = params
-    kind = data.draw(st.sampled_from(sorted(docs)), label="kind")
-    doc, nodes = docs[kind]
+    name = data.draw(st.sampled_from(sorted(docs)), label="kind")
+    doc, nodes = docs[name]
     (d / "params.json").write_text(json.dumps(
         _replace(doc, data.draw(st.sampled_from(nodes), label="node"), value)))
-    assert run(["gallery", kind, "--params", str(d / "params.json"),
-                "--out", str(d / "gallery.json")]) in (0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "RANDOM_WALK_MAX_STATES", 64)
+        assert run(["gallery", name.split()[0], "--params", str(d / "params.json"),
+                    "--out", str(d / "gallery.json")]) in (0, 1)
+
+
+@pytest.mark.parametrize("n, code", [(64, 0), (65, 1)])
+def test_random_walk_case_bound_is_inclusive(tmp_path, monkeypatch, n, code):
+    monkeypatch.setattr(cli, "RANDOM_WALK_MAX_STATES", 64)
+    (tmp_path / "params.json").write_text(json.dumps({"case": "a", "n": n}))
+    assert run(["gallery", "random-walk", "--params", str(tmp_path / "params.json"),
+                "--out", str(tmp_path / "gallery.json")]) == code

@@ -32,6 +32,7 @@ from helpers import (
     reference_detect_rank_one_limit,
     reference_first_row_spread,
     reference_l1_distances,
+    reference_powers,
     reference_rank_one_proximity,
     reference_word_search,
     subrectangular_by_quantifiers,
@@ -365,7 +366,11 @@ def assert_detect_matches_reference(m, **kwargs):
     assert got.diagnostics == want.diagnostics
     assert list(got.diagnostics) == list(want.diagnostics)
     if best_word is not None:
-        H = _normalized(fm.matrix_word_product(m, best_word))
+        # normalised factor by factor: the plain product of a long repeated
+        # word can underflow where the normalised powers do not
+        H = fm.NonnegMatrix.identity(m.n)
+        for w in best_word:
+            H = _normalized(H @ m.member(w))
         assert fm.rank_one_proximity(H, got.diagnostics["row_floor"]) == pytest.approx(
             got.diagnostics["min_proximity"], rel=1e-6, abs=1e-9)
 
@@ -402,7 +407,13 @@ def test_detect_rank_one_limit_matches_reference(m, max_depth, power_iters, budg
 @given(m=small_partitions(), max_len=st.integers(1, 3), power_iters=st.integers(0, 40),
        tol=st.sampled_from([1e-6, 1e-2, 0.5]), col_bound=st.one_of(st.none(), st.integers(1, 3)))
 def test_compose_rank_one_witness_matches_reference(m, max_len, power_iters, tol, col_bound):
-    kwargs = dict(max_len=max_len, tol=tol, col_bound=col_bound, power_iters=power_iters)
+    assert_compose_matches_reference(m, max_len=max_len, tol=tol, col_bound=col_bound,
+                                     power_iters=power_iters)
+
+
+def assert_compose_matches_reference(m, **kwargs):
+    """The same witness word and a bit-equal ``W``, None on both sides, or a
+    ModelError on both sides."""
     try:
         want = reference_compose_rank_one_witness(m, **kwargs)
     except ModelError:
@@ -491,8 +502,9 @@ def test_best_word_attains_min_proximity_on_a_repeat_curve():
 
 
 # ---------------------------------------------------------------------------
-# the blocked distance kernel and the fixed-point power walk against the
-# all-pairs proximity and the pair-by-pair isometry check they replace
+# the blocked distance kernel and the cycle-detecting power walk against
+# the all-pairs proximity, the walk that forms every power and the
+# pair-by-pair isometry check they replace
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -517,7 +529,9 @@ def test_rank_one_proximity_matches_reference_on_arrays(seed, rows, cols, densit
 @given(m=small_partitions(), word=st.data())
 def test_rank_one_proximity_matches_reference_on_word_powers(m, word):
     unit = word.draw(st.lists(st.sampled_from(m.labels), min_size=1, max_size=3).map(tuple))
-    for _, H in _power_walk(fm.matrix_word_product(m, unit), 30, stability._Budget()):
+    for _, H, lag in _power_walk(fm.matrix_word_product(m, unit), 30, stability._Budget()):
+        if lag:  # every later power repeats one measured here
+            break
         for floor in (0.0, 1e-4):
             assert fm.rank_one_proximity(H, floor) == reference_rank_one_proximity(H, floor)
 
@@ -526,27 +540,67 @@ def test_rank_one_proximity_matches_reference_on_word_powers(m, word):
 def test_rank_one_proximity_matches_reference_on_random_walk_powers(n):
     m = fm.random_walk_case_a(n).partition
     for unit in ((1,), (2,), (1, 2)):
-        for k, H in _power_walk(fm.matrix_word_product(m, unit), 60, stability._Budget()):
-            if k % 5 == 1:
+        for k, H, lag in _power_walk(fm.matrix_word_product(m, unit), 60, stability._Budget()):
+            if not lag and k % 5 == 1:
                 assert fm.rank_one_proximity(H, 1e-4) == reference_rank_one_proximity(H, 1e-4)
 
 
 @pytest.mark.parametrize("n", [63, 64])
 def test_detect_rank_one_limit_matches_reference_on_random_walks(n):
-    # the check b1 defaults; on rw63 499 of the 500 powers of (1,) repeat a
-    # fixed point, and the fixed point is still measured once per power
+    # the check b1 defaults; on rw63 the powers of (1,) reach a fixed point
+    # within ten powers, and the reference forms and measures all 500
     m = fm.random_walk_case_a(n).partition
     assert_detect_matches_reference(m, tol=1e-8, max_depth=8)
     assert_detect_matches_reference(m, tol=1e-300, max_depth=2, power_iters=60,
                                     policy=("repeat", "greedy"))
 
 
-def test_power_walk_yields_its_fixed_point_again():
+def _count_products(monkeypatch) -> list:
+    """A one-element list counting ``NonnegMatrix.__matmul__`` calls from now on."""
+    count = [0]
+    matmul = fm.NonnegMatrix.__matmul__
+
+    def counted(a, b):
+        count[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(fm.NonnegMatrix, "__matmul__", counted)
+    return count
+
+
+def _record_walks(monkeypatch, base=None) -> list:
+    """The steps ``_power_walk`` yields from now on, in a list; with ``base``,
+    every walk takes its powers instead of those of the base it is given."""
+    steps = []
+    walk = stability._power_walk
+
+    def walked(given, iters, budget):
+        for step in walk(given if base is None else base, iters, budget):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(stability, "_power_walk", walked)
+    return steps
+
+
+def test_power_walk_stops_multiplying_at_its_fixed_point(monkeypatch):
     m = fm.random_walk_case_a(63).partition
-    powers = [H for _, H in _power_walk(m.member(1), 500, stability._Budget())]
-    assert len(powers) == 500
-    assert len({id(H) for H in powers}) < 10
-    assert all(H is powers[-1] for H in powers[10:])
+    base = m.member(1)
+    products = _count_products(monkeypatch)
+    budget = stability._Budget()
+    steps = list(_power_walk(base, 500, budget))
+    assert [k for k, _, _ in steps] == list(range(1, 501))
+    assert budget.spent == 500
+    fresh = [H for _, H, lag in steps if not lag]
+    assert 1 <= len(fresh) < 10
+    # from the first repeat on every power is signalled, and none is formed
+    assert all(H is None and lag == 1 for _, H, lag in steps[len(fresh):])
+    assert products == [len(fresh)]
+    # the fresh powers are pairwise distinct, and the next one is the last
+    # stored bit for bit
+    assert not any(A._same_layout(B) for i, A in enumerate(fresh) for B in fresh[:i])
+    nxt = _normalized(fresh[-1] @ fresh[0])
+    assert nxt._same_layout(fresh[-1])
 
 
 def test_compose_stops_at_a_fixed_point_that_is_not_rank_one(monkeypatch):
@@ -556,18 +610,193 @@ def test_compose_stops_at_a_fixed_point_that_is_not_rank_one(monkeypatch):
     m = fm.partition_from_lumping(random_transition(rng, 6), [0, 0, 0, 1, 1, 1])
     kwargs = dict(max_len=4, tol=1e-300, col_bound=3, power_iters=10_000)
     assert reference_compose_rank_one_witness(m, **kwargs) is None
-    powers = []
-    walk = stability._power_walk
-
-    def walked(base, iters, budget):
-        for k, H in walk(base, iters, budget):
-            powers.append(H)
-            yield k, H
-
-    monkeypatch.setattr(stability, "_power_walk", walked)
+    steps = _record_walks(monkeypatch)
     assert fm.compose_rank_one_witness(m, **kwargs) is None
-    assert 2 <= len(powers) < 100
-    assert 0.0 < reference_rank_one_proximity(powers[-1], math.sqrt(1e-300)) < 1e-15
+    # the walk is left at its first repeat, a fixed point
+    assert 2 <= len(steps) < 100
+    assert [lag for _, _, lag in steps] == [0] * (len(steps) - 1) + [1]
+    assert [k for k, _, _ in steps] == list(range(1, len(steps) + 1))
+    last = steps[-2][1]
+    assert 0.0 < reference_rank_one_proximity(last, math.sqrt(1e-300)) < 1e-15
+    assert _normalized(last @ steps[0][1])._same_layout(last)
+
+
+@pytest.mark.parametrize("period", [2, 3, 5])
+def test_compose_stops_at_a_cycle_that_is_not_rank_one(monkeypatch, period):
+    # the composed product is replaced by a scaled cyclic permutation, whose
+    # powers cycle with ``period`` and have proximity 2: the composition
+    # leaves the walk at the first repeat
+    rng = np.random.default_rng(7)
+    m = fm.partition_from_lumping(random_transition(rng, 6), [0, 0, 0, 1, 1, 1])
+    cycle = fm.NonnegMatrix.from_dense(0.3 * np.roll(np.eye(period), 1, axis=1))
+    steps = _record_walks(monkeypatch, cycle)
+    assert fm.compose_rank_one_witness(m, max_len=4, tol=1e-9, col_bound=3,
+                                       power_iters=10_000) is None
+    *fresh, (k, H, lag) = steps
+    assert (H, lag) == (None, period)
+    assert all(step[2] == 0 for step in fresh)
+    assert k <= 3 * period + 1
+
+
+def test_kesten_repeat_walk_forms_few_products(monkeypatch):
+    # the units of Kesten's filter cycle from their first power: (a,) with
+    # period 2 and (b,) with period 4, so a walk that recognised only fixed
+    # points would form a product for each of their 1,000 powers
+    m = fm.kesten_model().partition
+    products = _count_products(monkeypatch)
+    res = fm.detect_rank_one_limit(m, policy=("repeat",))
+    assert res.kind == "undecided"
+    assert res.diagnostics["examined"] == 2000
+    assert products[0] <= 20
+
+
+def _scaled_functions(rng, n: int, maps, row_weights: bool) -> fm.Partition:
+    """A partition whose member ``w`` sends state ``i`` to ``maps[w][i]`` with
+    a weight: one per member, or one per member and row when ``row_weights``.
+    The powers of a member with one weight cycle bit for bit once their
+    values settle; those of a member with a weight per row need not."""
+    k = len(maps)
+    weights = rng.dirichlet(np.ones(k), size=n if row_weights else 1)
+    weights = np.broadcast_to(weights, (n, k))
+    members = {}
+    for w, f in enumerate(maps):
+        a = np.zeros((n, n))
+        a[np.arange(n), f] = weights[:, w]
+        members[w] = a
+    base = fm.TransitionMatrix.from_dense(sum(members.values()))
+    return fm.Partition({w: fm.NonnegMatrix.from_dense(a) for w, a in members.items()}, base)
+
+
+def _spread_over_a_cycle(rng, transient: int, period: int) -> fm.Partition:
+    """Member 0 sends each of ``transient`` states to several states of a
+    cycle of length ``period``, which it walks round; member 1 takes the
+    rest of each row's mass.  Member 0's weights are powers of two, so its
+    products are exact and its powers cycle bit for bit.  Where a weight
+    round the cycle is small, the rows above the floor change with the
+    phase, and so do the proximities within one period."""
+    n = transient + period
+    a = np.zeros((n, n))
+    for t in range(transient):
+        cols = transient + rng.choice(period, size=rng.integers(1, period + 1), replace=False)
+        a[t, cols] = 2.0 ** -rng.integers(3, 14, size=cols.size)  # a row sum below 1
+    cycle = np.arange(transient, n)
+    a[cycle, np.roll(cycle, -1)] = 2.0 ** -rng.integers(0, 30, size=period)
+    rest = np.zeros((n, n))
+    rest[np.arange(n), rng.integers(0, n, n)] = 1.0 - a.sum(axis=1)
+    base = fm.TransitionMatrix.from_dense(a + rest)
+    return fm.Partition({0: fm.NonnegMatrix.from_dense(a), 1: fm.NonnegMatrix.from_dense(rest)},
+                        base)
+
+
+@st.composite
+def cycling_partitions(draw):
+    """Partitions whose unit words cycle exactly: scaled permutations with
+    periods 1 to 8, maps with a tail of two or more states before a cycle,
+    rows spread over a cycle, where the proximity changes with the phase,
+    and Kesten's filter (periods 2 and 4)."""
+    kind = draw(st.sampled_from(["permutation", "tail", "spread", "kesten"]))
+    if kind == "kesten":
+        return fm.kesten_model().partition
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spread":
+        return _spread_over_a_cycle(rng, draw(st.integers(1, 3)), draw(st.integers(2, 6)))
+    if kind == "permutation":
+        period = draw(st.integers(1, 8))
+        n = draw(st.integers(max(period, 2), 9))
+        first = np.arange(n)
+        moved = rng.permutation(n)[:period]
+        first[moved] = np.roll(moved, 1)  # one cycle of length ``period``
+    else:  # 0 -> 1 -> ... -> tail - 1 -> tail, then a cycle of length period
+        tail, period = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        n = tail + period
+        first = np.arange(1, n + 1)
+        first[-1] = tail
+    others = [rng.permutation(n) if draw(st.booleans()) else rng.integers(0, n, n)
+              for _ in range(draw(st.integers(0, 2)))]
+    return _scaled_functions(rng, n, [first] + others, draw(st.booleans()))
+
+
+def test_cycling_partitions_cycle_where_they_should():
+    # the power walk meets each cycle: a scaled permutation of period p, a
+    # map with a tail of 3 before a cycle of 4, and Kesten's units
+    rng = np.random.default_rng(3)
+    for period in range(1, 9):
+        cyc = np.roll(np.arange(period), 1)
+        m = _scaled_functions(rng, period, [cyc, np.arange(period)], row_weights=False)
+        lags = [lag for *_, lag in _power_walk(m.member(0), 40, stability._Budget())]
+        assert lags[-1] == period
+    tail = np.array([1, 2, 3, 4, 5, 6, 3])
+    m = _scaled_functions(rng, 7, [tail], row_weights=False)
+    lags = [lag for *_, lag in _power_walk(m.member(0), 40, stability._Budget())]
+    assert lags[-1] == 4 and lags.index(4) > 3
+    kesten = fm.kesten_model().partition
+    for label, period in (("a", 2), ("b", 4)):
+        lags = [lag for *_, lag in _power_walk(kesten.member(label), 40, stability._Budget())]
+        assert lags[-1] == period
+    # rows spread over a cycle of 4, whose curve takes four values a period
+    m = _spread_over_a_cycle(np.random.default_rng(2), 3, 4)
+    kwargs = dict(tol=1e-8, policy=("repeat",), repeat_words=[(0,)], power_iters=40)
+    curve = fm.detect_rank_one_limit(m, **kwargs).diagnostics["curves"][repr((0,))]
+    assert len(set(curve[-4:])) == 4 and curve[4:] == curve[:-4]
+    assert_detect_matches_reference(m, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=cycling_partitions(), data=st.data(), iters=st.integers(0, 80))
+def test_power_walk_signals_exactly_the_powers_that_repeat(m, data, iters):
+    # against every power formed: each new power is bit-equal to the one
+    # formed in full, each signalled power repeats the power ``lag`` before
+    # it, and the first repeat of a cycle of period lam after mu powers is
+    # found within 2 max(mu, lam) + lam powers, with lag == lam
+    unit = data.draw(st.lists(st.sampled_from(m.labels), min_size=1, max_size=3).map(tuple))
+    base = fm.matrix_word_product(m, unit)
+    powers = reference_powers(base, iters)
+    steps = list(_power_walk(base, iters, stability._Budget()))
+    assert [k for k, _, _ in steps] == list(range(1, len(powers) + 1))
+    first = next((k for k, _, lag in steps if lag), None)
+    for k, H, lag in steps:
+        assert (lag > 0) == (first is not None and k >= first)
+        if lag:
+            assert H is None and lag == steps[first - 1][2]
+            assert powers[k - 1]._same_layout(powers[k - 1 - lag])
+        else:
+            assert H._same_layout(powers[k - 1])
+    # the first power that repeats an earlier one, found by comparing all pairs
+    repeat = next(((k, j) for k in range(1, len(powers) + 1) for j in range(1, k)
+                   if powers[k - 1]._same_layout(powers[j - 1])), None)
+    if repeat is None:
+        assert first is None
+        return
+    mu, lam = repeat[1] - 1, repeat[0] - repeat[1]
+    if first is not None:
+        assert steps[first - 1][2] == lam and first <= 2 * max(mu, lam) + lam
+    assert first is not None or len(powers) < 2 * max(mu, lam) + lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=cycling_partitions(), max_depth=st.integers(0, 3), power_iters=st.integers(0, 70),
+       budget=st.integers(0, 400), tol=st.sampled_from([1e-300, 1e-8, 0.5]),
+       policy=st.sampled_from([("repeat",), ("exhaustive", "repeat", "greedy")]),
+       pick_units=st.booleans(), data=st.data())
+def test_detect_rank_one_limit_matches_reference_on_cycling_powers(m, max_depth, power_iters,
+                                                                   budget, tol, policy,
+                                                                   pick_units, data):
+    # bit-equal curves, equal examined, verdict and W against the walk that
+    # forms and measures every power
+    repeat_words = None
+    if pick_units:
+        words = st.lists(st.sampled_from(m.labels), min_size=1, max_size=3).map(tuple)
+        repeat_words = data.draw(st.lists(words, min_size=1, max_size=3))
+    assert_detect_matches_reference(m, tol=tol, max_depth=max_depth, power_iters=power_iters,
+                                    repeat_words=repeat_words, policy=policy, budget=budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=cycling_partitions(), max_len=st.integers(1, 3), power_iters=st.integers(0, 40),
+       tol=st.sampled_from([1e-300, 1e-6, 0.5]))
+def test_compose_rank_one_witness_matches_reference_on_cycling_partitions(m, max_len,
+                                                                          power_iters, tol):
+    assert_compose_matches_reference(m, max_len=max_len, tol=tol, power_iters=power_iters)
 
 
 def _assert_report_matches_reference(m, subset, **kwargs):
