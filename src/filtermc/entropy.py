@@ -50,20 +50,29 @@ def h(t: float) -> float:
     return -t * math.log(t) / _LN2
 
 
-class _Kahan:
-    """Compensated accumulator; summation order is the word order."""
+def _h_array(ts: np.ndarray, base: str = "log2") -> np.ndarray:
+    """``h`` of each entry of ``ts`` (``-t ln t`` for ``base="ln"``), bit-equal to
+    ``h`` entry by entry: libm's log is mapped over the entries, as ``h`` takes
+    it, since numpy's vectorised log may differ in the last bit."""
+    bad = ts[(ts < 0.0) | (ts > 1.0 + 1e-12)]
+    if bad.size:
+        h(float(bad[0]))  # raises h's error for the first one
+    out, inner = np.zeros(ts.shape), ~((ts <= 0.0) | (ts >= 1.0))
+    t = ts[inner]
+    out[inner] = -t * np.fromiter(map(math.log, t.tolist()), float, t.size)
+    return out / _LN2 if base == "log2" else out
 
-    __slots__ = ("total", "comp")
 
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
+def _kahan_fold(state: tuple[float, float], values) -> tuple[float, float]:
+    """Continue the compensated sum ``state = (total, compensation)`` over
+    ``values`` in their order."""
+    total, comp = state
+    for value in values:
+        y = value - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total, comp
 
 
 @dataclass(frozen=True)
@@ -109,46 +118,66 @@ def _block_rows(m: Partition) -> int:
     return max(1, _BLOCK_BYTES // (8 * m.num_labels * m.n))
 
 
+def _walk(m: Partition, x: np.ndarray, n_max: int, prune: float,
+          vertices=()) -> list[EntropySeries]:
+    """The series from ``x`` and from each vertex ``e_i``, ``i`` in
+    ``vertices``, by one depth-first walk (see ``entropy_bracket``).  Every
+    row on the stack carries its start's index; the starts enter in blocks
+    of ``_block_rows(m)``, each walked to the end before the next is built."""
+    k, rows = m.num_labels, _block_rows(m)
+    ids = np.array([-1, *vertices])  # start j is x if ids[j] < 0, else e_{ids[j]}
+    acc = [[(0.0, 0.0)] * ids.size for _ in range(n_max)]  # Kahan state per depth and start
+    pruned_mass, pruned_count = [0.0] * ids.size, [0] * ids.size
+    for lo in range(0, ids.size, rows):
+        b = ids[lo:lo + rows]
+        states = np.zeros((b.size, x.size))  # fan_out checks the width
+        states[b < 0] = x
+        states[np.flatnonzero(b >= 0), b[b >= 0]] = 1.0
+        # each word is its start index, then its label indices padded with -1
+        words = np.full((b.size, n_max + 1), -1, np.min_scalar_type(-max(k, ids.size)))
+        words[:, 0] = np.arange(lo, lo + b.size)
+        stack, pruned = [(0, states, np.ones(b.size), words)], []  # (depth, states, masses, words)
+        while stack:
+            depth, states, mass, words = stack.pop()
+            p, children = m.fan_out(states)
+            p, child_mass = p.ravel(), (mass[:, None] * p).ravel()
+            words = np.repeat(words, k, axis=0)
+            words[:, depth + 1] = np.tile(np.arange(k), states.shape[0])
+            cut = (p > 0.0) & (child_mass <= prune)
+            keep = (p > 0.0) & ~cut
+            pruned.append((child_mass[cut], words[cut]))
+            mass, words = child_mass[keep], words[keep]
+            who, hs = words[:, 0], _h_array(mass).tolist()
+            runs = [0, *(np.flatnonzero(who[1:] != who[:-1]) + 1).tolist(), len(hs)] if hs else []
+            for s, e in zip(runs, runs[1:]):  # the words of one start
+                acc[depth][who[s]] = _kahan_fold(acc[depth][who[s]], hs[s:e])
+            if depth + 1 < n_max:
+                nxt = children.reshape(-1, m.n)[keep]
+                nxt /= p[keep, None]  # in place, so a block holds one such array
+                for s in reversed(range(0, mass.size, rows)):
+                    stack.append((depth + 1, nxt[s:s + rows], mass[s:s + rows], words[s:s + rows]))
+            del children  # freed before the next fan_out allocates its own
+        cut_mass, cut_words = (np.concatenate(a) for a in zip(*pruned))
+        order = np.lexsort(cut_words.T[::-1])
+        for j, t in zip(cut_words[order, 0].tolist(), cut_mass[order].tolist()):
+            pruned_mass[j] += t
+            pruned_count[j] += 1
+    return [EntropySeries(values=tuple(a[j][0] for a in acc), pruned_mass=pruned_mass[j],
+                          pruned_count=pruned_count[j]) for j in range(ids.size)]
+
+
 def entropy_series(x, m: Partition, n_max: int, prune: float = DEFAULT_PRUNE) -> EntropySeries:
     """H^n for n = 1..n_max by depth-first word enumeration.
 
     Prefix masses are reused down the tree; branches of mass at most
-    ``prune`` are dropped and accounted.  The walk is depth first over blocks
-    of words of one length, each block in label order, so each horizon is
-    accumulated in word order (Kahan-compensated), and the pruned mass is
-    summed in the depth-first order of the pruned words.
+    ``prune`` are dropped and accounted.  It is ``entropy_bracket``'s walk
+    from one start, so each horizon is accumulated in word order
+    (Kahan-compensated), and the pruned mass is summed in the depth-first
+    order of the pruned words.
     """
     if n_max < 1:
         raise ModelError("entropy_series requires n_max >= 1")
-    xv = as_prob_vector(x)
-    k, rows = m.num_labels, _block_rows(m)
-    acc = [_Kahan() for _ in range(n_max)]
-    pruned, pruned_words = [], []
-    # (depth, states, prefix masses, label-index words padded with -1)
-    stack = [(0, xv.coords[None], np.ones(1), np.full((1, n_max), -1))]
-    while stack:
-        depth, states, mass, words = stack.pop()
-        p, children = m.fan_out(states)
-        p, child_mass = p.ravel(), (mass[:, None] * p).ravel()
-        words = np.repeat(words, k, axis=0)
-        words[:, depth] = np.tile(np.arange(k), states.shape[0])
-        cut = (p > 0.0) & (child_mass <= prune)
-        keep = (p > 0.0) & ~cut
-        pruned.append(child_mass[cut])
-        pruned_words.append(words[cut])
-        for t in child_mass[keep].tolist():
-            acc[depth].add(h(t))
-        if depth + 1 < n_max:
-            nxt = children.reshape(-1, m.n)[keep] / p[keep, None]
-            mass, words = child_mass[keep], words[keep]
-            for s in reversed(range(0, mass.size, rows)):
-                stack.append((depth + 1, nxt[s:s + rows], mass[s:s + rows], words[s:s + rows]))
-    pruned, pruned_words = np.concatenate(pruned), np.concatenate(pruned_words)
-    pruned_mass = 0.0
-    for t in pruned[np.lexsort(pruned_words.T[::-1])].tolist():
-        pruned_mass += t
-    return EntropySeries(values=tuple(a.total for a in acc), pruned_mass=pruned_mass,
-                         pruned_count=int(pruned.size))
+    return _walk(m, as_prob_vector(x).coords, n_max, prune)[0]
 
 
 def block_entropy(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE) -> tuple[float, float]:
@@ -173,10 +202,8 @@ def entropy_rate_increment(x, m: Partition, n: int, prune: float = DEFAULT_PRUNE
         return series.values[n] - series.values[n - 1]
     if method == "integral":
         mu = evolve(x, m, n, prune=prune)
-        total = _Kahan()
-        for weight, e in zip(mu.weights.tolist(), _one_step_entropy(mu.points, m, "log2")):
-            total.add(weight * e)
-        return total.total
+        return _kahan_fold((0.0, 0.0), (weight * e for weight, e in zip(
+            mu.weights.tolist(), _one_step_entropy(mu.points, m, "log2"))))[0]
     raise ModelError("method must be 'difference' or 'integral'")
 
 
@@ -186,13 +213,11 @@ def _one_step_entropy(points, m: Partition, base: str) -> list[float]:
     rows = _block_rows(m)
     out = []
     for s in range(0, points.shape[0], rows):
-        for masses in m.fan_out(points[s:s + rows])[0].tolist():
-            total = 0.0
-            for p in masses:
-                if p <= 0.0:
-                    continue
-                total += h(min(p, 1.0)) if base == "log2" else -p * math.log(min(p, 1.0))
-            out.append(total)
+        terms = _h_array(np.minimum(m.fan_out(points[s:s + rows])[0], 1.0), base)
+        total = np.zeros(terms.shape[0])
+        for column in terms.T:  # a label of mass 0 adds +0.0, which changes no sum
+            total += column
+        out += total.tolist()
     return out
 
 
@@ -204,27 +229,31 @@ def entropy_bracket(m: Partition, n_max: int, prune: float = DEFAULT_PRUNE,
     ``pi`` (nondecreasing in n); the upper sequence is the increment started
     at ``pi`` itself (nonincreasing).  Lower never exceeds upper, and for a
     lumping that separates every state the two meet already at n = 1.
+
+    ``pi`` and every vertex ``e_i`` with ``pi_i > _PI_FLOOR`` are walked in
+    one depth-first walk, their rows fanned out together.  Each start's
+    figures are bit-equal to a walk of its own: a fan-out row does not depend
+    on the other rows of its block, and a depth-first walk reaches the words
+    of each length in (start, word) order, so each start's horizons still
+    sum in its word order and its pruned mass in the depth-first order of
+    its pruned words (sorted with the start as the leading key).
     """
     if n_max < 1:
         raise ModelError("entropy_bracket requires n_max >= 1")
     if pi is None:
         pi = stationary_vector(m.base)
-    pi_series = entropy_series(pi, m, n_max + 1, prune=prune)
+    vertices = np.flatnonzero(pi.coords > _PI_FLOOR)
+    pi_series, *vertex_series = _walk(m, pi.coords, n_max + 1, prune, vertices)
     upper = tuple(pi_series.values[k + 1] - pi_series.values[k] for k in range(n_max))
-
-    lower_acc = [_Kahan() for _ in range(n_max)]
+    weights = pi.coords[vertices].tolist()
+    lower = tuple(_kahan_fold((0.0, 0.0), [w * (s.values[k + 1] - s.values[k]) for w, s in zip(
+        weights, vertex_series)])[0] for k in range(n_max))
     pruned_mass = pi_series.pruned_mass
+    for w, s in zip(weights, vertex_series):
+        pruned_mass += w * s.pruned_mass
     folded_tail = 0.0  # mass skipped in the lower mix
-    for i in np.flatnonzero(pi.coords > 0):
-        wi = float(pi.coords[i])
-        if wi <= _PI_FLOOR:
-            folded_tail += wi
-            continue
-        s = entropy_series(ProbVector.vertex(int(i), m.n), m, n_max + 1, prune=prune)
-        pruned_mass += wi * s.pruned_mass
-        for k in range(n_max):
-            lower_acc[k].add(wi * (s.values[k + 1] - s.values[k]))
-    lower = tuple(a.total for a in lower_acc)
+    for w in pi.coords[(pi.coords > 0) & (pi.coords <= _PI_FLOOR)].tolist():
+        folded_tail += w
     return EntropyReport(horizon=n_max, H_n=pi_series.values[n_max - 1], increment=upper[-1],
                          pruned_mass=pruned_mass + folded_tail,
                          dropped_entropy_bound=pi_series.dropped_entropy_bound,

@@ -10,7 +10,8 @@ own budget bookkeeping) for the shared search engine, the all-pairs
 distance kernel, the first-row bound and the fixed-point power walk, the
 list-based atom merge for the one filled in place, the per-label loops of
 the filter kernel (one ``left_apply`` per label) for ``Partition.fan_out``
-and its batched callers, the simulator's per-step numpy draw (one
+and its batched callers, one entropy walk per start for the bracket's
+shared walk, the simulator's per-step numpy draw (one
 ``rng.random()``, ``np.cumsum`` and ``searchsorted`` a step) for the draw
 on Python floats, the trace writer with one ``repr`` per coordinate for
 the memoised and blocked one, the triplet scans of the partition constructors
@@ -58,7 +59,7 @@ from filtermc.core_model import (
     as_prob_vector,
     label_sort_key,
 )
-from filtermc.entropy import EntropySeries, _Kahan, h
+from filtermc.entropy import _PI_FLOOR, EntropyReport, EntropySeries, h
 from filtermc.filter_dynamics import Outcome, evolve, simulate_filter
 from filtermc.kantorovich import _transport_columns
 from filtermc.stability import (
@@ -711,6 +712,22 @@ def reference_pushforward(mu: DiscreteMeasure, m: Partition, prune: float = 1e-1
                            pruned_mass=pruned_mass, pruned_count=pruned_count)
 
 
+class _Kahan:
+    """Compensated accumulator; summation order is the word order."""
+
+    __slots__ = ("total", "comp")
+
+    def __init__(self):
+        self.total = 0.0
+        self.comp = 0.0
+
+    def add(self, value: float) -> None:
+        y = value - self.comp
+        t = self.total + y
+        self.comp = (t - self.total) - y
+        self.total = t
+
+
 def reference_entropy_series(x, m: Partition, n_max: int, prune: float = 1e-12) -> EntropySeries:
     if n_max < 1:
         raise ModelError("entropy_series requires n_max >= 1")
@@ -738,6 +755,35 @@ def reference_entropy_series(x, m: Partition, n_max: int, prune: float = 1e-12) 
     rec(xv.coords, 1.0, 0)
     return EntropySeries(values=tuple(a.total for a in acc), pruned_mass=pruned_mass,
                          pruned_count=pruned_count)
+
+
+def reference_entropy_bracket(m: Partition, n_max: int, prune: float = 1e-12,
+                              pi: ProbVector | None = None) -> EntropyReport:
+    """The bracket by one walk from ``pi`` and one from each vertex ``e_i``
+    with ``pi_i > _PI_FLOOR``, each walked alone."""
+    if n_max < 1:
+        raise ModelError("entropy_bracket requires n_max >= 1")
+    if pi is None:
+        pi = stationary_vector(m.base)
+    pi_series = reference_entropy_series(pi, m, n_max + 1, prune=prune)
+    upper = tuple(pi_series.values[k + 1] - pi_series.values[k] for k in range(n_max))
+    lower_acc = [_Kahan() for _ in range(n_max)]
+    pruned_mass = pi_series.pruned_mass
+    folded_tail = 0.0
+    for i in np.flatnonzero(pi.coords > 0):
+        wi = float(pi.coords[i])
+        if wi <= _PI_FLOOR:
+            folded_tail += wi
+            continue
+        s = reference_entropy_series(ProbVector.vertex(int(i), m.n), m, n_max + 1, prune=prune)
+        pruned_mass += wi * s.pruned_mass
+        for k in range(n_max):
+            lower_acc[k].add(wi * (s.values[k + 1] - s.values[k]))
+    lower = tuple(a.total for a in lower_acc)
+    return EntropyReport(horizon=n_max, H_n=pi_series.values[n_max - 1], increment=upper[-1],
+                         pruned_mass=pruned_mass + folded_tail,
+                         dropped_entropy_bound=pi_series.dropped_entropy_bound,
+                         bracket=(lower, upper), series=pi_series)
 
 
 def reference_one_step_entropy(point: np.ndarray, m: Partition, base: str) -> float:

@@ -1,13 +1,19 @@
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
+from filtermc import entropy as entropy_mod
+from filtermc.entropy import _PI_FLOOR, _h_array
 
-from helpers import random_partition, random_transition
+from helpers import random_partition, random_transition, reference_entropy_bracket
 
 
 def two_state_chain():
@@ -26,6 +32,31 @@ def test_h_values():
         fm.h(-0.1)
     with pytest.raises(ModelError):
         fm.h(1.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ts=st.lists(st.floats(0.0, 1.0 + 1e-12) | st.sampled_from(
+    [0.0, 1.0, 1.0 + 1e-12, 5e-324, 2.2e-308, 1.0 / math.e, 1.0 - 2**-53]), max_size=40))
+@example(ts=[])
+def test_h_array_is_h_entry_by_entry(ts):
+    # every entry, in (0, 1) or at its ends and below the normal range,
+    # takes the bits h gives it; "ln" drops h's division by ln 2
+    a = np.array(ts, dtype=float)
+    assert _h_array(a).tobytes() == np.array([fm.h(t) for t in ts], dtype=float).tobytes()
+    want_ln = [-t * math.log(t) if 0.0 < t < 1.0 else 0.0 for t in ts]
+    assert _h_array(a, "ln").tobytes() == np.array(want_ln, dtype=float).tobytes()
+    assert _h_array(a.reshape(-1, 1)).tobytes() == _h_array(a).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=st.floats(max_value=-5e-324) | st.floats(min_value=1.0 + 2e-12),
+       ts=st.lists(st.floats(0.0, 1.0), max_size=5), at=st.integers(0, 5))
+def test_h_array_rejects_what_h_rejects_with_its_message(bad, ts, at):
+    with pytest.raises(ModelError) as want:
+        fm.h(bad)
+    ts.insert(min(at, len(ts)), bad)
+    with pytest.raises(ModelError, match=re.escape(str(want.value))):
+        _h_array(np.array(ts))
 
 
 def test_h_concave_with_max_at_one_over_e():
@@ -145,6 +176,67 @@ def test_bracket_report_carries_the_stationary_series():
     report = fm.entropy_bracket(k.partition, 6, prune=0.01, pi=pi)
     assert report.series == fm.entropy_series(pi, k.partition, 7, prune=0.01)
     assert report.series.pruned_count > 0
+
+
+def assert_same_report(got, want):
+    assert (got.horizon, got.bracket, got.H_n, got.increment, got.pruned_mass,
+            got.dropped_entropy_bound, got.series) == (
+        want.horizon, want.bracket, want.H_n, want.increment, want.pruned_mass,
+        want.dropped_entropy_bound, want.series)
+
+
+@st.composite
+def bracket_cases(draw):
+    """A partition with 2 to 4 labels and the ``pi`` to bracket from: the
+    stationary vector, or a vector with zero entries and entries at or
+    below ``_PI_FLOOR``, which the lower mix folds into the pruned mass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k, stationary = draw(st.integers(2, 6)), draw(st.integers(2, 4)), draw(st.booleans())
+    # a sparse chain need not be irreducible, so it gets a pi of its own
+    P = random_transition(rng, n, sparsity=0.0 if stationary else draw(st.sampled_from([0.0, 0.5])))
+    m = random_partition(rng, P, k, kind=draw(st.sampled_from(["lumping", "observation",
+                                                                "explicit"])))
+    if stationary:
+        return m, None
+    pi = rng.dirichlet(np.ones(n))
+    tiny = draw(st.lists(st.sampled_from([0.0, 0.0, 5e-324, 1e-13, _PI_FLOOR]),
+                         min_size=1, max_size=n - 1))
+    at = rng.choice(n, size=len(tiny), replace=False)
+    pi[at] = tiny
+    big = np.argmax(pi)
+    for _ in range(4):  # a sum of exactly 1 leaves the tiny entries as they are
+        pi[big] += 1.0 - pi.sum()
+    assume(pi.sum() == 1.0)
+    pi = fm.ProbVector(pi)
+    assert list(pi.coords[at]) == tiny
+    return m, pi
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=bracket_cases(), n_max=st.integers(1, 4),
+       prune=st.sampled_from([0.0, 1e-12, 1e-3, 0.05]), block_bytes=st.sampled_from([64, 2**18]))
+def test_bracket_matches_one_walk_per_start(case, n_max, prune, block_bytes):
+    # at 64 block bytes a block holds one to four rows, so starts and
+    # children of different starts are cut into many blocks
+    m, pi = case
+    want = reference_entropy_bracket(m, n_max, prune=prune, pi=pi)
+    with mock.patch.object(entropy_mod, "_BLOCK_BYTES", block_bytes):
+        got = fm.entropy_bracket(m, n_max, prune=prune, pi=pi)
+    assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("make, n_max, prune", [
+    (fm.kesten_model, 6, 0.0), (fm.kesten_model, 8, 1e-3),
+    (lambda: fm.random_walk_case_a(63), 4, 1e-12), (lambda: fm.random_walk_case_a(64), 3, 1e-4),
+    (lambda: fm.random_walk_case_a(1024), 2, 1e-12)])
+@pytest.mark.parametrize("uniform", [False, True])
+def test_bracket_matches_one_walk_per_start_on_gallery_models(make, n_max, prune, uniform):
+    # from the uniform pi every vertex is a start: rw1024 has 1,025 starts
+    # in blocks of 16 (its stationary vector is above _PI_FLOOR at 26 states)
+    m = make().partition
+    pi = fm.ProbVector(np.full(m.n, 1.0 / m.n)) if uniform else None
+    assert_same_report(fm.entropy_bracket(m, n_max, prune=prune, pi=pi),
+                       reference_entropy_bracket(m, n_max, prune=prune, pi=pi))
 
 
 def test_mc_trivial_partition_is_zero():

@@ -256,6 +256,39 @@ def test_entropy_series_memory_follows_the_block_size():
     assert peak < 16 * 2**20
 
 
+def test_bracket_fans_out_every_start_together(monkeypatch):
+    # pi and the 63 vertices share one start block, and their children
+    # share blocks; one walk per start made 243 calls over the same rows
+    m = fm.random_walk_case_a(63).partition
+    calls = [0, 0]
+    fan_out = fm.Partition.fan_out
+
+    def counted(self, x):
+        calls[0] += 1
+        calls[1] += x.shape[0]
+        return fan_out(self, x)
+
+    monkeypatch.setattr(fm.Partition, "fan_out", counted)
+    fm.entropy_bracket(m, 8)
+    assert calls[0] <= 60
+    assert calls[1] == 13_797
+
+
+def test_bracket_memory_follows_the_block_size():
+    # the uniform pi gives 1,025 starts (pi and every vertex) in blocks of
+    # 16; the children of all starts in one block would take 1,025 * 2 *
+    # 1024 doubles (16.8 MB)
+    m = fm.random_walk_case_a(1024).partition
+    pi = fm.ProbVector(np.full(m.n, 1.0 / m.n))
+    tracemalloc.start()
+    try:
+        fm.entropy_bracket(m, 2, pi=pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("make", [fm.kesten_model, lambda: fm.random_walk_case_a(64),
                                   lambda: fm.random_walk_case_a(1024)])
 def test_one_step_entropy_callers_match_the_row_loops(make):
