@@ -53,6 +53,14 @@ EXIT_UNDECIDED = 2
 _MC_KEYS = {"samples": "samples", "burn": "burn_in", "seed": "seed"}
 
 
+def _check_flag(flag: str, value, low, below=None) -> None:
+    """Raise a ModelError naming ``flag`` unless ``value`` is at least ``low``
+    and, if ``below`` is given, less than it; NaN is neither."""
+    if not (value >= low and (below is None or value < below)):
+        bound = f">= {low}" if below is None else f"in [{low}, {below})"
+        raise ModelError(f"{flag} must be {bound}, got {value!r}")
+
+
 def _start_vector(model: FilterModel, x0_arg: str | None):
     if x0_arg:
         return as_prob_vector([float(t) for t in x0_arg.split(",")])
@@ -73,6 +81,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    _check_flag("--prune", args.prune, 0, 1)  # no mass exceeds 1, so 1 prunes every word
+    _check_flag("--merge-eps", args.merge_eps, 0)  # inf merges every atom into one
     model = load_model(args.model)
     x0 = _start_vector(model, args.x0)
     mu = evolve(x0, model.partition, n=args.steps, prune=args.prune,
@@ -93,6 +103,11 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _check_flag("--max-word-len", args.max_word_len, 1)
+    if args.col_bound is not None:  # a nonzero product has a nonzero column
+        _check_flag("--col-bound", args.col_bound, 1)
+    if args.tol >= 1:  # rows of mass at most sqrt(tol) are dropped, and none has more than 1
+        raise ModelError(f"--tol must be below 1, got {args.tol!r}")
     model = load_model(args.model)
     m = model.partition
     verdict: dict = {"condition": args.condition}
@@ -234,8 +249,8 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    if args.horizon < 1:
-        raise ModelError(f"--horizon must be >= 1, got {args.horizon}")
+    _check_flag("--horizon", args.horizon, 1)
+    _check_flag("--prune", args.prune, 0, 1)
     mc = {}
     for tok in args.mc or ():
         key, _, val = tok.partition("=")

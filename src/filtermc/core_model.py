@@ -211,9 +211,10 @@ class NonnegMatrix:
         np.cumsum(np.bincount(ii, minlength=shape[0]), out=indptr[1:])
         return cls._csr(shape, indptr, jj[order].astype(idx), vv[order].astype(float, copy=False))
 
-    @classmethod
-    def _csr(cls, shape, indptr, indices, data) -> "NonnegMatrix":
-        out = object.__new__(cls)
+    @staticmethod
+    def _csr(shape, indptr, indices, data) -> "NonnegMatrix":
+        """A plain matrix on these arrays: no builder makes an unchecked subclass."""
+        out = object.__new__(NonnegMatrix)
         out.rows, out.cols = shape
         out.indptr, out.indices, out.data = indptr, indices, data
         return out
@@ -336,22 +337,23 @@ class NonnegMatrix:
         return f"NonnegMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-class TransitionMatrix:
-    """A square nonnegative matrix whose rows each sum to 1 (within tolerance)."""
+class TransitionMatrix(NonnegMatrix):
+    """A square nonnegative matrix whose rows each sum to 1 (within tolerance),
+    on the arrays of the matrix it checks; products of two are plain matrices."""
 
-    __slots__ = ("inner",)
+    __slots__ = ()
 
-    def __init__(self, inner: NonnegMatrix):
-        if inner.rows != inner.cols:
+    def __init__(self, matrix: NonnegMatrix):
+        if matrix.rows != matrix.cols:
             raise ModelError("TransitionMatrix must be square")
-        rs = inner.row_sums()
+        rs = matrix.row_sums()
         bad = np.abs(rs - 1.0) > PROB_ATOL
         if bad.any():
             i = int(np.argmax(bad))
-            raise ModelError(
-                f"TransitionMatrix row {i} sums to {float(rs[i])!r}, not 1 within {PROB_ATOL}"
-            )
-        self.inner = inner
+            raise ModelError(f"TransitionMatrix row {i} sums to {float(rs[i])!r}, "
+                             f"not 1 within {PROB_ATOL}")
+        for slot in NonnegMatrix.__slots__:
+            setattr(self, slot, getattr(matrix, slot))
 
     @classmethod
     def from_dense(cls, arr) -> "TransitionMatrix":
@@ -359,19 +361,10 @@ class TransitionMatrix:
 
     @property
     def n(self) -> int:
-        return self.inner.rows
-
-    def toarray(self) -> np.ndarray:
-        return self.inner.toarray()
-
-    def left_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.inner.left_apply(x)
-
-    def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        return TransitionMatrix(self.inner @ other.inner)
+        return self.rows
 
     def __repr__(self) -> str:
-        return f"TransitionMatrix(n={self.n}, nnz={self.inner.nnz})"
+        return f"TransitionMatrix(n={self.n}, nnz={self.nnz})"
 
 
 class Partition:
@@ -396,7 +389,7 @@ class Partition:
             if (m.rows, m.cols) != (n, n):
                 raise ModelError(f"Partition member {w!r} has wrong dimensions")
         total = functools.reduce(NonnegMatrix.add, (members[w] for w in labels))
-        diff = _kernel_result(_sparsetools.csr_minus_csr, (n, n), total, base.inner)
+        diff = _kernel_result(_sparsetools.csr_minus_csr, (n, n), total, base)
         dev = float(np.abs(diff.data).max(initial=0.0))
         if dev > PARTITION_ATOL:
             raise ModelError(
@@ -414,7 +407,7 @@ class Partition:
     @classmethod
     def trivial(cls, P: TransitionMatrix, label="w0") -> "Partition":
         """One-member partition {P}; induces the deterministic filter x -> xP."""
-        return cls({label: P.inner}, P)
+        return cls({label: P}, P)
 
     @property
     def n(self) -> int:
@@ -506,7 +499,8 @@ def _lumping_as_list(g, n: int) -> list:
 
 def partition_from_lumping(P: TransitionMatrix, g) -> Partition:
     """Partition determined by a lumping function: member ``M(a)`` keeps
-    exactly the columns ``j`` with ``g(j) == a``.
+    exactly the columns ``j`` with ``g(j) == a``.  This is the observation
+    partition of the 0/1 matrix ``R[j, a] = [g(j) == a]``.
 
     ``g`` may be a sequence of labels (one per state), a mapping, or a
     callable on states.
@@ -517,16 +511,10 @@ def partition_from_lumping(P: TransitionMatrix, g) -> Partition:
         labels = sorted(set(gl), key=label_sort_key)
     except TypeError:  # a list label, say, from a model file
         raise ModelError("lumping labels must be hashable: ints, strings or tuples of those") from None
-    if not labels:
-        raise ModelError("Partition label set is empty")
     index = {a: t for t, a in enumerate(labels)}
-    ii, jj, vv = P.inner._entries()
-    col_label = np.array([index[a] for a in gl])[jj]
-    members = {}
-    for t, a in enumerate(labels):
-        sel = col_label == t
-        members[a] = NonnegMatrix._from_entries((n, n), ii[sel], jj[sel], vv[sel])
-    return Partition(members, P)
+    R = NonnegMatrix._csr((n, len(labels)), np.arange(n + 1), np.array([index[a] for a in gl]),
+                          np.ones(n))
+    return partition_from_observation(P, R, labels)
 
 
 def partition_from_observation(P: TransitionMatrix, R, labels: Sequence | None = None) -> Partition:
@@ -537,29 +525,35 @@ def partition_from_observation(P: TransitionMatrix, R, labels: Sequence | None =
     states of ``P`` and each row must sum to 1.  A 0/1-valued ``R`` reproduces
     the lumping construction exactly.
     """
-    Rm = R.inner if isinstance(R, TransitionMatrix) else R
-    Rm = Rm if isinstance(Rm, NonnegMatrix) else NonnegMatrix.from_dense(Rm)
+    Rm = R if isinstance(R, NonnegMatrix) else NonnegMatrix.from_dense(R)
     n = P.n
     if Rm.rows != n:
         raise ModelError("observation matrix rows must be indexed by the states of P")
-    rs = Rm.row_sums()
-    if np.abs(rs - 1.0).max() > PROB_ATOL:
+    if np.abs(Rm.row_sums() - 1.0).max() > PROB_ATOL:
         raise ModelError("observation matrix rows must sum to 1")
     k = Rm.cols
     if labels is None:
         labels = list(range(k))
     elif len(labels) != k:
         raise ModelError("labels length must match observation matrix columns")
-    Rd = Rm.toarray()
-    ii, jj, vv = P.inner._entries()
-    members = {}
-    for a_idx, a in enumerate(labels):
-        sel = Rd[jj, a_idx] > 0.0
-        values = vv[sel] * Rd[jj[sel], a_idx]
-        if (values <= 0).any():  # underflow
-            raise ModelError("NonnegMatrix stored values must be strictly positive")
-        members[a] = NonnegMatrix._from_entries((n, n), ii[sel], jj[sel], values)
-    return Partition(members, P)
+    # pair each entry (i, j) of P with each stored (j, a): the slots of R's row j
+    ii, jj, vv = P._entries()
+    count = np.diff(Rm.indptr)[jj]
+    pair = np.repeat(np.arange(jj.size), count)
+    slot = np.arange(pair.size) + np.repeat(Rm.indptr[jj] - (np.cumsum(count) - count), count)
+    stored = Rm.data[slot] > 0.0  # R's stored zeros make no entries
+    pair, slot = pair[stored], slot[stored]
+    values = vv[pair] * Rm.data[slot]
+    if (values <= 0).any():  # underflow
+        raise ModelError("NonnegMatrix stored values must be strictly positive")
+    # one stable sort splits the products by label; _from_entries sorts each member
+    label = Rm.indices[slot].astype(np.min_scalar_type(k))  # small labels sort by radix
+    order = np.argsort(label, kind="stable")
+    pair = pair[order]
+    ii, jj, values = ii[pair], jj[pair], values[order]
+    ends = np.cumsum(np.bincount(label, minlength=k)).tolist()
+    return Partition({a: NonnegMatrix._from_entries((n, n), ii[s:e], jj[s:e], values[s:e])
+                      for a, s, e in zip(labels, [0] + ends, ends)}, P)
 
 
 def partition_product(m1: Partition, m2: Partition) -> Partition:
@@ -573,7 +567,7 @@ def partition_product(m1: Partition, m2: Partition) -> Partition:
     for w1, a in m1:
         for w2, b in m2:
             members[(w1, w2)] = a @ b
-    return Partition(members, m1.base @ m2.base)
+    return Partition(members, TransitionMatrix(m1.base @ m2.base))
 
 
 def partition_power(m: Partition, k: int) -> Partition:
@@ -584,7 +578,7 @@ def partition_power(m: Partition, k: int) -> Partition:
     base = m.base
     for _ in range(k - 1):
         members = {w + (w2,): M @ M2 for w, M in members.items() for w2, M2 in m}
-        base = base @ m.base
+        base = TransitionMatrix(base @ m.base)
     return Partition(members, base)
 
 
@@ -617,9 +611,8 @@ def check_irreducible_aperiodic(P) -> dict:
     without internal edges are ignored.  Works on the positive entries in
     CSR form, so time and memory grow with the number of nonzeros.
     """
-    M = P.inner if isinstance(P, TransitionMatrix) else P
-    n = M.rows
-    u, v, _ = M._entries()
+    n = P.rows
+    u, v, _ = P._entries()
     graph = sp.csr_array((np.ones(u.size), (u, v)), shape=(n, n))
     ncomp, comp = connected_components(graph, directed=True, connection="strong")
     inside = comp[u] == comp[v]
@@ -690,10 +683,10 @@ def stationary_vector(P: TransitionMatrix, tol: float = 1e-12) -> ProbVector:
     verdict = check_irreducible_aperiodic(P)
     if not (verdict["irreducible"] and verdict["aperiodic"]):
         raise ModelError(f"stationary_vector requires an irreducible aperiodic chain, got {verdict}")
-    k = int(np.argmax(_pinned_solution(P.inner, 0, leak=1e-9)))
-    x = np.maximum(_pinned_solution(P.inner, k), 0.0)
+    k = int(np.argmax(_pinned_solution(P, 0, leak=1e-9)))
+    x = np.maximum(_pinned_solution(P, k), 0.0)
     x /= x.sum()
-    residual = float(np.abs(P.left_apply(x) - x * P.inner.row_sums()).sum())
+    residual = float(np.abs(P.left_apply(x) - x * P.row_sums()).sum())
     if not residual <= tol:
         raise ModelError(f"stationary solve residual {residual!r} exceeds {tol}")
     return ProbVector(x)
@@ -900,7 +893,7 @@ def save_model(model: FilterModel, path) -> None:
     """
     _write_json({
         "states": model.n,
-        "P": model.partition.base.inner.triplets(),
+        "P": model.partition.base.triplets(),
         "partition": _partition_spec(model),
         "meta": {k: v for k, v in model.meta.items() if k != "partition_spec"},
     }, path)

@@ -105,10 +105,11 @@ class RandomWalkParams:
         return tuple(np.asarray(v, dtype=float) for v in (self.a, self.b, self.c))
 
     def ratio_partial_sums(self) -> list[float]:
-        """Partial sums of prod_{i<=k} c[i-1]/a[i]; boundedness of these is
-        the positive-recurrence proxy for the untruncated chain."""
+        """Partial sums of prod_{i<=k} c[i-1]/a[i], inf where they overflow;
+        boundedness of these is the positive-recurrence proxy for the untruncated chain."""
         a, _, c = self._arrays()
-        return np.cumsum(np.cumprod(c[:-1] / a)).tolist()
+        with np.errstate(over="ignore"):  # an upward drift makes them unbounded
+            return np.cumsum(np.cumprod(c[:-1] / a)).tolist()
 
 
 def random_walk_model(params: RandomWalkParams) -> FilterModel:
@@ -287,10 +288,7 @@ def birkhoff_decompose(D, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
     pairs with weights summing to 1 reconstructing ``D`` entrywise; at most
     (n-1)^2 + 1 terms.
     """
-    if isinstance(D, (TransitionMatrix, NonnegMatrix)):
-        a = D.toarray()
-    else:
-        a = np.asarray(D, dtype=float)
+    a = D.toarray() if isinstance(D, NonnegMatrix) else np.asarray(D, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ModelError("birkhoff_decompose expects a square matrix")
     n = a.shape[0]

@@ -144,21 +144,13 @@ def kantorovich_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[floa
     if not (np.isfinite(C).all() and np.isfinite(weights).all()):
         raise ModelError("kantorovich_distance requires finite weights and points")
     m, n = C.shape
-    if m == 1:
-        entries = tuple((0, j, float(wj)) for j, wj in enumerate(nu.weights))
-        cost = float((C[0] * nu.weights).sum())
-        return cost, TransportPlan(entries, cost)
-    if n == 1:
-        entries = tuple((i, 0, float(wi)) for i, wi in enumerate(mu.weights))
-        cost = float((mu.weights * C[:, 0]).sum())
-        return cost, TransportPlan(entries, cost)
-
-    plan = _solve_highs(C.ravel(), weights[:-1], m, n).reshape(m, n)
-    plan[plan < 0] = 0.0
-    entries = tuple(
-        (int(i), int(j), float(plan[i, j]))
-        for i, j in zip(*np.nonzero(plan > 1e-15))
-    )
+    if min(m, n) == 1:  # the one coupling; a lone atom's weight is exactly 1.0
+        plan = np.outer(mu.weights, nu.weights)
+        entries = tuple((i, j, float(plan[i, j])) for i in range(m) for j in range(n))
+    else:
+        plan = _solve_highs(C.ravel(), weights[:-1], m, n).reshape(m, n)
+        plan[plan < 0] = 0.0
+        entries = tuple((int(i), int(j), float(plan[i, j])) for i, j in zip(*np.nonzero(plan > 1e-15)))
     cost = float((plan * C).sum())
     return cost, TransportPlan(entries, cost)
 
@@ -291,7 +283,7 @@ def fiber_mass_check(mu: DiscreteMeasure, i: int, q=None) -> FiberMassResult:
     """For a measure with barycenter ``q``: mass of ``{x : x_i >= q_i / 2}``,
     which is always at least ``q_i / 2``."""
     qv = as_prob_vector(q) if q is not None else barycenter(mu)
-    if float(np.abs(barycenter(mu).coords - qv.coords).sum()) > 1e-9:
+    if distance_to_fiber(mu, qv) > 1e-9:
         raise ModelError("measure barycenter does not match q")
     qi = float(qv.coords[i])
     if qi <= 0:

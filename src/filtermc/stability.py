@@ -127,11 +127,14 @@ def _exhaustive_walk(m: Partition, depth: int, budget: _Budget):
 def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
     """One word extended by the label maximising the product norm, yielded
     as ``(word, normalised product)`` after each step.  Every candidate
-    product costs one unit; ties break towards the earlier label."""
+    product costs one unit, and the walk ends before a candidate the budget
+    cannot pay for; ties break towards the earlier label."""
     word, prod = (), NonnegMatrix.identity(m.n)
-    while len(word) < max_len and budget.left():
+    while len(word) < max_len:
         best = None
         for w in m.labels:
+            if not budget.left():
+                return
             cand = prod @ m.member(w)
             budget.spent += 1
             nrm = operator_norm(cand)
@@ -148,17 +151,20 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
     """Normalised powers ``(k, H_k, lag)``, k = 1..iters, of a word product:
     ``H_1 = base / |base|`` and ``H_k = H_{k-1} H_1 / |H_{k-1} H_1|``.
     Every power costs one unit; the walk ends before the first power that
-    vanishes.  A power is a function of the previous one's stored bits, so
-    once ``H_k`` is stored as ``H_{k-lag}`` they cycle: no more products are
-    formed, and from ``k`` on each comes as ``(k, None, lag)``, before with
-    ``lag`` 0.  Brent's test (*BIT* 20, 1980) against the previous power and
-    a checkpoint moved at powers of two finds period λ after μ powers within
+    vanishes, which costs none, or that the budget cannot pay for.  A power
+    is a function of the previous one's stored bits, so once ``H_k`` is
+    stored as ``H_{k-lag}`` they cycle: no more products are formed, and
+    from ``k`` on each comes as ``(k, None, lag)``, before with ``lag`` 0.
+    Brent's test (*BIT* 20, 1980) against the previous power and a
+    checkpoint moved at powers of two finds period λ after μ powers within
     2 max(μ, λ) + λ powers; besides ``H_1`` it holds two earlier powers."""
     if base.is_zero():
         return
     H = H1 = mark = _normalized(base)
     lag = 0
     for k in range(1, iters + 1):
+        if not budget.left():
+            return
         if k > 1 and not lag:
             nxt = H @ H1
             if nxt.is_zero():
@@ -291,11 +297,11 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
 
     One unit of ``budget`` is one word popped by the enumeration, one power
     of a repeated word, or one candidate product of the greedy word.  It is
-    checked between repeated words, and the first is walked even when the
-    enumeration spent it all, so ``examined`` can exceed ``budget`` by up to
-    ``power_iters``.  Once the powers cycle, each power stored exactly as
-    the one ``lag`` before it costs a unit but no product, and adds that
-    power's proximity to its curve again.
+    checked before each of them, so ``examined`` never exceeds ``budget``;
+    a repeated word reached with the budget spent gets an empty curve.  Once
+    the powers cycle, each power stored exactly as the one ``lag`` before it
+    costs a unit but no product, and adds that power's proximity to its
+    curve again.
 
     The curves record every value, so each power before a cycle and each
     greedy prefix has its proximity computed in full.  A word of the
@@ -353,8 +359,6 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
             for k, H, lag in _power_walk(matrix_word_product(m, unit), power_iters, work):
                 if converged(unit * k, H, curve, lag):
                     return verdict("repeat", unit, H, repetitions=k)
-            if not work.left():
-                break
 
     if "greedy" in policy and work.left():
         curve = diagnostics["curves"]["greedy"] = []
@@ -516,7 +520,8 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     2. the set of words with positive mass does not depend on the start;
     3. the normalised word action is an exact l1 isometry between starts.
 
-    Vertices of the subset are always included among the samples.  An
+    Vertices of the subset are always included among the samples, besides
+    ``sample_count`` random points; a negative count raises.  An
     ``n_max`` below 1 raises :class:`ModelError`: no word would be active,
     and every hypothesis would pass vacuously.
     """
@@ -528,6 +533,8 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
         raise ModelError("subset index out of range")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
+    if sample_count < 0:
+        raise ModelError(f"sample_count (--samples) must be >= 0, got {sample_count}")
     rng = np.random.default_rng(seed)
     samples = np.zeros((len(subset) + sample_count, n))
     samples[np.arange(len(subset)), subset] = 1.0

@@ -132,7 +132,7 @@ def random_partition(rng, P: TransitionMatrix, num_labels: int, kind: str | None
         return partition_from_observation(P, NonnegMatrix.from_dense(R))
     # explicit: split every entry across labels with positive weights
     members = {a: [] for a in range(num_labels)}
-    for i, j, v in P.inner.triplets():
+    for i, j, v in P.triplets():
         weights = rng.dirichlet(np.ones(num_labels))
         weights = np.maximum(weights, 1e-12)
         weights /= weights.sum()
@@ -401,9 +401,11 @@ def reference_word_search(m: Partition, predicate, max_len: int, budget: int):
 
     word: tuple = ()
     prod = NonnegMatrix.identity(m.n)
-    while len(word) < max_len and examined < budget:
+    while len(word) < max_len:
         best = None
         for w in labels:
+            if examined >= budget:  # no candidate is formed past the budget
+                return None
             cand = prod @ m.member(w)
             examined += 1
             nrm = operator_norm(cand)
@@ -495,7 +497,9 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
             pairs = [(w1, w2) for w1 in m.labels for w2 in m.labels if (w1,) != (w2,)]
             repeat_words = singles + pairs
         for unit in repeat_words:
-            curve, W, reps = reference_power_curve(m, tuple(unit), tol, row_floor, power_iters)
+            # no power is formed past the budget
+            curve, W, reps = reference_power_curve(m, tuple(unit), tol, row_floor,
+                                                   min(power_iters, budget - examined))
             examined += len(curve)
             diagnostics["curves"][repr(tuple(unit))] = curve
             if curve:
@@ -508,23 +512,24 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
                 return StabilityVerdict("b1_converged", word=tuple(unit), W=W,
                                         diagnostics=diagnostics | {
                                             "policy": "repeat", "repetitions": reps})
-            if examined >= budget:
-                break
 
     if "greedy" in policy and examined < budget:
         word: tuple = ()
         prod = NonnegMatrix.identity(m.n)
         curve = []
         greedy_len = max(32, 2 * m.n)
-        while len(word) < greedy_len and examined < budget:
-            best = None
+        while len(word) < greedy_len:
+            best, paid = None, True
             for w in m.labels:
+                if examined >= budget:  # no candidate is formed past the budget
+                    paid = False
+                    break
                 cand = prod @ m.member(w)
                 examined += 1
                 nrm = operator_norm(cand)
                 if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
                     best = (w, cand, nrm)
-            if best is None:
+            if best is None or not paid:
                 break
             word = word + (best[0],)
             prod = best[1].scaled(1.0 / best[2])
@@ -599,7 +604,7 @@ def reference_partition_from_lumping(P: TransitionMatrix, g) -> Partition:
     members = {}
     for a in sorted(set(gl), key=label_sort_key):
         cols = {j for j, lab in enumerate(gl) if lab == a}
-        members[a] = NonnegMatrix(P.n, P.n, [(i, j, v) for i, j, v in P.inner.triplets()
+        members[a] = NonnegMatrix(P.n, P.n, [(i, j, v) for i, j, v in P.triplets()
                                              if j in cols])
     return Partition(members, P)
 
@@ -608,7 +613,7 @@ def reference_partition_from_observation(P: TransitionMatrix, R) -> Partition:
     Rd = np.asarray(R, dtype=float)
     members = {}
     for a in range(Rd.shape[1]):
-        members[a] = NonnegMatrix(P.n, P.n, [(i, j, v * Rd[j, a]) for i, j, v in P.inner.triplets()
+        members[a] = NonnegMatrix(P.n, P.n, [(i, j, v * Rd[j, a]) for i, j, v in P.triplets()
                                              if Rd[j, a] > 0.0])
     return Partition(members, P)
 
@@ -899,8 +904,7 @@ def reference_trace_csv(trace: FilterTrace, path) -> None:
 # ---------------------------------------------------------------------------
 
 def reference_check_irreducible_aperiodic(P) -> dict:
-    M = P.inner if isinstance(P, TransitionMatrix) else P
-    a = M.toarray() > 0
+    a = P.toarray() > 0
     ncomp, comp = connected_components(sp.csr_matrix(a), directed=True, connection="strong")
     irreducible = bool(ncomp == 1)
 

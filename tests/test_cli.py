@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc.cli import build_parser, run
@@ -665,3 +669,70 @@ def test_entropy_checks_the_horizon_before_anything_else(tmp_path, capsys, keste
     assert run(["entropy", "--model", str(kesten_file), "--horizon", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: --horizon must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # merging and pruning were off: 4 atoms where the default writes 3
+    (["evolve", "--steps", "2", "--merge-eps", "nan"], "--merge-eps must be >= 0, got nan"),
+    (["evolve", "--steps", "2", "--prune", "nan"], "--prune must be in [0, 1), got nan"),
+    (["entropy", "--horizon", "2", "--prune", "nan"], "--prune must be in [0, 1), got nan"),
+    # exited 0 with every H_n 0.0 and pruned_mass 1.0
+    (["entropy", "--horizon", "2", "--prune", "inf"], "--prune must be in [0, 1), got inf"),
+    (["evolve", "--steps", "2", "--prune", "1.0"], "--prune must be in [0, 1), got 1.0"),
+    # said "rank_one_proximity: all rows at or below the floor"
+    (["check", "--condition", "b1", "--tol", "inf"], "--tol must be below 1, got inf"),
+    (["check", "--condition", "thm93", "--tol", "1"], "--tol must be below 1, got 1.0"),
+    # exited 2, undecided
+    (["check", "--condition", "b1", "--max-word-len", "-1"], "--max-word-len must be >= 1, got -1"),
+    (["check", "--condition", "a", "--max-word-len", "0"], "--max-word-len must be >= 1, got 0"),
+    (["check", "--condition", "localizing", "--col-bound", "-3"], "--col-bound must be >= 1, got -3"),
+    # an IndexError out of `run`
+    (["check", "--condition", "thm11", "--subset", "0,1", "--samples", "-1"],
+     "sample_count (--samples) must be >= 0, got -1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_a_numeric_flag_out_of_range_is_an_error_naming_it(tmp_path, capsys, kesten_file,
+                                                           argv, flag):
+    out = tmp_path / "out"
+    assert run([argv[0], "--model", str(kesten_file), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag}\n"
+    assert not out.exists()
+
+
+def test_merge_eps_inf_is_accepted_and_merges_every_atom(tmp_path, capsys, kesten_file):
+    out = tmp_path / "mu.json"
+    assert run(["evolve", "--model", str(kesten_file), "--steps", "2", "--merge-eps", "inf",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("atoms=1 ")
+
+
+_NUMERIC_FLAGS = [
+    (["simulate", "--steps", "2"], "--steps"), (["simulate", "--steps", "2"], "--seed"),
+    (["evolve", "--steps", "2"], "--steps"), (["evolve", "--steps", "2"], "--prune"),
+    (["evolve", "--steps", "2"], "--merge-eps"),
+    (["entropy", "--horizon", "2"], "--horizon"), (["entropy", "--horizon", "2"], "--prune"),
+    (["entropy", "--horizon", "1", "--mc"], "samples="), (["entropy", "--horizon", "1", "--mc"], "burn="),
+    (["check", "--condition", "a"], "--max-word-len"),
+    (["check", "--condition", "localizing"], "--col-bound"),
+    (["check", "--condition", "b1", "--max-word-len", "2"], "--tol"),
+    (["check", "--condition", "thm93", "--max-word-len", "2"], "--tol"),
+    (["check", "--condition", "thm11", "--subset", "0,1", "--depth", "2"], "--samples"),
+    (["check", "--condition", "thm11", "--subset", "0,1", "--samples", "2"], "--depth"),
+    (["check", "--condition", "thm11", "--subset", "0,1", "--depth", "2"], "--seed"),
+]
+
+
+@settings(max_examples=160, deadline=None)
+@given(case=st.sampled_from(_NUMERIC_FLAGS),
+       value=st.sampled_from(["-3", "-1", "0", "nan", "inf", "-inf", "1", "2", "1e-3", "0.5"]))
+@example(case=_NUMERIC_FLAGS[13], value="-1")  # an IndexError out of `run`
+def test_numeric_flags_end_in_an_exit_code_not_a_traceback(kesten_file, case, value):
+    # every value is small: `simulate --steps 10000000000` would draw one
+    # array of that many numbers, and `thm11 --depth 40` walk 2**40 words
+    argv, flag = case
+    setting = [flag + value] if flag.endswith("=") else [flag, value]
+    if flag == "burn=":
+        setting = ["samples=100", *setting]
+    out = Path(kesten_file).parent / "fuzz.out"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run([argv[0], "--model", str(kesten_file), *argv[1:], *setting, "--out", str(out)])
+    assert code in (0, 1, 2)

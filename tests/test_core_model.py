@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,63 @@ def test_a_bad_row_sum_is_printed_as_a_plain_float(n):
     with pytest.raises(ModelError) as exc:
         fm.TransitionMatrix.from_dense(P)
     assert str(exc.value) == "TransitionMatrix row 1 sums to 1.1, not 1 within 1e-09"
+
+
+def test_transition_matrix_is_a_checked_nonneg_matrix():
+    bad = np.eye(3)
+    bad[2, 0] = 0.5
+    for build in (fm.TransitionMatrix.from_dense, lambda a: fm.TransitionMatrix(
+            fm.NonnegMatrix.from_dense(a))):
+        with pytest.raises(ModelError) as exc:
+            build(bad)
+        assert str(exc.value) == "TransitionMatrix row 2 sums to 1.5, not 1 within 1e-09"
+    with pytest.raises(ModelError, match="must be square"):
+        fm.TransitionMatrix(fm.NonnegMatrix.from_dense([[0.5, 0.5]]))
+    # a valid matrix is checked on its source's own arrays
+    source = fm.NonnegMatrix.from_dense([[0.25, 0.75], [1.0, 0.0]])
+    P = fm.TransitionMatrix(source)
+    assert isinstance(P, fm.NonnegMatrix) and (P.n, P.rows, P.cols) == (2, 2, 2)
+    assert all(getattr(P, k) is getattr(source, k) for k in ("indptr", "indices", "data"))
+    assert repr(P) == "TransitionMatrix(n=2, nnz=3)"
+    # products and inherited builders give plain matrices, never unchecked ones
+    for M in (P @ P, P.add(P), P.scaled(0.5), fm.TransitionMatrix.identity(2),
+              fm.TransitionMatrix._from_entries((2, 2), np.array([0]), np.array([1]), np.ones(1))):
+        assert type(M) is fm.NonnegMatrix
+    # the base of a product partition is checked as before: rows off 1 by
+    # 0.9e-9 pass, but their product's rows are off by 1.8e-9
+    loose = fm.TransitionMatrix(fm.NonnegMatrix.from_dense(np.full((2, 2), 0.5)).scaled(1 + 9e-10))
+    m = fm.Partition.trivial(loose)
+    with pytest.raises(ModelError, match="TransitionMatrix row 0 sums to"):
+        fm.partition_product(m, m)
+    with pytest.raises(ModelError, match="TransitionMatrix row 0 sums to"):
+        fm.partition_power(m, 2)
+    assert type(fm.partition_power(fm.Partition.trivial(P), 3).base) is fm.TransitionMatrix
+
+
+def test_observation_partition_takes_no_dense_copy_of_r():
+    # the identity as R gives one member per state; a dense copy of R alone
+    # takes 2048**2 doubles (33.6 MB)
+    P = fm.random_walk_case_a(2048).partition.base
+    R = fm.NonnegMatrix.identity(P.n)
+    tracemalloc.start()
+    try:
+        m = fm.partition_from_observation(P, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * P.n**2
+    assert m.num_labels == P.n and m.member(5).triplets() == [(i, 5, v) for i, j, v in P.triplets()
+                                                               if j == 5]
+
+
+def test_observation_partition_skips_stored_zeros_of_r():
+    # scaling can store an underflowed zero; it makes no entry, as a dense zero made none
+    P = fm.TransitionMatrix.from_dense([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.6, 0.0, 0.4]])
+    R = fm.NonnegMatrix._csr((3, 2), np.array([0, 2, 3, 5]), np.array([0, 1, 1, 0, 1]),
+                             np.array([1.0, 0.0, 1.0, 0.5, 0.5]))
+    m = fm.partition_from_observation(P, R)
+    assert m.member(0).triplets() == [(0, 0, 0.5), (1, 2, 0.375), (2, 0, 0.6), (2, 2, 0.2)]
+    assert m.member(1).triplets() == [(0, 1, 0.5), (1, 1, 0.25), (1, 2, 0.375), (2, 2, 0.2)]
 
 
 def test_lumping_splits_columns():
@@ -345,9 +403,9 @@ def test_model_file_roundtrip_explicit_labels(labels, seed):
     rng = np.random.default_rng(seed)
     n = 4
     P = random_transition(rng, n, sparsity=0.3)
-    split = rng.dirichlet(np.ones(len(labels)), size=len(P.inner.triplets()))
+    split = rng.dirichlet(np.ones(len(labels)), size=len(P.triplets()))
     members = {w: fm.NonnegMatrix(n, n, [(i, j, v * split[t, a])
-                                         for t, (i, j, v) in enumerate(P.inner.triplets())])
+                                         for t, (i, j, v) in enumerate(P.triplets())])
                for a, w in enumerate(labels)}
     model = fm.FilterModel(fm.Partition(members, P))
     x0 = rng.dirichlet(np.ones(n))

@@ -102,7 +102,7 @@ def test_every_matrix_stores_sorted_columns(n, k, seed, density, power, word):
     m = random_partition(rng, random_transition(rng, n, sparsity=0.5), k)
     chained = built
     for _ in range(3):  # the product kernel leaves these columns unsorted
-        chained = chained @ m.base.inner
+        chained = chained @ m.base
     mats = [built, other, NonnegMatrix.identity(n), built @ other, other @ built, chained,
             built.add(other), chained.scaled(1e-300), m._stack,
             fm.matrix_word_product(m, [m.labels[i % m.num_labels] for i in word]),
@@ -240,6 +240,6 @@ def test_partition_deviation_is_the_largest_entry_of_the_difference(n):
     w0 = m.labels[0]
     M0 = off[w0]
     off[w0] = NonnegMatrix._csr((n, n), M0.indptr, M0.indices, M0.data * (1 + 1e-6))
-    want = abs(sum(as_csr_array(M) for M in off.values()) - as_csr_array(P.inner)).max()
+    want = abs(sum(as_csr_array(M) for M in off.values()) - as_csr_array(P)).max()
     with pytest.raises(fm.ModelError, match=f"within {float(want)!r} >"):
         fm.Partition(off, P)

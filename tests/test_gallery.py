@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -90,9 +91,23 @@ def test_random_walk_arrays_match_the_tuple_loops(n, seed, fault):
     except ModelError as exc:  # NaN passes the tuple checks; the matrix rejects it
         assert fault == "nan" and "finite" in str(exc)
         return
-    assert model.partition.base.inner.triplets() == entries
+    assert model.partition.base.triplets() == entries
     assert model.meta["ratio_partial_sums"] == sums
     assert model.meta["boundary"]["folded_up_rate"] == c[-1]
+
+
+def test_an_upward_drift_builds_with_no_overflow_warning():
+    # the ratios are 4, then 3 each: the partial sums pass the largest float
+    # at k = 645 and are inf from there, as they were with numpy's warning
+    n = 1024
+    params = fm.RandomWalkParams(a=(1.0 / 6.0,) * (n - 1), b=(1.0 / 3.0,) * n,
+                                 c=(2.0 / 3.0,) + (0.5,) * (n - 1), n_trunc=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fm.random_walk_model(params)
+    _, _, sums = reference_random_walk(params.a, params.b, params.c, n)
+    assert model.meta["ratio_partial_sums"] == sums
+    assert sums[644] < float("inf") == sums[645] == sums[-1]
 
 
 def test_random_walk_case_a_ratio_test_converges():

@@ -38,6 +38,26 @@ def test_two_atom_split_versus_center():
     assert plan.check_marginals(mu, nu) <= 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), atoms=st.integers(1, 40), dim=st.integers(1, 6),
+       lone_source=st.booleans())
+def test_a_one_atom_side_gives_the_product_plan(seed, atoms, dim, lone_source):
+    # the earlier branches, one per side: every entry listed, and the cost
+    # summed over the other side's weights in atom order
+    rng = np.random.default_rng(seed)
+    lone, many = random_measure(rng, dim, 1), random_measure(rng, dim, atoms)
+    mu, nu = (lone, many) if lone_source else (many, lone)
+    C = _cost_matrix(mu, nu)
+    if lone_source:
+        entries = tuple((0, j, float(wj)) for j, wj in enumerate(nu.weights))
+        cost = float((C[0] * nu.weights).sum())
+    else:
+        entries = tuple((i, 0, float(wi)) for i, wi in enumerate(mu.weights))
+        cost = float((mu.weights * C[:, 0]).sum())
+    assert lone.weights.tolist() == [1.0]
+    assert fm.kantorovich_distance(mu, nu) == (cost, kantorovich.TransportPlan(entries, cost))
+
+
 def test_solver_matches_tree_enumeration_oracle():
     rng = np.random.default_rng(2)
     for _ in range(30):

@@ -403,6 +403,44 @@ def test_detect_rank_one_limit_matches_reference(m, max_depth, power_iters, budg
                                     budget=budget)
 
 
+class _RecordedBudget(stability._Budget):
+    """A budget that lists itself in ``made``, so a test can read what a walk spent."""
+
+    made: list = []
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.made.append(self)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=small_partitions(), budget=st.integers(0, 300), max_len=st.integers(1, 6),
+       power_iters=st.integers(0, 40), tol=st.sampled_from([1e-12, 1e-2]),
+       policy=st.sets(st.sampled_from(["exhaustive", "repeat", "greedy"])))
+def test_every_walk_stops_at_its_budget(m, budget, max_len, power_iters, tol, policy):
+    kwargs = dict(tol=tol, power_iters=power_iters, policy=tuple(policy), budget=budget)
+    assert fm.detect_rank_one_limit(m, **kwargs).diagnostics["examined"] <= budget
+    assert_detect_matches_reference(m, **kwargs)
+    for predicate in (fm.is_subrectangular, lambda prod: False):  # the second walks all it may
+        _RecordedBudget.made.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "_Budget", _RecordedBudget)
+            got = _word_search(m, predicate, max_len, budget)
+        assert [b.spent <= budget for b in _RecordedBudget.made] == [True]
+        assert got == reference_word_search(m, predicate, max_len, budget)
+
+
+@pytest.mark.parametrize("policy, budget", [(("repeat",), 0), (("repeat",), 7),
+                                            (("exhaustive", "repeat", "greedy"), 5),
+                                            (("greedy",), 1), (("greedy",), 3), (("greedy",), 5)])
+@pytest.mark.parametrize("model", ["kesten", "rw63"])
+def test_detect_spends_exactly_a_small_budget(model, policy, budget):
+    # each of these walks could go on, so it stops at the budget, not past it
+    m = fm.kesten_model().partition if model == "kesten" else fm.random_walk_case_a(63).partition
+    res = fm.detect_rank_one_limit(m, policy=policy, budget=budget)
+    assert (res.kind, res.diagnostics["examined"]) == ("undecided", budget)
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=small_partitions(), max_len=st.integers(1, 3), power_iters=st.integers(0, 40),
        tol=st.sampled_from([1e-6, 1e-2, 0.5]), col_bound=st.one_of(st.none(), st.integers(1, 3)))

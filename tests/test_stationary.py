@@ -135,7 +135,7 @@ def test_stationary_accepts_rows_within_prob_atol():
     # rows that sum to 1 - 1e-10 pass TransitionMatrix; scaling every row
     # leaves the stationary vector as it is
     P = fm.random_walk_case_a(256).partition.base
-    scaled = fm.TransitionMatrix(P.inner.scaled(1.0 - 1e-10))
+    scaled = fm.TransitionMatrix(P.scaled(1.0 - 1e-10))
     pi = fm.stationary_vector(scaled).coords
     assert np.abs(pi - fm.stationary_vector(P).coords).sum() <= 1e-12
 
