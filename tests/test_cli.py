@@ -684,8 +684,9 @@ def test_entropy_checks_the_horizon_before_anything_else(tmp_path, capsys, keste
     (["check", "--condition", "thm93", "--tol", "1"], "--tol must be below 1, got 1.0"),
     # exited 2, undecided
     (["check", "--condition", "b1", "--max-word-len", "-1"], "--max-word-len must be >= 1, got -1"),
-    (["check", "--condition", "a", "--max-word-len", "0"], "--max-word-len must be >= 1, got 0"),
     (["check", "--condition", "localizing", "--col-bound", "-3"], "--col-bound must be >= 1, got -3"),
+    # said "word search requires max_len >= 1"
+    (["check", "--condition", "a", "--max-word-len", "0"], "--max-word-len must be >= 1, got 0"),
     # an IndexError out of `run`
     (["check", "--condition", "thm11", "--subset", "0,1", "--samples", "-1"],
      "sample_count (--samples) must be >= 0, got -1"),
