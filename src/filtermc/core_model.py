@@ -272,13 +272,6 @@ class NonnegMatrix:
     def is_zero(self) -> bool:
         return self.nnz == 0
 
-    def _support_counts(self) -> tuple[int, int, int]:
-        """Numbers of positive entries, of rows with one and of columns with
-        one; stored zeros are left out."""
-        before = np.concatenate(([0], np.cumsum(self.data > 0)))  # positive entries before each slot
-        rows = np.count_nonzero(before[self.indptr[1:]] > before[self.indptr[:-1]])
-        return int(before[-1]), int(rows), self.nonzero_column_count()
-
     def _same_layout(self, other: "NonnegMatrix") -> bool:
         """True iff both store the same bits in the same layout (underflowed
         zeros included), so that every product formed with either is bit-equal."""

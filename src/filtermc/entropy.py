@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import ModelError, Partition, ProbVector, as_prob_vector, stationary_vector
-from .filter_dynamics import DEFAULT_PRUNE, evolve, simulate_filter
+from .filter_dynamics import DEFAULT_PRUNE, _check_threshold, evolve, simulate_filter
 
 __all__ = [
     "h",
@@ -124,6 +124,7 @@ def _walk(m: Partition, x: np.ndarray, n_max: int, prune: float,
     ``vertices``, by one depth-first walk (see ``entropy_bracket``).  Every
     row on the stack carries its start's index; the starts enter in blocks
     of ``_block_rows(m)``, each walked to the end before the next is built."""
+    _check_threshold("prune", prune)
     k, rows = m.num_labels, _block_rows(m)
     ids = np.array([-1, *vertices])  # start j is x if ids[j] < 0, else e_{ids[j]}
     acc = [[(0.0, 0.0)] * ids.size for _ in range(n_max)]  # Kahan state per depth and start

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -59,6 +60,13 @@ class Outcome:
     next_state: ProbVector
 
 
+def _check_threshold(name: str, value: float) -> None:
+    """Raise a ModelError naming ``name`` if ``value`` is NaN: every
+    comparison with it is false, so it would act as no threshold at all."""
+    if math.isnan(value):
+        raise ModelError(f"{name} must be a number, got {value!r}")
+
+
 class DiscreteMeasure:
     """A finitely supported probability measure on the simplex.
 
@@ -77,6 +85,7 @@ class DiscreteMeasure:
 
     def __init__(self, weights, points, merge_eps: float = DEFAULT_MERGE_EPS,
                  pruned_mass: float = 0.0, pruned_count: int = 0):
+        _check_threshold("merge_eps", merge_eps)
         w = np.asarray(weights, dtype=float)
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -322,6 +331,7 @@ def pushforward(mu: DiscreteMeasure, m: Partition, prune: float = DEFAULT_PRUNE,
     measure raises ``pruned_mass`` by ``(1 - pruned_mass) * share``), the rest
     is merged within ``merge_eps`` and renormalised.
     """
+    _check_threshold("prune", prune)  # merge_eps is checked by the measure it builds
     masses, children = m.fan_out(mu.points)
     mass = mu.weights[:, None] * masses
     cut = (masses > 0.0) & (mass <= prune)

@@ -29,6 +29,7 @@ from .core_model import (
     matrix_word_product,
     operator_norm,
 )
+from . import entropy as _entropy
 from .filter_dynamics import _merge_atoms
 
 __all__ = [
@@ -76,7 +77,11 @@ def is_subrectangular(M: NonnegMatrix | np.ndarray) -> bool:
     it has as many positive entries."""
     if not isinstance(M, NonnegMatrix):
         M = NonnegMatrix.from_dense(M)
-    entries, rows, cols = M._support_counts()
+    return bool(_subrectangular(*_Block(M, M.cols).support_counts())[0])
+
+
+def _subrectangular(entries, rows, cols):
+    """Which support counts (see :meth:`_Block.support_counts`) are a product set's."""
     return entries == rows * cols
 
 
@@ -108,42 +113,254 @@ class _Budget:
         return self.spent < self.limit
 
 
-def _exhaustive_walk(m: Partition, depth: int, budget: _Budget):
-    """Nonzero ``(word, product)`` pairs of the words up to ``depth``,
-    depth-first in label order, so prefixes come before their extensions.
-    Every word popped costs one unit, zero products included; those are
-    neither yielded nor extended."""
-    stack = [((w,), m.member(w)) for w in reversed(m.labels)]
-    while stack and budget.left():
-        word, prod = stack.pop()
-        budget.spent += 1
-        if prod.is_zero():
-            continue
-        yield word, prod
-        if len(word) < depth:
-            stack.extend((word + (w,), prod @ m.member(w)) for w in reversed(m.labels))
+_SPREAD_ROWS = 8  # rows per product that _Block.spread_bounds pairs
+
+
+class _Block:
+    """Word products side by side in one matrix ``S``, ``n`` columns each:
+    product ``i`` is columns ``i n`` to ``(i + 1) n``.  ``word`` and
+    ``row`` give the product and the row of each stored entry.  It is the
+    matrix analogue of the stack of states that ``Partition.fan_out``
+    takes: one product forms the children of all its products
+    (:meth:`children`), and each test reads them all at once."""
+
+    __slots__ = ("S", "n", "count", "word", "row", "_runs", "_positive")
+
+    def __init__(self, S: NonnegMatrix, n: int, like: "_Block | None" = None):
+        """``like`` is a block with the same layout, whose indexes are shared."""
+        self.S, self.n, self.count = S, n, S.cols // n
+        if like is None:
+            self.word = S.indices // n
+            self.row = np.repeat(np.arange(S.rows, dtype=S.indptr.dtype),
+                                 S.indptr[1:] - S.indptr[:-1])
+            self._runs = None
+        else:
+            self.word, self.row, self._runs = like.word, like.row, like._runs
+        self._positive = None
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first entry of each run of entries that one row of one
+        product holds, and that run's product and row."""
+        if self._runs is None:
+            key = self.row.astype(np.int64) * self.count + self.word
+            new = np.ones(key.size, bool)
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            start = np.flatnonzero(new)
+            self._runs = start, self.word[start], self.row[start]
+        return self._runs
+
+    def product(self, i: int) -> NonnegMatrix:
+        """Product ``i`` on its own, in the dtypes of ``S``."""
+        S, at = self.S, np.flatnonzero(self.word == i)
+        indptr = np.zeros(S.rows + 1, S.indptr.dtype)
+        np.cumsum(np.bincount(self.row[at], minlength=S.rows), out=indptr[1:])
+        return NonnegMatrix._csr((S.rows, self.n), indptr, S.indices[at] - i * self.n, S.data[at])
+
+    def positive(self) -> "_Block":
+        """The block without its stored zeros."""
+        if self._positive is None:  # () when it has none, so that no block refers to itself
+            S, pos = self.S, self.S.data > 0
+            self._positive = ()
+            if not pos.all():
+                indptr = np.zeros(S.rows + 1, S.indptr.dtype)
+                np.cumsum(np.bincount(self.row[pos], minlength=S.rows), out=indptr[1:])
+                self._positive = _Block(NonnegMatrix._csr((S.rows, S.cols), indptr, S.indices[pos],
+                                                          S.data[pos]), self.n)
+        return self._positive or self
+
+    def nonzero(self) -> list[bool]:
+        """Which products have a positive entry."""
+        out = np.zeros(self.count, bool)
+        out[self.positive().runs()[1]] = True
+        return out.tolist()
+
+    def support_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each product's numbers of positive entries, of rows with one and
+        of columns with one, as exact integer counts."""
+        b = self.positive()
+        start, word, _ = b.runs()
+        cols = np.zeros(b.S.cols, bool)
+        cols[b.S.indices] = True
+        return (np.bincount(word, np.diff(start, append=b.S.data.size), self.count).astype(int),
+                np.bincount(word, minlength=self.count),
+                cols.reshape(self.count, self.n).sum(axis=1))
+
+    def row_sums(self) -> np.ndarray:
+        """The row sums of each product, one row of the result per product:
+        ``reduceat`` over the run of each row, as ``NonnegMatrix.row_sums``
+        takes each row of one product, so bit for bit."""
+        start, word, row = self.runs()
+        out = np.zeros((self.count, self.S.rows))
+        out[word, row] = np.add.reduceat(self.S.data, start)
+        return out
+
+    def normalized(self) -> "_Block":
+        """Each nonzero product scaled as :func:`_normalized` scales it, bit
+        for bit: by ``1.0 /`` its largest row sum.  A zero product stays."""
+        norm = self.row_sums().max(axis=1)
+        with np.errstate(over="ignore"):  # inf, as Python's float division gives
+            scale = 1.0 / np.where(norm > 0, norm, 1.0)
+        S = self.S
+        return _Block(NonnegMatrix._csr((S.rows, S.cols), S.indptr, S.indices,
+                                        S.data * scale[self.word]), self.n, self)
+
+    def children(self, m: Partition, keep: np.ndarray) -> "_Block":
+        """The products ``P M(w)`` side by side for the products ``P`` where
+        ``keep`` holds, in order and label by label: one product with a
+        right factor that holds the members side by side
+        (``Partition._stack``) in the rows of each kept ``P``, moved to the
+        columns of its children, and nothing elsewhere.
+
+        ``csr_matmat`` forms each row of a product from that row of the left
+        factor, adding the terms of each entry in stored order, so each
+        entry of ``P M(w)`` adds the same terms in the same order as
+        ``P @ M(w)``, and the children are bit-equal to those products."""
+        T, k, n = m._stack, m.num_labels, self.n
+        kept = int(keep.sum())
+        lens = np.zeros((self.count, n), np.int64)
+        lens[keep] = np.diff(T.indptr)
+        idx = self.S.indices.dtype
+        indptr = np.zeros(self.count * n + 1, idx)
+        np.cumsum(lens.ravel(), out=indptr[1:])
+        indices = (T.indices + (np.arange(kept, dtype=idx) * (k * n))[:, None]).ravel()
+        out = self.S @ NonnegMatrix._csr((self.count * n, kept * k * n), indptr, indices,
+                                         np.tile(T.data, kept))
+        # the kernel's arrays hold room for every term; keep only the entries
+        return _Block(NonnegMatrix._csr((out.rows, out.cols), out.indptr, out.indices.copy(),
+                                        out.data.copy()), n)
+
+    def extension_bytes(self, m: Partition) -> np.ndarray:
+        """The bytes that extending each product takes at most: an entry per
+        pair of one of its entries and an entry of the member row it meets,
+        the members in its part of the right factor, and the product
+        kernel's two arrays over its children's columns."""
+        T, S = m._stack, self.S
+        start, word, _ = self.runs()
+        met = np.add.reduceat(np.diff(T.indptr)[S.indices % self.n], start)
+        return ((8 + S.indices.itemsize)
+                * (np.bincount(word, met, self.count) + T.data.size + T.cols))
+
+    def spread_bounds(self, row_floor: float) -> np.ndarray:
+        """For each product, a lower bound on its ``rank_one_proximity(.,
+        row_floor)``: the largest l1 distance from the first to the others
+        of its kept rows among ``_SPREAD_ROWS`` rows spread evenly through
+        it, or 0.0 with fewer than two kept.
+
+        Those rows are made dense, summed, kept where the sum is above the
+        floor, divided by it and paired by the same numpy calls along a
+        contiguous axis of length ``n`` as in :func:`_kept_rows` and
+        :func:`_l1_blocks`, so each distance is one of the proximity's
+        pairwise values bit for bit, and the bound needs no rounding slack.
+        A slack would not do: where two rows have disjoint supports the
+        proximity is 2 up to rounding, stored on either side of 2.0, and a
+        bound below 2.0 could not skip such a product once another has
+        reached 2.0."""
+        S, n = self.S, self.n
+        rows = sorted({t * (S.rows - 1) // (_SPREAD_ROWS - 1) for t in range(_SPREAD_ROWS)})
+        at = np.concatenate([np.arange(S.indptr[r], S.indptr[r + 1]) for r in rows])
+        lens = [S.indptr[r + 1] - S.indptr[r] for r in rows]
+        # entry (product, candidate, column) of a flat array
+        flat = (self.word[at] * ((len(rows) - 1) * n) + S.indices[at]
+                + np.repeat(np.arange(0, len(rows) * n, n), lens))
+        dense = np.zeros(self.count * len(rows) * n)
+        dense[flat] = S.data[at]
+        dense = dense.reshape(self.count, len(rows), n)
+        sums = dense.sum(axis=2)
+        kept = sums > row_floor
+        dense /= np.where(kept, sums, 1.0)[:, :, None]
+        d = dense[np.arange(self.count), kept.argmax(axis=1), None] - dense
+        d = np.abs(d, out=d).sum(axis=2)
+        return np.where(kept, d, 0.0).max(axis=1, initial=0.0)
+
+
+class _Level:
+    """The words of one length that one block holds, their tests, and the
+    level of the children of words ``lo`` to ``hi``, where those of word
+    ``p`` start at ``first[p - lo]``."""
+
+    __slots__ = ("words", "block", "nonzero", "values", "cost", "child", "lo", "hi", "first")
+
+    def __init__(self, words: list, block: _Block, test):
+        self.words, self.block = words, block
+        self.nonzero, self.values = block.nonzero(), test(block)
+        self.cost = self.child = self.first = None
+        self.lo = self.hi = 0
+
+    def extend(self, m: Partition, i: int, room: float, test) -> None:
+        """Form the level of the children of word ``i`` and of the nonzero
+        words after it whose extension bytes fit in ``room`` with its own."""
+        self.child = None  # its words have all been walked; free it first
+        if self.cost is None:
+            self.cost = self.block.extension_bytes(m) * np.array(self.nonzero)
+        fits = np.searchsorted(np.cumsum(self.cost[i + 1:]), room - self.cost[i], "right")
+        hi = i + 1 + int(fits)
+        keep = np.zeros(len(self.words), bool)
+        keep[i:hi] = self.nonzero[i:hi]
+        words = [self.words[p] + (w,) for p in np.flatnonzero(keep).tolist() for w in m.labels]
+        self.child = _Level(words, self.block.children(m, keep), test)
+        self.lo, self.hi = i, hi
+        self.first = ((np.cumsum(keep[i:hi]) - 1) * m.num_labels).tolist()
+
+
+def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
+    """The nonzero words up to ``depth`` as ``(word, value)``, depth-first in
+    label order, so prefixes come before their extensions; ``value`` is the
+    word's item of ``test(block)``, which reads a :class:`_Block` of words.
+    Every word taken costs one unit, zero products included; those are
+    neither yielded nor extended.
+
+    Words are formed in blocks: when a word is extended, so are the words of
+    its length that follow it in its block, as many as the extension's
+    bytes (:meth:`_Block.extension_bytes`) fit in a share of
+    ``entropy._BLOCK_BYTES`` (one at least), and all their children come
+    from one product (:meth:`_Block.children`) and are tested at once.  The
+    extensions that form words of length ``depth`` get the whole of it and
+    each length above ``1 / sqrt(2)`` of the share of the one below, so the
+    shares sum to less than ``3.5 * _BLOCK_BYTES`` whatever the depth; a
+    length exceeds its share only where one word alone does.  The words
+    are still taken, paid for and yielded one at a time in depth-first
+    order, so a walk that ends early leaves some formed children unread."""
+    k = m.num_labels
+
+    def walk(L: _Level, lo: int, length: int):
+        for i in range(lo, lo + k):
+            if not budget.left():
+                return
+            budget.spent += 1
+            if not L.nonzero[i]:
+                continue
+            yield L.words[i], L.values[i]
+            if length < depth:
+                if not L.lo <= i < L.hi:
+                    L.extend(m, i, _entropy._BLOCK_BYTES / 2 ** ((depth - 1 - length) / 2), test)
+                yield from walk(L.child, L.first[i - L.lo], length + 1)
+
+    yield from walk(_Level([(w,) for w in m.labels], _Block(m._stack, m.n), test), 0, 1)
 
 
 def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
     """One word extended by the label maximising the product norm, yielded
-    as ``(word, normalised product)`` after each step.  Every candidate
-    product costs one unit, and the walk ends before a candidate the budget
-    cannot pay for; ties break towards the earlier label."""
-    word, prod = (), NonnegMatrix.identity(m.n)
-    while len(word) < max_len:
+    as ``(word, normalised product)`` after each step.  A step forms its k
+    candidate products at once, side by side from one product with the
+    members side by side, and each norm is the largest of its candidate's
+    row sums (:meth:`_Block.row_sums`), bit-equal to ``operator_norm``.
+    Every candidate costs one unit, and the walk ends before a candidate the
+    budget cannot pay for; ties break towards the earlier label."""
+    n = m.n
+    word, prod = (), NonnegMatrix.identity(n)
+    while len(word) < max_len and budget.left():
+        cands = _Block(prod @ m._stack, n)
         best = None
-        for w in m.labels:
+        for t, nrm in enumerate(cands.row_sums().max(axis=1).tolist()):
             if not budget.left():
                 return
-            cand = prod @ m.member(w)
             budget.spent += 1
-            nrm = operator_norm(cand)
-            if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
-                best = (w, cand, nrm)
+            if nrm > 0 and (best is None or nrm > best[1] + 1e-15):
+                best = (t, nrm)
         if best is None:
             return
-        word = word + (best[0],)
-        prod = best[1].scaled(1.0 / best[2])
+        word = word + (m.labels[best[0]],)
+        prod = cands.product(best[0]).scaled(1.0 / best[1])
         yield word, prod
 
 
@@ -178,8 +395,10 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
         yield k, None if lag else H, lag
 
 
-def _word_search(m: Partition, predicate, max_len: int, budget: int):
-    """Bounded search for a word whose product satisfies ``predicate``.
+def _word_search(m: Partition, test, max_len: int, budget: int):
+    """Bounded search for a word whose product passes ``test``, which takes
+    the support counts ``(entries, rows, cols)`` of a block of products
+    (:meth:`_Block.support_counts`) and says which pass.
 
     Phase 1 enumerates all words up to the exhaustive depth in label order
     (depth-first, so prefixes are tested before their extensions); phase 2
@@ -191,8 +410,13 @@ def _word_search(m: Partition, predicate, max_len: int, budget: int):
         raise ModelError("word search requires max_len >= 1")
     work = _Budget(budget)
     depth = min(max_len, default_search_depth(m.num_labels))
-    for word, prod in chain(_exhaustive_walk(m, depth, work), _greedy_walk(m, max_len, work)):
-        if predicate(prod):
+
+    def hits(block):
+        return test(*block.support_counts()).tolist()
+
+    greedy = ((word, hits(_Block(prod, m.n))[0]) for word, prod in _greedy_walk(m, max_len, work))
+    for word, hit in chain(_exhaustive_walk(m, depth, work, hits), greedy):
+        if hit:
             return word
     return None
 
@@ -204,7 +428,7 @@ def find_subrectangular_word(m: Partition, max_len: int = 8,
     A None result is inconclusive (budget or depth ran out), never a
     refutation.
     """
-    return _word_search(m, is_subrectangular, max_len, budget)
+    return _word_search(m, _subrectangular, max_len, budget)
 
 
 def default_col_bound(n: int) -> int:
@@ -218,7 +442,7 @@ def find_localizing_word(m: Partition, max_len: int = 8, col_bound: int | None =
     """Search for a word whose product has at most ``col_bound`` nonzero
     columns (default bound: ceil(n/4)).  None is inconclusive."""
     bound = default_col_bound(m.n) if col_bound is None else int(col_bound)
-    return _word_search(m, lambda prod: prod.nonzero_column_count() <= bound, max_len, budget)
+    return _word_search(m, lambda entries, rows, cols: cols <= bound, max_len, budget)
 
 
 def _kept_rows(M: NonnegMatrix | np.ndarray, row_floor: float) -> np.ndarray:
@@ -239,22 +463,11 @@ def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> 
     Zero exactly when those rows are proportional.
 
     This is twice Dobrushin's ergodicity coefficient tau_1 of the kept rows
-    (Seneta, *Non-negative Matrices and Markov Chains*, 1981, ch. 3).  The
-    largest distance from the first kept row (:func:`_first_row_spread`)
-    lies in ``[prox / 2, prox]`` by the triangle inequality, and it is one
-    of the pairwise values, so it bounds ``prox`` from below bit for bit
-    at O(r n) cost instead of O(r^2 n)."""
+    (Seneta, *Non-negative Matrices and Markov Chains*, 1981, ch. 3).
+    :meth:`_Block.spread_bounds` bounds it from below at O(n) cost instead of
+    O(r^2 n)."""
     rows = _kept_rows(M, row_floor)
     return max(float(d.max()) for *_, d in _l1_blocks(rows))
-
-
-def _first_row_spread(M: NonnegMatrix | np.ndarray, row_floor: float) -> float:
-    """The largest l1 distance from the first kept normalised row to the
-    others: a lower bound on ``rank_one_proximity(M, row_floor)`` equal to
-    one of its pairwise values bit for bit, since each pair is summed along
-    the same contiguous axis as in :func:`_l1_blocks`."""
-    rows = _kept_rows(M, row_floor)
-    return float(np.abs(rows[0] - rows).sum(axis=1).max())
 
 
 def _l1_blocks(rows: np.ndarray):
@@ -304,12 +517,15 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     curve again.
 
     The curves record every value, so each power before a cycle and each
-    greedy prefix has its proximity computed in full.  A word of the
-    enumeration is only bounded first, by the distances from its first
-    kept row (:func:`_first_row_spread`), which never exceed its
-    proximity: when that bound already reaches the least proximity so
-    far, the word can neither converge nor lower ``min_proximity``, and
-    its full proximity is never computed.
+    greedy prefix has its proximity computed in full.  The enumeration
+    forms its words in blocks bounded in bytes (:func:`_exhaustive_walk`),
+    one product for the children of a block of words, and normalises and
+    bounds each block's words at once (:meth:`_Block.spread_bounds`); the
+    words are still taken one by one in depth-first order.  A word's bound
+    is one of its pairwise row distances bit for bit, so it never exceeds
+    its proximity: when it already reaches the least proximity so far, the
+    word can neither converge nor lower ``min_proximity``, and its full
+    proximity is never computed.
 
     ``diagnostics`` holds ``tol``, ``row_floor``, ``curves`` (proximities of
     the powers of each repeated word, keyed by ``repr(unit)``, and of the
@@ -329,10 +545,6 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     best: list = [float("inf"), None]  # least proximity so far and a word attaining it
 
     def converged(word, H, curve=None, lag=0) -> bool:
-        # best[0] > tol while the search runs, so an exhaustive word whose
-        # bound reaches it can neither converge nor improve min_proximity
-        if curve is None and _first_row_spread(H, row_floor) >= best[0]:
-            return False
         prox = curve[-lag] if lag else rank_one_proximity(H, row_floor)
         if curve is not None:
             curve.append(prox)
@@ -347,8 +559,14 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
                                 diagnostics=diagnostics | {"policy": name, **extra})
 
     if "exhaustive" in policy and max_depth >= 1:
-        for word, prod in _exhaustive_walk(m, max_depth, work):
-            if converged(word, H := _normalized(prod)):
+        def bounded(block):
+            H = block.normalized()
+            return [(b, H, i) for i, b in enumerate(H.spread_bounds(row_floor).tolist())]
+
+        for word, (bound, H, i) in _exhaustive_walk(m, max_depth, work, bounded):
+            # best[0] > tol while the search runs, so a word whose bound
+            # reaches it can neither converge nor improve min_proximity
+            if bound < best[0] and converged(word, H := H.product(i)):
                 return verdict("exhaustive", word, H)
 
     if "repeat" in policy:
@@ -443,7 +661,8 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     for _, H, lag in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
         if lag:  # the powers cycle through matrices already found above tol
             return None
-        if _first_row_spread(H, row_floor) <= tol and rank_one_proximity(H, row_floor) <= tol:
+        bound = _Block(H, H.cols).spread_bounds(row_floor)[0]
+        if bound <= tol and rank_one_proximity(H, row_floor) <= tol:
             return word, H
     return None
 

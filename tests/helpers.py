@@ -5,9 +5,10 @@ spanning-tree transport enumeration) deliberately avoid the library code
 paths they are used to check.  The ``reference_*`` functions keep earlier
 code paths as differential oracles for what replaced them: the word
 searches of ``filtermc.stability`` (three hand-written walks, each with its
-own budget bookkeeping) for the shared search engine, the all-pairs
-``r x r x n`` proximity and the pair-by-pair isometry check for the blocked
-distance kernel, the first-row bound and the fixed-point power walk, the
+own budget bookkeeping, forming one product per word and label) for the
+shared search engine and its block walk, the all-pairs ``r x r x n``
+proximity and the pair-by-pair isometry check for the blocked distance
+kernel and the spread bound, the fixed-point power walk, the
 list-based atom merge for the one filled in place, the per-label loops of
 the filter kernel (one ``left_apply`` per label) for ``Partition.fan_out``
 and its batched callers, one entropy walk per start for the bracket's
@@ -306,11 +307,6 @@ def reference_rank_one_proximity(M, row_floor: float = 0.0) -> float:
     return float(reference_l1_distances(rows).max())
 
 
-def reference_first_row_spread(M, row_floor: float = 0.0) -> float:
-    """The first row of the full distance matrix, at its largest."""
-    return float(reference_l1_distances(_reference_kept_rows(M, row_floor))[0].max())
-
-
 def _reference_word_key(word: tuple):
     return len(word), label_sort_key(word)
 
@@ -504,8 +500,8 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
             diagnostics["curves"][repr(tuple(unit))] = curve
             if curve:
                 best_here = min(curve)
-                if best_here < best_prox:
-                    best_prox, best_word = best_here, tuple(unit) * max(1, reps)
+                if best_here < best_prox:  # the first power that attains it
+                    best_prox, best_word = best_here, tuple(unit) * (curve.index(best_here) + 1)
             if W is not None:
                 diagnostics["examined"] = examined
                 diagnostics["min_proximity"] = min(curve)

@@ -282,3 +282,14 @@ def test_pruning_budget_reported():
         assert series.dropped_entropy_bound > 0.0
         full = fm.entropy_series(rng.dirichlet(np.ones(4)), m, 5, prune=0.0)
         assert len(full.values) == len(series.values)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: fm.entropy_series(np.full(m.n, 1.0 / m.n), m, 3, prune=math.nan),
+    lambda m: fm.entropy_bracket(m, 3, prune=math.nan),
+    lambda m: fm.block_entropy(np.full(m.n, 1.0 / m.n), m, 2, prune=math.nan),
+])
+def test_a_nan_prune_is_rejected_by_name(call):
+    # every comparison with NaN is false, so the walk ran as if pruning were off
+    with pytest.raises(fm.ModelError, match="^prune must be a number, got nan$"):
+        call(fm.kesten_model().partition)

@@ -572,3 +572,20 @@ def test_kernels_reject_a_state_of_the_wrong_dimension(two_state_lumped):
         with pytest.raises(fm.ModelError,
                            match="state vector dimension does not match the partition"):
             call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("merge_eps", lambda m, x: fm.evolve(x, m, 2, merge_eps=math.nan)),
+    ("prune", lambda m, x: fm.evolve(x, m, 2, prune=math.nan)),
+    ("prune", lambda m, x: fm.pushforward(fm.dirac(x), m, prune=math.nan)),
+    ("merge_eps", lambda m, x: fm.pushforward(fm.dirac(x), m, merge_eps=math.nan)),
+    ("merge_eps", lambda m, x: fm.DiscreteMeasure([0.5, 0.5], [x, x], merge_eps=math.nan)),
+])
+def test_a_nan_threshold_is_rejected_by_name(name, call):
+    # every comparison with NaN is false, so it acted as no threshold: Kesten
+    # evolved two steps from the uniform start kept 4 atoms with merge_eps NaN
+    # where the default keeps 2
+    m = fm.kesten_model().partition
+    x = np.full(m.n, 1.0 / m.n)
+    with pytest.raises(fm.ModelError, match=f"^{name} must be a number, got nan$"):
+        call(m, x)

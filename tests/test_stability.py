@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from filtermc import ModelError
 from filtermc.filter_dynamics import _merge_atoms
 from filtermc.stability import (
     _connector_word,
-    _first_row_spread,
+    _Block,
     _l1_blocks,
     _normalized,
     _power_walk,
@@ -30,7 +31,6 @@ from helpers import (
     reference_compose_rank_one_witness,
     reference_connector_word,
     reference_detect_rank_one_limit,
-    reference_first_row_spread,
     reference_l1_distances,
     reference_powers,
     reference_rank_one_proximity,
@@ -379,11 +379,10 @@ def assert_detect_matches_reference(m, **kwargs):
 @given(m=small_partitions(), max_len=st.integers(1, 5), budget=st.integers(0, 60),
        col_bound=st.integers(1, 3))
 def test_word_search_matches_reference(m, max_len, budget, col_bound):
-    def localizing(prod):
-        return prod.nonzero_column_count() <= col_bound
-
-    for predicate in (fm.is_subrectangular, localizing):
-        assert (_word_search(m, predicate, max_len, budget)
+    # the search tests support counts of blocks, the reference one matrix
+    for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+                            _localizing_pair(col_bound)):
+        assert (_word_search(m, test, max_len, budget)
                 == reference_word_search(m, predicate, max_len, budget))
 
 
@@ -421,11 +420,13 @@ def test_every_walk_stops_at_its_budget(m, budget, max_len, power_iters, tol, po
     kwargs = dict(tol=tol, power_iters=power_iters, policy=tuple(policy), budget=budget)
     assert fm.detect_rank_one_limit(m, **kwargs).diagnostics["examined"] <= budget
     assert_detect_matches_reference(m, **kwargs)
-    for predicate in (fm.is_subrectangular, lambda prod: False):  # the second walks all it may
+    # the second walks all it may
+    for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+                            (lambda entries, rows, cols: entries < 0, lambda prod: False)):
         _RecordedBudget.made.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stability, "_Budget", _RecordedBudget)
-            got = _word_search(m, predicate, max_len, budget)
+            got = _word_search(m, test, max_len, budget)
         assert [b.spent <= budget for b in _RecordedBudget.made] == [True]
         assert got == reference_word_search(m, predicate, max_len, budget)
 
@@ -522,7 +523,7 @@ def test_searches_match_reference_on_zero_products_and_ties(make):
                                                 repeat_words=repeat_words, policy=policy,
                                                 budget=budget)
         for max_len in (1, 3, 6):
-            assert (_word_search(m, fm.is_subrectangular, max_len, budget)
+            assert (_word_search(m, stability._subrectangular, max_len, budget)
                     == reference_word_search(m, fm.is_subrectangular, max_len, budget))
 
 
@@ -956,7 +957,7 @@ def test_isometry_obstruction_memory_on_thousands_of_distinct_orbit_points():
 
 
 # ---------------------------------------------------------------------------
-# the first-row bound and the blocked pairs against the full distance matrix
+# the spread bound and the blocked pairs against the full distance matrix
 # ---------------------------------------------------------------------------
 
 def test_rank_one_proximity_memory_on_a_large_word_product():
@@ -976,25 +977,33 @@ def test_rank_one_proximity_memory_on_a_large_word_product():
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 70),
        density=st.sampled_from([0.05, 0.3, 1.0]), row_floor=st.sampled_from([0.0, 1e-4, 0.3]),
-       copies=st.integers(0, 6))
-def test_first_row_spread_is_the_largest_entry_of_the_first_distance_row(seed, rows, cols, density,
-                                                                         row_floor, copies):
+       copies=st.integers(0, 6), count=st.integers(1, 4))
+def test_spread_bounds_are_distances_from_the_first_kept_spread_row(seed, rows, cols, density,
+                                                                   row_floor, copies, count):
+    # each product's bound is, bit for bit, the largest entry of the full
+    # distance matrix of its kept rows between the first kept one of its
+    # eight spread rows and the others, so it never exceeds the proximity
     rng = np.random.default_rng(seed)
-    a = (rng.random((rows, cols)) < density) * rng.random((rows, cols))
-    a[rng.random(rows) < 0.3] *= rng.random(cols) < 0.3  # rows on faces of the simplex
-    # duplicate rows, some scaled by two, which normalises to the same bits
-    a[rng.integers(0, rows, copies)] = a[rng.integers(0, rows, copies)] * rng.choice([1.0, 2.0])
-    for M in (a, fm.NonnegMatrix.from_dense(a)):
-        try:
-            want = reference_first_row_spread(M, row_floor)
-        except ModelError:
-            with pytest.raises(ModelError):
-                _first_row_spread(M, row_floor)
+    mats = []
+    for _ in range(count):
+        a = (rng.random((rows, cols)) < density) * rng.random((rows, cols))
+        a[rng.random(rows) < 0.3] *= rng.random(cols) < 0.3  # rows on faces of the simplex
+        # duplicate rows, some scaled by two, which normalises to the same bits
+        a[rng.integers(0, rows, copies)] = a[rng.integers(0, rows, copies)] * rng.choice([1.0, 2.0])
+        mats.append(a)
+    # the products side by side, as a block holds them
+    bounds = _Block(fm.NonnegMatrix.from_dense(np.hstack(mats)), cols).spread_bounds(row_floor)
+    spread = sorted({t * (rows - 1) // 7 for t in range(8)})
+    for a, bound in zip(mats, bounds.tolist()):
+        sums = a.sum(axis=1)
+        kept = np.flatnonzero(sums > row_floor)
+        picked = np.searchsorted(kept, [r for r in spread if sums[r] > row_floor])
+        if picked.size < 2:
+            assert bound == 0.0
             continue
-        bound = _first_row_spread(M, row_floor)
-        assert bound == want
-        prox = fm.rank_one_proximity(M, row_floor)
-        assert bound <= prox <= 2 * bound + 1e-12
+        dist = reference_l1_distances(a[kept] / sums[kept, None])
+        assert bound == dist[picked[0], picked[1:]].max()
+        assert bound <= fm.rank_one_proximity(a, row_floor)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 3), (9, 1), (75, 8), (90, 256), (75, 300)])
@@ -1040,3 +1049,164 @@ def test_check_b1_computes_few_proximities_in_full(monkeypatch, n, full):
     res = fm.detect_rank_one_limit(fm.random_walk_case_a(n).partition, tol=1e-8, max_depth=8)
     assert res.kind == "b1_converged"
     assert len(calls) == full
+
+
+# ---------------------------------------------------------------------------
+# the block walk against the word-by-word references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def block_partitions(draw):
+    """Partitions of 2 to 4 labels for the block walk.  On a chain that
+    alternates between two halves of its states some products vanish; an
+    extra member of entries 1e-200 makes products vanish by underflow where
+    it meets itself; and a member may store zeros."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["plain", "halves", "tiny"]))
+    kind = draw(st.sampled_from(["lumping", "observation", "explicit"]))
+    if shape == "halves":
+        half = np.arange(n) < n // 2
+        a = rng.random((n, n)) * (half[:, None] != half[None, :])
+        P = fm.TransitionMatrix.from_dense(a / a.sum(axis=1, keepdims=True))
+    else:
+        P = random_transition(rng, n, sparsity=draw(st.sampled_from([0.0, 0.5])))
+    members = dict(random_partition(rng, P, k - (shape == "tiny"), kind=kind))
+    if shape == "tiny":  # within PARTITION_ATOL of nothing, so P is still the base
+        a = (rng.random((n, n)) < 0.5) * 1e-200
+        a[0, 0] = 1e-200
+        members["tiny"] = fm.NonnegMatrix.from_dense(a)
+    if draw(st.booleans()):  # stored zeros in the first member, stored as constructors store
+        w = next(iter(members))
+        dense = members[w].toarray()
+        ii, jj = np.nonzero((dense > 0) | (rng.random((n, n)) < 0.3))
+        members[w] = fm.NonnegMatrix._from_entries((n, n), ii, jj, dense[ii, jj])
+    return fm.Partition(members, P)
+
+
+def assert_detect_is_bit_equal_to_reference(m, **kwargs):
+    """The same verdict and word, ``W`` stored in the same layout, and equal
+    diagnostics (curves, ``examined``, ``min_proximity``, ``best_word``),
+    or the same error."""
+    try:
+        want = reference_detect_rank_one_limit(m, **kwargs)
+    except ModelError as exc:
+        with pytest.raises(ModelError, match=re.escape(str(exc))):
+            fm.detect_rank_one_limit(m, **kwargs)
+        return
+    got = fm.detect_rank_one_limit(m, **kwargs)
+    assert (got.kind, got.word) == (want.kind, want.word)
+    assert (got.W is None) == (want.W is None)
+    assert want.W is None or got.W._same_layout(want.W)
+    assert got.diagnostics == want.diagnostics
+    assert list(got.diagnostics) == list(want.diagnostics)
+
+
+def _localizing_pair(bound):
+    """The localizing test on a block's support counts, and the reference's
+    predicate on one matrix."""
+    return (lambda entries, rows, cols: cols <= bound,
+            lambda prod: prod.nonzero_column_count() <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=block_partitions(), budget=st.integers(0, 600), max_depth=st.integers(1, 4),
+       power_iters=st.integers(0, 6), tol=st.sampled_from([1e-12, 1e-2, 0.5]),
+       policy=st.sampled_from([("exhaustive",), ("exhaustive", "greedy"),
+                               ("exhaustive", "repeat", "greedy")]),
+       block_bytes=st.sampled_from([None, 64, 3000]), col_bound=st.integers(1, 3))
+def test_block_walk_matches_the_word_by_word_references(m, budget, max_depth, power_iters, tol,
+                                                         policy, block_bytes, col_bound):
+    # a block of 64 bytes takes one word's children at a time, and one of
+    # 3000 splits the words of a length at varying places
+    with mock.patch.object(fm.entropy, "_BLOCK_BYTES", block_bytes or fm.entropy._BLOCK_BYTES):
+        assert_detect_is_bit_equal_to_reference(m, tol=tol, max_depth=max_depth,
+                                                power_iters=power_iters, policy=policy,
+                                                budget=budget)
+        for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+                                _localizing_pair(col_bound)):
+            assert (_word_search(m, test, max_depth, budget)
+                    == reference_word_search(m, predicate, max_depth, budget))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=block_partitions(), max_len=st.integers(1, 3), power_iters=st.integers(0, 20),
+       tol=st.sampled_from([1e-6, 1e-2, 0.5]), block_bytes=st.sampled_from([None, 64]))
+def test_block_walk_composes_the_reference_witness(m, max_len, power_iters, tol, block_bytes):
+    kwargs = dict(max_len=max_len, tol=tol, power_iters=power_iters)
+    with mock.patch.object(fm.entropy, "_BLOCK_BYTES", block_bytes or fm.entropy._BLOCK_BYTES):
+        try:
+            want = reference_compose_rank_one_witness(m, **kwargs)
+        except ModelError:
+            with pytest.raises(ModelError):
+                fm.compose_rank_one_witness(m, **kwargs)
+            return
+        got = fm.compose_rank_one_witness(m, **kwargs)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0] and got[1]._same_layout(want[1])
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64])
+def test_block_walk_hits_at_depth_one(block_bytes):
+    # each member of the uniform lumping has equal rows: rank one, with a
+    # product set for support, and one column pair
+    m = _uniform_lumped()
+    with mock.patch.object(fm.entropy, "_BLOCK_BYTES", block_bytes or fm.entropy._BLOCK_BYTES):
+        res = fm.detect_rank_one_limit(m, policy=("exhaustive",))
+        assert (res.kind, res.word, res.diagnostics["examined"]) == ("b1_converged", (0,), 1)
+        assert_detect_is_bit_equal_to_reference(m, policy=("exhaustive",))
+        for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+                                _localizing_pair(2)):
+            assert _word_search(m, test, 4, 100) == (0,)
+            assert reference_word_search(m, predicate, 4, 100) == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=block_partitions(), data=st.data())
+def test_block_children_are_the_word_products_bit_for_bit(m, data):
+    # each child of one product with the members side by side stores what
+    # its parent's product with its member stores, layout and dtypes too
+    words = data.draw(st.lists(st.lists(st.sampled_from(m.labels), min_size=1, max_size=3),
+                               min_size=1, max_size=5))
+    parents = [fm.matrix_word_product(m, w) for w in words]
+    block = stability._Block(fm.NonnegMatrix.from_dense(np.hstack([P.toarray() for P in parents])),
+                             m.n)
+    # the dense round trip drops nothing a product stores: products store no zeros
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words))))
+    children = block.children(m, keep)
+    got = [children.product(i) for i in range(children.count)]
+    want = [P @ M for P, k in zip(parents, keep) if k for _, M in m]
+    assert len(got) == len(want)
+    assert all(a._same_layout(b) for a, b in zip(got, want))
+
+
+def test_block_walk_forms_few_products_on_rw63(monkeypatch):
+    # all 510 words to depth 8 are walked; word by word they took 508
+    # products, and the subrectangular search 524 with its greedy word
+    m = fm.random_walk_case_a(63).partition
+    products = _count_products(monkeypatch)
+    res = fm.detect_rank_one_limit(m, policy=("exhaustive",))
+    assert (res.kind, res.diagnostics["examined"]) == ("undecided", 510)
+    assert products[0] <= 64
+    products[0] = 0
+    assert fm.find_subrectangular_word(m) is None
+    assert products[0] <= 64
+
+
+def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
+    # rw256 words of length 8 hold about 4,400 entries each, and 2,000
+    # words are walked; the blocks held at once stay a few _BLOCK_BYTES
+    # however deep the walk goes
+    m = fm.random_walk_case_a(256).partition
+    for depth in (4, 8, 16):
+        tracemalloc.start()
+        try:
+            walked = sum(1 for _ in stability._exhaustive_walk(
+                m, depth, stability._Budget(2000), lambda block: [None] * block.count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked == min(2000, 2 ** (depth + 1) - 2)
+        assert peak < 6 * fm.entropy._BLOCK_BYTES
