@@ -41,6 +41,7 @@ __all__ = [
     "partition_from_lumping",
     "partition_from_observation",
     "partition_product",
+    "partition_power",
     "matrix_word_product",
     "stationary_vector",
     "operator_norm",

@@ -38,6 +38,7 @@ __all__ = [
     "pushforward",
     "evolve",
     "transition_operator",
+    "transition_operator_power",
     "barycenter",
     "vertex_measure",
     "simulate_filter",

@@ -294,7 +294,7 @@ def birkhoff_decompose(D, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
     n = a.shape[0]
     if (a < -tol).any():
         raise ModelError("matrix must be nonnegative")
-    if np.abs(a.sum(axis=1) - 1.0).max() > tol or np.abs(a.sum(axis=0) - 1.0).max() > tol:
+    if not (np.abs(a.sum(axis=1) - 1.0).max() <= tol and np.abs(a.sum(axis=0) - 1.0).max() <= tol):
         raise ModelError("matrix is not doubly stochastic within tol")
 
     work = a.copy()

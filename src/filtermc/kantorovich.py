@@ -167,7 +167,7 @@ def dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, u: TestFunction) 
 def barycenter_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """l1 distance between barycenters; a lower bound for the transport
     distance (take the coordinate sign pattern as the dual function)."""
-    return float(np.abs(barycenter(mu).coords - barycenter(nu).coords).sum())
+    return distance_to_fiber(mu, barycenter(nu))
 
 
 # ---------------------------------------------------------------------------

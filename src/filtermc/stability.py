@@ -750,6 +750,9 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     n = m.n
     if any(i < 0 or i >= n for i in subset):
         raise ModelError("subset index out of range")
+    for i, j in zip(subset, subset[1:]):
+        if i == j:
+            raise ModelError(f"subset repeats state {i}")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
     if sample_count < 0:

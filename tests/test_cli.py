@@ -51,6 +51,18 @@ def test_thm11_at_depth_zero_is_an_error(tmp_path, capsys):
     assert not verdict_path.exists()
 
 
+@pytest.mark.parametrize("subset, state", [("0,0", 0), ("0,0,1", 0), ("2,1,2,3", 2)])
+def test_thm11_rejects_a_subset_that_repeats_a_state(tmp_path, capsys, kesten_file, subset,
+                                                     state):
+    # exited 0: a repeated state made the two vertex starts coincide and every
+    # random start wrote its mass twice into one coordinate, off the simplex
+    out = tmp_path / "verdict.json"
+    assert run(["check", "--model", str(kesten_file), "--condition", "thm11",
+                "--subset", subset, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: subset repeats state {state}\n"
+    assert not out.exists()
+
+
 def test_gallery_roundtrip_identical_bytes(tmp_path):
     p1 = tmp_path / "m1.json"
     p2 = tmp_path / "m2.json"
@@ -595,6 +607,8 @@ def _perm_params(**edits) -> dict:
     ("birkhoff", {}, "gallery params need 'matrix'"),
     ("birkhoff", {"matrix": [[{}, 1.0], [1.0, 0.0]]},
      "gallery param 'matrix' must be a square matrix of numbers, got [[{}, 1.0], [1.0, 0.0]]"),
+    ("birkhoff", {"matrix": [[float("nan"), 0.5], [0.5, 0.5]]},
+     "matrix is not doubly stochastic within tol"),
     ("perm-family", _perm_params(Q=[1]), "gallery param 'Q' must be an object, got [1]"),
     ("perm-family", _perm_params(Q={"0,0,a": 5}),
      "perm-family Q['0,0,a'] must be a list of integers, got 5"),
@@ -614,7 +628,8 @@ def _perm_params(**edits) -> dict:
         "random-walk-n-missing-a", "random-walk-n-an-object", "random-walk-n-infinite",
         "random-walk-case-n-beyond-bound", "random-walk-case-n-beyond-memory",
         "random-walk-b-a-number",
-        "birkhoff-no-matrix", "birkhoff-matrix-with-an-object", "perm-family-q-a-list",
+        "birkhoff-no-matrix", "birkhoff-matrix-with-an-object", "birkhoff-matrix-with-a-nan",
+        "perm-family-q-a-list",
         "perm-family-permutation-a-number", "perm-family-permutation-beyond-int64",
         "perm-family-d-an-object", "perm-family-d-beyond-memory", "perm-family-q-key-with-one-comma",
         "perm-family-q-key-with-a-text-index", "perm-family-no-base", "perm-family-ragged-base",
@@ -628,7 +643,9 @@ def test_malformed_gallery_params_are_an_error_naming_the_problem(tmp_path, caps
     # index beyond int64 an OverflowError, a "d" beyond memory built range(d)
     # as a list, and a Q key without two commas or with a text index, a ragged
     # base and a missing key printed their ValueError or KeyError; a random-walk
-    # case with an "n" beyond memory built its chain's tuples
+    # case with an "n" beyond memory built its chain's tuples; a NaN in a
+    # Birkhoff matrix passed the doubly-stochastic check and failed later as
+    # "no perfect matching on the residual support"
     (tmp_path / "params.json").write_text(json.dumps(params))
     out = tmp_path / "model.json"
     assert run(["gallery", kind, "--params", str(tmp_path / "params.json"),

@@ -123,6 +123,16 @@ def test_sign_function_attains_barycenter_gap():
         assert gap <= d + 1e-9
 
 
+def test_barycenter_gap_is_the_l1_gap_of_the_barycenters_bit_for_bit():
+    # the formula barycenter_gap computed before it read distance_to_fiber
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        mu = random_measure(rng, 5, int(rng.integers(1, 6)))
+        nu = random_measure(rng, 5, int(rng.integers(1, 6)))
+        expected = float(np.abs(fm.barycenter(mu).coords - fm.barycenter(nu).coords).sum())
+        assert fm.barycenter_gap(mu, nu) == expected
+
+
 def test_barycenter_gap_edge_cases():
     rng = np.random.default_rng(7)
     mu = random_measure(rng, 3, 3)
