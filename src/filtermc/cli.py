@@ -61,9 +61,18 @@ def _check_flag(flag: str, value, low, below=None) -> None:
         raise ModelError(f"{flag} must be {bound}, got {value!r}")
 
 
+def _parse_flag(flag: str, text: str, convert, what: str):
+    """``convert(text)``, or a ModelError naming ``flag`` if it raises ValueError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ModelError(f"{flag} must be {what}, got {text!r}") from None
+
+
 def _start_vector(model: FilterModel, x0_arg: str | None):
     if x0_arg:
-        return as_prob_vector([float(t) for t in x0_arg.split(",")])
+        return as_prob_vector(_parse_flag("--x0", x0_arg, lambda s: list(map(float, s.split(","))),
+                                          "comma-separated numbers"))
     if "default_start" in model.meta:
         try:
             return as_prob_vector(model.meta["default_start"])
@@ -73,6 +82,7 @@ def _start_vector(model: FilterModel, x0_arg: str | None):
 
 
 def _cmd_simulate(args) -> int:
+    _check_flag("--seed", args.seed, 0)
     model = load_model(args.model)
     x0 = _start_vector(model, args.x0)
     trace = simulate_filter(x0, model.partition, steps=args.steps, seed=args.seed)
@@ -147,7 +157,9 @@ def _cmd_check(args) -> int:
     elif args.condition == "thm11":
         if not args.subset:
             raise ModelError("--subset is required for thm11")
-        subset = [int(t) for t in args.subset.split(",")]
+        subset = _parse_flag("--subset", args.subset, lambda s: list(map(int, s.split(","))),
+                             "comma-separated state indices")
+        _check_flag("--seed", args.seed, 0)
         report = check_isometry_obstruction(
             m, subset, n_max=args.depth, sample_count=args.samples, seed=args.seed)
         verdict.update(
@@ -256,7 +268,8 @@ def _cmd_entropy(args) -> int:
         key, _, val = tok.partition("=")
         if key not in _MC_KEYS:
             raise ModelError(f"unknown --mc key {key!r}; the keys are samples, burn and seed")
-        mc[_MC_KEYS[key]] = int(val)
+        mc[_MC_KEYS[key]] = _parse_flag(f"--mc {key}", val, int, f"an integer, as {key}=K")
+    _check_flag("--mc seed", mc.get("seed", 0), 0)
     model = load_model(args.model)
     m = model.partition
     pi = model.stationary

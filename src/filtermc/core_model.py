@@ -155,6 +155,13 @@ def _kernel_result(kernel, shape, a: "NonnegMatrix", b: "NonnegMatrix", size: in
     return NonnegMatrix._csr(shape, indptr, indices[:indptr[-1]], data[:indptr[-1]])
 
 
+def _kept_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The row pointers ``indptr`` of a CSR matrix cut to the entries where ``keep`` holds."""
+    before = np.zeros(keep.size + 1, indptr.dtype)  # kept entries before each position
+    np.cumsum(keep, out=before[1:])
+    return before[indptr]
+
+
 class _EntryError(ModelError):
     """A triplet :class:`NonnegMatrix` rejects; ``in_field`` says why in a model file's terms."""
 
@@ -167,10 +174,11 @@ class NonnegMatrix:
     """Sparse nonnegative matrix: the CSR arrays of a scipy ``csr_array``,
     worked on by the sparsetools kernels that scipy's operators call.  Every
     matrix stores its columns sorted in each row, and a product is bit-equal
-    to scipy's operator followed by ``sort_indices``.  Constructors store
-    positive values only; scaling may store underflowed zeros.  No array is
-    written or replaced once a matrix holds it, so reads never change a
-    matrix and matrices may share arrays."""
+    to scipy's operator followed by ``sort_indices``.  Every stored value is
+    positive: constructors store positive values, the product and sum
+    kernels store no zero sum, and :meth:`scaled` drops what underflows.  No
+    array is written or replaced once a matrix holds it, so reads never
+    change a matrix and matrices may share arrays."""
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data")
     # every matrix is CSR; perfbench/tracer.py's csr_frac hooks still read this
@@ -250,32 +258,24 @@ class NonnegMatrix:
         return np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices, self.data
 
     def support(self) -> sp.csr_array:
-        """The support digraph: a boolean CSR array of the positive entries,
-        column indices sorted in each row.  Stored zeros are left out."""
-        ii, jj, _ = self._entries()
-        return sp.csr_array((np.ones(ii.size, dtype=bool), (ii, jj)), shape=(self.rows, self.cols))
-
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the positive entries, sorted by (row, col)."""
-        ii, jj, vv = self._coords()
-        pos = vv > 0
-        return ii[pos], jj[pos], vv[pos]
+        """The support digraph: a boolean CSR array of the entries, on copies of the indexes."""
+        return sp.csr_array((np.ones(self.data.size, dtype=bool), self.indices.copy(),
+                             self.indptr.copy()), shape=(self.rows, self.cols))
 
     def triplets(self) -> list[tuple[int, int, float]]:
-        """Strictly positive entries sorted by (row, col)."""
-        return list(zip(*(a.tolist() for a in self._entries())))
+        """Entries sorted by (row, col)."""
+        return list(zip(*(a.tolist() for a in self._coords())))
 
     @property
     def nnz(self) -> int:
-        """Positive entries."""
-        return int(np.count_nonzero(self.data))
+        """Stored entries, each of them positive."""
+        return self.data.size
 
     def is_zero(self) -> bool:
         return self.nnz == 0
 
     def _same_layout(self, other: "NonnegMatrix") -> bool:
-        """True iff both store the same bits in the same layout (underflowed
-        zeros included), so that every product formed with either is bit-equal."""
+        """True iff both store the same bits in one layout: products with either are bit-equal."""
         return all(getattr(self, k).tobytes() == getattr(other, k).tobytes()
                    for k in ("data", "indices", "indptr"))
 
@@ -306,10 +306,13 @@ class NonnegMatrix:
         return np.ascontiguousarray(out.T)
 
     def scaled(self, factor: float) -> "NonnegMatrix":
+        """``factor`` times each entry, without the entries that underflow to zero."""
         if factor <= 0:
             raise ModelError("scale factor must be positive")
-        return NonnegMatrix._csr((self.rows, self.cols), self.indptr, self.indices,
-                                 self.data * factor)
+        data = self.data * factor
+        keep = data > 0
+        return NonnegMatrix._csr((self.rows, self.cols), _kept_indptr(self.indptr, keep),
+                                 self.indices[keep], data[keep])
 
     def add(self, other: "NonnegMatrix") -> "NonnegMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -324,8 +327,8 @@ class NonnegMatrix:
         return out
 
     def nonzero_column_count(self) -> int:
-        """Columns with a positive entry."""
-        return int(np.count_nonzero(np.bincount(self.indices[self.data > 0])))
+        """Columns with an entry."""
+        return int(np.count_nonzero(np.bincount(self.indices)))
 
     def __repr__(self) -> str:
         return f"NonnegMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -359,6 +362,14 @@ class TransitionMatrix(NonnegMatrix):
 
     def __repr__(self) -> str:
         return f"TransitionMatrix(n={self.n}, nnz={self.nnz})"
+
+
+_BLOCK_BYTES = 2**18  # the most a block of fan-out children or of word products takes
+
+
+def _block_rows(m: "Partition") -> int:
+    """Rows per fan-out block: its children take at most ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * m.num_labels * m.n))
 
 
 class Partition:
@@ -530,13 +541,11 @@ def partition_from_observation(P: TransitionMatrix, R, labels: Sequence | None =
         labels = list(range(k))
     elif len(labels) != k:
         raise ModelError("labels length must match observation matrix columns")
-    # pair each entry (i, j) of P with each stored (j, a): the slots of R's row j
-    ii, jj, vv = P._entries()
+    # pair each entry (i, j) of P with each entry (j, a): the slots of R's row j
+    ii, jj, vv = P._coords()
     count = np.diff(Rm.indptr)[jj]
     pair = np.repeat(np.arange(jj.size), count)
     slot = np.arange(pair.size) + np.repeat(Rm.indptr[jj] - (np.cumsum(count) - count), count)
-    stored = Rm.data[slot] > 0.0  # R's stored zeros make no entries
-    pair, slot = pair[stored], slot[stored]
     values = vv[pair] * Rm.data[slot]
     if (values <= 0).any():  # underflow
         raise ModelError("NonnegMatrix stored values must be strictly positive")
@@ -602,13 +611,12 @@ def check_irreducible_aperiodic(P) -> dict:
 
     Returns ``{"irreducible": bool, "aperiodic": bool}``.  Aperiodicity is the
     gcd-of-cycle-lengths test, run per strongly connected component; components
-    without internal edges are ignored.  Works on the positive entries in
-    CSR form, so time and memory grow with the number of nonzeros.
+    without internal edges are ignored.  Works on the entries in CSR form, so
+    time and memory grow with the number of nonzeros.
     """
     n = P.rows
-    u, v, _ = P._entries()
-    graph = sp.csr_array((np.ones(u.size), (u, v)), shape=(n, n))
-    ncomp, comp = connected_components(graph, directed=True, connection="strong")
+    u, v, _ = P._coords()
+    ncomp, comp = connected_components(P.support(), directed=True, connection="strong")
     inside = comp[u] == comp[v]
     u, v, cu = u[inside], v[inside], comp[u[inside]]
     # BFS depths over the internal edges from one root per component; internal

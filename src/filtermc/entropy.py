@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ModelError, Partition, ProbVector, as_prob_vector, stationary_vector
+from .core_model import (ModelError, Partition, ProbVector, _block_rows, as_prob_vector,
+                         stationary_vector)
 from .filter_dynamics import DEFAULT_PRUNE, _check_threshold, evolve, simulate_filter
 
 __all__ = [
@@ -34,8 +35,6 @@ _LN2 = math.log(2.0)
 # states with stationary mass at or below this are folded into the error
 # budget instead of contributing a lower-bracket term
 _PI_FLOOR = 1e-12
-# a fan-out block's children take at most this many bytes
-_BLOCK_BYTES = 2**18
 
 
 def h(t: float) -> float:
@@ -111,11 +110,6 @@ class EntropyReport:
     dropped_entropy_bound: float
     bracket: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     series: EntropySeries | None = None
-
-
-def _block_rows(m: Partition) -> int:
-    """Rows per fan-out block: its children take at most ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (8 * m.num_labels * m.n))
 
 
 def _walk(m: Partition, x: np.ndarray, n_max: int, prune: float,

@@ -193,7 +193,7 @@ class PermFamilySpec:
         ):
             raise ModelError("members must partition the base chain")
         for w, M in self.members:
-            if (np.bincount(M._entries()[0]) > 1).any():
+            if (np.diff(M.indptr) > 1).any():
                 raise ModelError(f"member {w!r} violates column exclusivity "
                                  "(a row has two positive entries)")
 

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core_model
 from .core_model import (
     ModelError,
     NonnegMatrix,
@@ -29,7 +30,6 @@ from .core_model import (
     matrix_word_product,
     operator_norm,
 )
-from . import entropy as _entropy
 from .filter_dynamics import _merge_atoms
 
 __all__ = [
@@ -118,70 +118,43 @@ _SPREAD_ROWS = 8  # rows per product that _Block.spread_bounds pairs
 
 class _Block:
     """Word products side by side in one matrix ``S``, ``n`` columns each:
-    product ``i`` is columns ``i n`` to ``(i + 1) n``.  ``word`` and
-    ``row`` give the product and the row of each stored entry.  It is the
-    matrix analogue of the stack of states that ``Partition.fan_out``
-    takes: one product forms the children of all its products
-    (:meth:`children`), and each test reads them all at once."""
+    product ``i`` is columns ``i n`` to ``(i + 1) n``.  ``word`` gives the
+    product of each entry.  It is the matrix analogue of the stack of
+    states that ``Partition.fan_out`` takes: one product forms the children
+    of all its products (:meth:`children`), and each test reads them all at
+    once."""
 
-    __slots__ = ("S", "n", "count", "word", "row", "_runs", "_positive")
+    __slots__ = ("S", "n", "count", "word", "_runs")
 
-    def __init__(self, S: NonnegMatrix, n: int, like: "_Block | None" = None):
-        """``like`` is a block with the same layout, whose indexes are shared."""
-        self.S, self.n, self.count = S, n, S.cols // n
-        if like is None:
-            self.word = S.indices // n
-            self.row = np.repeat(np.arange(S.rows, dtype=S.indptr.dtype),
-                                 S.indptr[1:] - S.indptr[:-1])
-            self._runs = None
-        else:
-            self.word, self.row, self._runs = like.word, like.row, like._runs
-        self._positive = None
+    def __init__(self, S: NonnegMatrix, n: int):
+        self.S, self.n, self.count, self.word = S, n, S.cols // n, S.indices // n
+        self._runs = None
 
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The first entry of each run of entries that one row of one
-        product holds, and that run's product and row."""
+        product holds (its columns are sorted), and that run's product and row."""
         if self._runs is None:
-            key = self.row.astype(np.int64) * self.count + self.word
-            new = np.ones(key.size, bool)
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            start = np.flatnonzero(new)
-            self._runs = start, self.word[start], self.row[start]
+            S, word = self.S, self.word
+            new = np.zeros(word.size + 1, bool)
+            new[S.indptr] = True
+            new[1:-1] |= word[1:] != word[:-1]
+            start = np.flatnonzero(new[:-1])
+            self._runs = start, word[start], np.searchsorted(S.indptr, start, "right") - 1
         return self._runs
 
     def product(self, i: int) -> NonnegMatrix:
         """Product ``i`` on its own, in the dtypes of ``S``."""
-        S, at = self.S, np.flatnonzero(self.word == i)
-        indptr = np.zeros(S.rows + 1, S.indptr.dtype)
-        np.cumsum(np.bincount(self.row[at], minlength=S.rows), out=indptr[1:])
-        return NonnegMatrix._csr((S.rows, self.n), indptr, S.indices[at] - i * self.n, S.data[at])
-
-    def positive(self) -> "_Block":
-        """The block without its stored zeros."""
-        if self._positive is None:  # () when it has none, so that no block refers to itself
-            S, pos = self.S, self.S.data > 0
-            self._positive = ()
-            if not pos.all():
-                indptr = np.zeros(S.rows + 1, S.indptr.dtype)
-                np.cumsum(np.bincount(self.row[pos], minlength=S.rows), out=indptr[1:])
-                self._positive = _Block(NonnegMatrix._csr((S.rows, S.cols), indptr, S.indices[pos],
-                                                          S.data[pos]), self.n)
-        return self._positive or self
-
-    def nonzero(self) -> list[bool]:
-        """Which products have a positive entry."""
-        out = np.zeros(self.count, bool)
-        out[self.positive().runs()[1]] = True
-        return out.tolist()
+        S, mine = self.S, self.word == i
+        return NonnegMatrix._csr((S.rows, self.n), core_model._kept_indptr(S.indptr, mine),
+                                 S.indices[mine] - i * self.n, S.data[mine])
 
     def support_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each product's numbers of positive entries, of rows with one and
-        of columns with one, as exact integer counts."""
-        b = self.positive()
-        start, word, _ = b.runs()
-        cols = np.zeros(b.S.cols, bool)
-        cols[b.S.indices] = True
-        return (np.bincount(word, np.diff(start, append=b.S.data.size), self.count).astype(int),
+        """Each product's numbers of entries, of rows with one and of
+        columns with one, as exact integer counts."""
+        word = self.runs()[1]
+        cols = np.zeros(self.S.cols, bool)
+        cols[self.S.indices] = True
+        return (np.bincount(self.word, minlength=self.count),
                 np.bincount(word, minlength=self.count),
                 cols.reshape(self.count, self.n).sum(axis=1))
 
@@ -194,15 +167,12 @@ class _Block:
         out[word, row] = np.add.reduceat(self.S.data, start)
         return out
 
-    def normalized(self) -> "_Block":
-        """Each nonzero product scaled as :func:`_normalized` scales it, bit
-        for bit: by ``1.0 /`` its largest row sum.  A zero product stays."""
+    def scales(self) -> np.ndarray:
+        """Each product's factor in :func:`_normalized`, bit for bit: ``1.0
+        /`` its largest row sum, or 1.0 for a zero product."""
         norm = self.row_sums().max(axis=1)
         with np.errstate(over="ignore"):  # inf, as Python's float division gives
-            scale = 1.0 / np.where(norm > 0, norm, 1.0)
-        S = self.S
-        return _Block(NonnegMatrix._csr((S.rows, S.cols), S.indptr, S.indices,
-                                        S.data * scale[self.word]), self.n, self)
+            return 1.0 / np.where(norm > 0, norm, 1.0)
 
     def children(self, m: Partition, keep: np.ndarray) -> "_Block":
         """The products ``P M(w)`` side by side for the products ``P`` where
@@ -225,9 +195,9 @@ class _Block:
         indices = (T.indices + (np.arange(kept, dtype=idx) * (k * n))[:, None]).ravel()
         out = self.S @ NonnegMatrix._csr((self.count * n, kept * k * n), indptr, indices,
                                          np.tile(T.data, kept))
-        # the kernel's arrays hold room for every term; keep only the entries
-        return _Block(NonnegMatrix._csr((out.rows, out.cols), out.indptr, out.indices.copy(),
-                                        out.data.copy()), n)
+        # the kernel's arrays hold room for every term: keep the entries, let those go
+        out = NonnegMatrix._csr((out.rows, out.cols), out.indptr, out.indices.copy(), out.data.copy())
+        return _Block(out, n)
 
     def extension_bytes(self, m: Partition) -> np.ndarray:
         """The bytes that extending each product takes at most: an entry per
@@ -240,11 +210,11 @@ class _Block:
         return ((8 + S.indices.itemsize)
                 * (np.bincount(word, met, self.count) + T.data.size + T.cols))
 
-    def spread_bounds(self, row_floor: float) -> np.ndarray:
-        """For each product, a lower bound on its ``rank_one_proximity(.,
-        row_floor)``: the largest l1 distance from the first to the others
-        of its kept rows among ``_SPREAD_ROWS`` rows spread evenly through
-        it, or 0.0 with fewer than two kept.
+    def spread_bounds(self, row_floor: float, scale: np.ndarray | None = None) -> np.ndarray:
+        """For each product ``P_i``, a lower bound on ``rank_one_proximity(.,
+        row_floor)`` of ``P_i.scaled(scale[i])`` (``P_i`` with no ``scale``):
+        the largest l1 distance from the first to the others of its kept rows
+        among ``_SPREAD_ROWS`` rows spread through it, or 0.0 with under two.
 
         Those rows are made dense, summed, kept where the sum is above the
         floor, divided by it and paired by the same numpy calls along a
@@ -263,7 +233,7 @@ class _Block:
         flat = (self.word[at] * ((len(rows) - 1) * n) + S.indices[at]
                 + np.repeat(np.arange(0, len(rows) * n, n), lens))
         dense = np.zeros(self.count * len(rows) * n)
-        dense[flat] = S.data[at]
+        dense[flat] = S.data[at] if scale is None else S.data[at] * scale[self.word[at]]
         dense = dense.reshape(self.count, len(rows), n)
         sums = dense.sum(axis=2)
         kept = sums > row_floor
@@ -281,8 +251,8 @@ class _Level:
     __slots__ = ("words", "block", "nonzero", "values", "cost", "child", "lo", "hi", "first")
 
     def __init__(self, words: list, block: _Block, test):
-        self.words, self.block = words, block
-        self.nonzero, self.values = block.nonzero(), test(block)
+        self.words, self.block, self.values = words, block, test(block)
+        self.nonzero = (np.bincount(block.word, minlength=block.count) > 0).tolist()
         self.cost = self.child = self.first = None
         self.lo = self.hi = 0
 
@@ -312,7 +282,7 @@ def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
     Words are formed in blocks: when a word is extended, so are the words of
     its length that follow it in its block, as many as the extension's
     bytes (:meth:`_Block.extension_bytes`) fit in a share of
-    ``entropy._BLOCK_BYTES`` (one at least), and all their children come
+    ``core_model._BLOCK_BYTES`` (one at least), and all their children come
     from one product (:meth:`_Block.children`) and are tested at once.  The
     extensions that form words of length ``depth`` get the whole of it and
     each length above ``1 / sqrt(2)`` of the share of the one below, so the
@@ -332,7 +302,7 @@ def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
             yield L.words[i], L.values[i]
             if length < depth:
                 if not L.lo <= i < L.hi:
-                    L.extend(m, i, _entropy._BLOCK_BYTES / 2 ** ((depth - 1 - length) / 2), test)
+                    L.extend(m, i, core_model._BLOCK_BYTES / 2 ** ((depth - 1 - length) / 2), test)
                 yield from walk(L.child, L.first[i - L.lo], length + 1)
 
     yield from walk(_Level([(w,) for w in m.labels], _Block(m._stack, m.n), test), 0, 1)
@@ -519,13 +489,14 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     The curves record every value, so each power before a cycle and each
     greedy prefix has its proximity computed in full.  The enumeration
     forms its words in blocks bounded in bytes (:func:`_exhaustive_walk`),
-    one product for the children of a block of words, and normalises and
-    bounds each block's words at once (:meth:`_Block.spread_bounds`); the
-    words are still taken one by one in depth-first order.  A word's bound
-    is one of its pairwise row distances bit for bit, so it never exceeds
-    its proximity: when it already reaches the least proximity so far, the
-    word can neither converge nor lower ``min_proximity``, and its full
-    proximity is never computed.
+    one product for the children of a block of words, and bounds each
+    block's words at once (:meth:`_Block.spread_bounds`), scaling only the
+    entries it reads; the words are still taken one by one in depth-first
+    order.  A word's bound is one of its pairwise row distances bit for
+    bit, so it never exceeds its proximity: when it already reaches the
+    least proximity so far, the word can neither converge nor lower
+    ``min_proximity``, and its full proximity is never computed; otherwise
+    its product alone is normalised.
 
     ``diagnostics`` holds ``tol``, ``row_floor``, ``curves`` (proximities of
     the powers of each repeated word, keyed by ``repr(unit)``, and of the
@@ -560,13 +531,14 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
 
     if "exhaustive" in policy and max_depth >= 1:
         def bounded(block):
-            H = block.normalized()
-            return [(b, H, i) for i, b in enumerate(H.spread_bounds(row_floor).tolist())]
+            scale = block.scales()
+            bounds = block.spread_bounds(row_floor, scale)
+            return [(block, i, *bs) for i, bs in enumerate(zip(bounds.tolist(), scale.tolist()))]
 
-        for word, (bound, H, i) in _exhaustive_walk(m, max_depth, work, bounded):
+        for word, (block, i, bound, s) in _exhaustive_walk(m, max_depth, work, bounded):
             # best[0] > tol while the search runs, so a word whose bound
             # reaches it can neither converge nor improve min_proximity
-            if bound < best[0] and converged(word, H := H.product(i)):
+            if bound < best[0] and converged(word, H := block.product(i).scaled(s)):
                 return verdict("exhaustive", word, H)
 
     if "repeat" in policy:
@@ -597,14 +569,13 @@ def _connector_word(m: Partition, start: int, goal: int, max_len: int) -> tuple 
     found by BFS over single-member support edges."""
     if start == goal:
         return ()
-    graphs = [M.support() for _, M in m]
     frontier = {start: ()}
     seen = {start}
     for _ in range(max_len):
         nxt: dict[int, tuple] = {}
         for u, word in frontier.items():
-            for w, g in zip(m.labels, graphs):
-                for v in g.indices[g.indptr[u]:g.indptr[u + 1]].tolist():
+            for w, M in m:
+                for v in M.indices[M.indptr[u]:M.indptr[u + 1]].tolist():
                     if v in seen:
                         continue
                     cand = word + (w,)
@@ -742,7 +713,10 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     Vertices of the subset are always included among the samples, besides
     ``sample_count`` random points; a negative count raises.  An
     ``n_max`` below 1 raises :class:`ModelError`: no word would be active,
-    and every hypothesis would pass vacuously.
+    and every hypothesis would pass vacuously.  ``isolated_pass`` cannot
+    fail: a point is kept only if it lies more than ``dedup_eps`` from every
+    point kept before it, and the merge and :func:`_l1_blocks` sum each
+    distance alike, bit for bit, so ``separation > dedup_eps`` always.
     """
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) < 2:

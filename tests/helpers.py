@@ -74,10 +74,13 @@ from filtermc.stability import (
 
 def from_csr_array(a) -> NonnegMatrix:
     """The ``NonnegMatrix`` holding the arrays of a scipy CSR array as they
-    are.  A matrix stores sorted columns without duplicates, so an array
-    that does not is rejected: sort it with ``sort_indices`` first."""
+    are.  A matrix stores sorted columns without duplicates, and positive
+    values only, so an array that does not is rejected: sort it with
+    ``sort_indices`` and drop its zeros with ``eliminate_zeros`` first."""
     if not _sparsetools.csr_has_canonical_format(a.shape[0], a.indptr, a.indices):
         raise ValueError("from_csr_array needs sorted column indices without duplicates")
+    if not (a.data > 0).all():
+        raise ValueError("from_csr_array needs positive stored values")
     return NonnegMatrix._csr(a.shape, a.indptr, a.indices, a.data)
 
 

@@ -716,6 +716,32 @@ def test_a_numeric_flag_out_of_range_is_an_error_naming_it(tmp_path, capsys, kes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # each said "ValueError: invalid literal for int() with base 10"
+    *[(["check", "--condition", "thm11", "--subset", subset],
+       f"--subset must be comma-separated state indices, got {subset!r}")
+      for subset in ("0,x", "0,,1", "0,1,", "0,1e3")],
+    # said "ValueError: could not convert string to float: 'a'"
+    (["simulate", "--steps", "2", "--x0", "a,b"], "--x0 must be comma-separated numbers, got 'a,b'"),
+    # said "ValueError: invalid literal for int() with base 10"
+    (["entropy", "--horizon", "1", "--mc", "samples=abc"],
+     "--mc samples must be an integer, as samples=K, got 'abc'"),
+    (["entropy", "--horizon", "1", "--mc", "samples"],
+     "--mc samples must be an integer, as samples=K, got ''"),
+    # said "ValueError: expected non-negative integer", from numpy's default_rng
+    (["simulate", "--steps", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["check", "--condition", "thm11", "--subset", "0,1", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["entropy", "--horizon", "1", "--mc", "seed=-1"], "--mc seed must be >= 0, got -1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_a_flag_that_does_not_parse_is_an_error_naming_it(tmp_path, capsys, kesten_file, argv,
+                                                          flag):
+    out = tmp_path / "out"
+    assert run([argv[0], "--model", str(kesten_file), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag}\n"
+    assert not out.exists()
+
+
 def test_merge_eps_inf_is_accepted_and_merges_every_atom(tmp_path, capsys, kesten_file):
     out = tmp_path / "mu.json"
     assert run(["evolve", "--model", str(kesten_file), "--steps", "2", "--merge-eps", "inf",

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
@@ -122,16 +122,6 @@ def test_observation_partition_takes_no_dense_copy_of_r():
     assert peak < 8 * P.n**2
     assert m.num_labels == P.n and m.member(5).triplets() == [(i, 5, v) for i, j, v in P.triplets()
                                                                if j == 5]
-
-
-def test_observation_partition_skips_stored_zeros_of_r():
-    # scaling can store an underflowed zero; it makes no entry, as a dense zero made none
-    P = fm.TransitionMatrix.from_dense([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.6, 0.0, 0.4]])
-    R = fm.NonnegMatrix._csr((3, 2), np.array([0, 2, 3, 5]), np.array([0, 1, 1, 0, 1]),
-                             np.array([1.0, 0.0, 1.0, 0.5, 0.5]))
-    m = fm.partition_from_observation(P, R)
-    assert m.member(0).triplets() == [(0, 0, 0.5), (1, 2, 0.375), (2, 0, 0.6), (2, 2, 0.2)]
-    assert m.member(1).triplets() == [(0, 1, 0.5), (1, 1, 0.25), (1, 2, 0.375), (2, 2, 0.2)]
 
 
 def test_lumping_splits_columns():
@@ -532,18 +522,48 @@ def test_saved_and_loaded_model_computes_the_same_bits(make, tmp_path):
     assert fm.entropy_series(x, m, 5) == fm.entropy_series(x, m2, 5)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), low=st.integers(-320, 0),
+       factor=st.integers(-310, 0), kind=st.sampled_from(["lumping", "observation", "explicit"]))
+@example(seed=0, n=4, low=-320, factor=-310, kind="explicit")
+def test_no_matrix_stores_a_zero(seed, n, low, factor, kind):
+    # entries from 1 down to 10**low, and a member of entries 1e-12 times
+    # those (within PARTITION_ATOL of nothing), scaled by factors down to 1e-310
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < 0.6) * 10.0 ** rng.uniform(low, 0, (n, n))
+    A = fm.NonnegMatrix.from_dense(a)
+    B = fm.NonnegMatrix(n, n, A.triplets())
+    P = random_transition(rng, n, sparsity=0.5)
+    members = dict(random_partition(rng, P, 2, kind=kind))
+    members["tiny"] = fm.NonnegMatrix.from_dense(a * 1e-12)
+    m = fm.Partition(members, P)
+    mats = [A, B, A @ B, A.add(B), P, m._stack, *m.members.values()]
+    for q in (fm.partition_product(m, m), fm.partition_power(m, 2)):
+        mats += [q.base, q._stack, *q.members.values()]
+    block = _Block(m._stack, n)
+    mats += [block.product(i) for i in range(block.count)]
+    children = block.children(m, np.ones(block.count, bool))
+    mats += [children.product(i) for i in range(children.count)]
+    verdict = fm.detect_rank_one_limit(m, tol=0.5, max_depth=3, power_iters=5)
+    mats += [verdict.W] if verdict.W is not None else []
+    f = 10.0 ** factor
+    for M in list(mats):
+        want = M.data * f
+        keep = want > 0  # scaled keeps these entries, bit-equal to the products
+        S = M.scaled(f)
+        assert S.data.tobytes() == want[keep].tobytes()
+        assert np.array_equal(S.indices, M.indices[keep])
+        assert np.array_equal(S._coords()[0], M._coords()[0][keep])
+        mats.append(S)
+    for M in mats:
+        assert (M.data > 0).all()
+
+
 def test_nonzero_column_count_matches_column_sums():
     rng = np.random.default_rng(3)
-    stored_zeros = 0
     for _ in range(150):
         rows, cols = (int(v) for v in rng.integers(1, 90, size=2))
         a = (rng.random((rows, cols)) < 0.03) * rng.random((rows, cols))
-        built = fm.NonnegMatrix.from_dense(a)
-        # stored zeros, some of them alone in their column
-        ii, jj = np.nonzero((a > 0) | (rng.random((rows, cols)) < 0.02))
-        with_zeros = from_csr_array(sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols)))
-        stored_zeros += with_zeros.data.size - with_zeros.nnz
-        for M in (built, with_zeros):
-            want = int((a.sum(axis=0) > 0).sum())
-            assert M.nonzero_column_count() == want == _Block(M, M.cols).support_counts()[2][0]
-    assert stored_zeros > 0
+        M = fm.NonnegMatrix.from_dense(a)
+        want = int((a.sum(axis=0) > 0).sum())
+        assert M.nonzero_column_count() == want == _Block(M, M.cols).support_counts()[2][0]

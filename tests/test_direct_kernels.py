@@ -160,13 +160,13 @@ def test_underflowed_products_keep_scipys_arrays():
     # the product kernel drops sums that underflow to zero, so it writes
     # fewer entries than it sized its arrays for
     n = 6
-    a = sp.csr_array((np.full(n, 1e-200), np.arange(n), np.arange(n + 1)), shape=(n, n))
-    a[0, 1] = 0.5
+    a = sp.csr_array((np.r_[1e-200, 0.5, np.full(n - 1, 1e-200)], np.r_[0, 1, np.arange(1, n)],
+                      np.r_[0, np.arange(2, n + 2)]), shape=(n, n))
     got = from_csr_array(a) @ from_csr_array(a)
     assert_same_csr(got, product(a, a))
     assert got.nnz == 1 and np.array_equal(got.row_sums(), (a @ a).sum(axis=1))
-    scaled = got.scaled(1e-300)  # stores its entry as a zero
-    assert scaled.data.size == 1 and scaled.nnz == 0 and scaled.is_zero()
+    scaled = got.scaled(1e-300)  # its entry underflows, so it stores nothing
+    assert scaled.data.size == 0 and scaled.nnz == 0 and scaled.is_zero()
     assert scaled.support().nnz == 0 and scaled.nonzero_column_count() == 0
 
 

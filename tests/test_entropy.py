@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import filtermc as fm
 from filtermc import ModelError
-from filtermc import entropy as entropy_mod
 from filtermc.entropy import _PI_FLOOR, _h_array
 
 from helpers import random_partition, random_transition, reference_entropy_bracket
@@ -220,7 +219,7 @@ def test_bracket_matches_one_walk_per_start(case, n_max, prune, block_bytes):
     # children of different starts are cut into many blocks
     m, pi = case
     want = reference_entropy_bracket(m, n_max, prune=prune, pi=pi)
-    with mock.patch.object(entropy_mod, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(fm.core_model, "_BLOCK_BYTES", block_bytes):
         got = fm.entropy_bracket(m, n_max, prune=prune, pi=pi)
     assert_same_report(got, want)
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
-from filtermc.entropy import _block_rows, _one_step_entropy
+from filtermc.core_model import _block_rows
+from filtermc.entropy import _one_step_entropy
 
 from helpers import (
     active_word_dicts,

@@ -46,19 +46,16 @@ def test_subrectangular_examples():
     assert fm.is_subrectangular(np.zeros((2, 2)))  # vacuous
 
 
-def _csr_with_stored_zeros(rng, rows: int, cols: int):
-    """A CSR matrix whose positive entries fill a product set, with a few
-    entries added or removed, plus stored zeros scattered anywhere; and its
-    dense array."""
+def _csr_near_a_product_set(rng, rows: int, cols: int):
+    """A CSR matrix whose entries fill a product set, with a few entries
+    added or removed; and its dense array."""
     R = rng.choice(rows, size=int(rng.integers(0, 6)), replace=False)
     C = rng.choice(cols, size=int(rng.integers(0, 6)), replace=False)
     a = np.zeros((rows, cols))
     a[np.ix_(R, C)] = rng.uniform(0.1, 1.0, size=(R.size, C.size))
     for _ in range(int(rng.integers(0, 2))):
         a[rng.integers(rows), rng.integers(cols)] = rng.choice([0.0, 0.5])
-    positive = a > 0
-    zeros = ~positive & (rng.random((rows, cols)) < 0.01)
-    ii, jj = np.nonzero(positive | zeros)
+    ii, jj = np.nonzero(a)
     mat = sp.csr_array((a[ii, jj], (ii, jj)), shape=(rows, cols))
     return from_csr_array(mat), a
 
@@ -70,11 +67,10 @@ def test_subrectangular_matches_quantifier_bruteforce():
         k = int(rng.integers(1, 9))
         a = (rng.random((n, k)) < 0.35) * rng.random((n, k))
         assert fm.is_subrectangular(a) == subrectangular_by_quantifiers(a)
-    # larger matrices with stored zeros, which are not support
+    # larger matrices, built from CSR arrays
     verdicts = set()
     for _ in range(120):
-        M, a = _csr_with_stored_zeros(rng, int(rng.integers(64, 80)), int(rng.integers(64, 80)))
-        assert M.data.size > M.nnz
+        M, a = _csr_near_a_product_set(rng, int(rng.integers(64, 80)), int(rng.integers(64, 80)))
         want = subrectangular_by_quantifiers(a)
         assert fm.is_subrectangular(M) == want
         assert fm.is_subrectangular(a) == want
@@ -1058,9 +1054,9 @@ def test_check_b1_computes_few_proximities_in_full(monkeypatch, n, full):
 @st.composite
 def block_partitions(draw):
     """Partitions of 2 to 4 labels for the block walk.  On a chain that
-    alternates between two halves of its states some products vanish; an
-    extra member of entries 1e-200 makes products vanish by underflow where
-    it meets itself; and a member may store zeros."""
+    alternates between two halves of its states some products vanish; and
+    an extra member of entries 1e-200 makes products vanish by underflow
+    where it meets itself."""
     n = draw(st.integers(2, 6))
     k = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1077,11 +1073,6 @@ def block_partitions(draw):
         a = (rng.random((n, n)) < 0.5) * 1e-200
         a[0, 0] = 1e-200
         members["tiny"] = fm.NonnegMatrix.from_dense(a)
-    if draw(st.booleans()):  # stored zeros in the first member, stored as constructors store
-        w = next(iter(members))
-        dense = members[w].toarray()
-        ii, jj = np.nonzero((dense > 0) | (rng.random((n, n)) < 0.3))
-        members[w] = fm.NonnegMatrix._from_entries((n, n), ii, jj, dense[ii, jj])
     return fm.Partition(members, P)
 
 
@@ -1120,7 +1111,8 @@ def test_block_walk_matches_the_word_by_word_references(m, budget, max_depth, po
                                                          policy, block_bytes, col_bound):
     # a block of 64 bytes takes one word's children at a time, and one of
     # 3000 splits the words of a length at varying places
-    with mock.patch.object(fm.entropy, "_BLOCK_BYTES", block_bytes or fm.entropy._BLOCK_BYTES):
+    with mock.patch.object(fm.core_model, "_BLOCK_BYTES",
+                           block_bytes or fm.core_model._BLOCK_BYTES):
         assert_detect_is_bit_equal_to_reference(m, tol=tol, max_depth=max_depth,
                                                 power_iters=power_iters, policy=policy,
                                                 budget=budget)
@@ -1135,7 +1127,8 @@ def test_block_walk_matches_the_word_by_word_references(m, budget, max_depth, po
        tol=st.sampled_from([1e-6, 1e-2, 0.5]), block_bytes=st.sampled_from([None, 64]))
 def test_block_walk_composes_the_reference_witness(m, max_len, power_iters, tol, block_bytes):
     kwargs = dict(max_len=max_len, tol=tol, power_iters=power_iters)
-    with mock.patch.object(fm.entropy, "_BLOCK_BYTES", block_bytes or fm.entropy._BLOCK_BYTES):
+    with mock.patch.object(fm.core_model, "_BLOCK_BYTES",
+                           block_bytes or fm.core_model._BLOCK_BYTES):
         try:
             want = reference_compose_rank_one_witness(m, **kwargs)
         except ModelError:
@@ -1153,7 +1146,8 @@ def test_block_walk_hits_at_depth_one(block_bytes):
     # each member of the uniform lumping has equal rows: rank one, with a
     # product set for support, and one column pair
     m = _uniform_lumped()
-    with mock.patch.object(fm.entropy, "_BLOCK_BYTES", block_bytes or fm.entropy._BLOCK_BYTES):
+    with mock.patch.object(fm.core_model, "_BLOCK_BYTES",
+                           block_bytes or fm.core_model._BLOCK_BYTES):
         res = fm.detect_rank_one_limit(m, policy=("exhaustive",))
         assert (res.kind, res.word, res.diagnostics["examined"]) == ("b1_converged", (0,), 1)
         assert_detect_is_bit_equal_to_reference(m, policy=("exhaustive",))
@@ -1209,4 +1203,4 @@ def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
         finally:
             tracemalloc.stop()
         assert walked == min(2000, 2 ** (depth + 1) - 2)
-        assert peak < 6 * fm.entropy._BLOCK_BYTES
+        assert peak < 4.5 * fm.core_model._BLOCK_BYTES

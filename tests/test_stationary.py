@@ -59,12 +59,12 @@ def test_check_matches_reference_on_random_supports(M):
 
 
 def test_check_skips_stored_zeros():
-    # scaling a path by 1e-200 stores its 1e-200 closing edge as a zero;
-    # counted as an edge, it would close a cycle of period 64
+    # scaling a path by 1e-200 underflows its 1e-200 closing edge, which
+    # is then not stored; counted as an edge, it would close a cycle of period 64
     n = 64
     path = fm.NonnegMatrix(n, n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, 0, 1e-200)])
     M = path.scaled(1e-200)
-    assert M.data.size == n and M.nnz == n - 1
+    assert M.data.size == n - 1 and M.nnz == n - 1
     assert M.support().nnz == n - 1
     assert fm.check_irreducible_aperiodic(M) == {"irreducible": False, "aperiodic": True}
     assert fm.check_irreducible_aperiodic(path) == {"irreducible": True, "aperiodic": False}
