@@ -52,13 +52,37 @@ EXIT_UNDECIDED = 2
 # the keys of `entropy --mc` and the parameters of entropy_rate_mc they set
 _MC_KEYS = {"samples": "samples", "burn": "burn_in", "seed": "seed"}
 
+# each numeric flag's range [low, below), by its name in `args` or as "mc <key>";
+# None leaves that side open. `run` checks every flag given, before any file is read
+_RANGES = {
+    "horizon": (1, None), "steps": (1, None), "max_word_len": (1, None), "depth": (1, None),
+    "col_bound": (1, None),  # a nonzero product has a nonzero column
+    "prune": (0, 1),  # no mass exceeds 1, so 1 prunes every word
+    "merge_eps": (0, None),  # inf merges every atom into one
+    "tol": (None, 1),  # rows of mass at most sqrt(tol) are dropped, and none has more than 1
+    "seed": (0, None), "mc seed": (0, None),
+    "mc samples": (20, None),  # entropy_rate_mc's batches: a sample or more in each
+}
 
-def _check_flag(flag: str, value, low, below=None) -> None:
-    """Raise a ModelError naming ``flag`` unless ``value`` is at least ``low``
-    and, if ``below`` is given, less than it; NaN is neither."""
-    if not (value >= low and (below is None or value < below)):
-        bound = f">= {low}" if below is None else f"in [{low}, {below})"
-        raise ModelError(f"{flag} must be {bound}, got {value!r}")
+
+def _check_flags(args) -> None:
+    """Parse ``--mc`` in place into entropy_rate_mc's keywords, then raise a ModelError
+    naming the first flag of _RANGES given outside its range (NaN is in none)."""
+    given = dict(vars(args))
+    if getattr(args, "mc", None) is not None:
+        args.mc = {}
+        for key, _, val in (tok.partition("=") for tok in given["mc"]):
+            if key not in _MC_KEYS:
+                raise ModelError(f"unknown --mc key {key!r}; the keys are samples, burn and seed")
+            args.mc[_MC_KEYS[key]] = given[f"mc {key}"] = _parse_flag(
+                f"--mc {key}", val, int, f"an integer, as {key}=K")
+    for name, (low, below) in _RANGES.items():
+        value = given.get(name)
+        if value is not None and not ((low is None or value >= low)
+                                      and (below is None or value < below)):
+            bound = (f">= {low}" if below is None else f"below {below}" if low is None
+                     else f"in [{low}, {below})")
+            raise ModelError(f"--{name.replace('_', '-')} must be {bound}, got {value!r}")
 
 
 def _parse_flag(flag: str, text: str, convert, what: str):
@@ -70,7 +94,7 @@ def _parse_flag(flag: str, text: str, convert, what: str):
 
 
 def _start_vector(model: FilterModel, x0_arg: str | None):
-    if x0_arg:
+    if x0_arg is not None:
         return as_prob_vector(_parse_flag("--x0", x0_arg, lambda s: list(map(float, s.split(","))),
                                           "comma-separated numbers"))
     if "default_start" in model.meta:
@@ -82,7 +106,6 @@ def _start_vector(model: FilterModel, x0_arg: str | None):
 
 
 def _cmd_simulate(args) -> int:
-    _check_flag("--seed", args.seed, 0)
     model = load_model(args.model)
     x0 = _start_vector(model, args.x0)
     trace = simulate_filter(x0, model.partition, steps=args.steps, seed=args.seed)
@@ -91,12 +114,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    _check_flag("--prune", args.prune, 0, 1)  # no mass exceeds 1, so 1 prunes every word
-    _check_flag("--merge-eps", args.merge_eps, 0)  # inf merges every atom into one
     model = load_model(args.model)
     x0 = _start_vector(model, args.x0)
-    mu = evolve(x0, model.partition, n=args.steps, prune=args.prune,
-                merge_eps=args.merge_eps)
+    mu = evolve(x0, model.partition, n=args.steps, prune=args.prune, merge_eps=args.merge_eps)
     save_measure(mu, args.out)
     print(f"atoms={mu.size} pruned_mass={mu.pruned_mass:.17g}")
     return EXIT_OK
@@ -113,11 +133,6 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _check_flag("--max-word-len", args.max_word_len, 1)
-    if args.col_bound is not None:  # a nonzero product has a nonzero column
-        _check_flag("--col-bound", args.col_bound, 1)
-    if args.tol >= 1:  # rows of mass at most sqrt(tol) are dropped, and none has more than 1
-        raise ModelError(f"--tol must be below 1, got {args.tol!r}")
     model = load_model(args.model)
     m = model.partition
     verdict: dict = {"condition": args.condition}
@@ -147,33 +162,29 @@ def _cmd_check(args) -> int:
         else:
             code = EXIT_UNDECIDED
     elif args.condition == "thm93":
-        out = compose_rank_one_witness(m, max_len=args.max_word_len, tol=args.tol)
+        out = compose_rank_one_witness(m, max_len=args.max_word_len, tol=args.tol,
+                                       col_bound=args.col_bound)
         if out is None:
             verdict.update(kind="undecided", note="prerequisite words not found")
             code = EXIT_UNDECIDED
         else:
             word, W = out
             verdict.update(kind="b1_converged", word=list(word), W=W)
-    elif args.condition == "thm11":
-        if not args.subset:
+    else:  # thm11
+        if args.subset is None:
             raise ModelError("--subset is required for thm11")
         subset = _parse_flag("--subset", args.subset, lambda s: list(map(int, s.split(","))),
                              "comma-separated state indices")
-        _check_flag("--seed", args.seed, 0)
+        for i in subset:
+            if not 0 <= i < m.n:
+                raise ModelError(f"--subset names state {i}, but the model has {m.n} states")
         report = check_isometry_obstruction(
             m, subset, n_max=args.depth, sample_count=args.samples, seed=args.seed)
         verdict.update(
-            kind="nonstable" if report.passed else "hypotheses_failed",
-            passed=report.passed,
-            separation=report.separation,
-            isolated_pass=report.isolated_pass,
-            equal_words_pass=report.equal_words_pass,
-            isometry_pass=report.isometry_pass,
-            max_isometry_deviation=report.max_isometry_deviation,
-            witnesses=report.witnesses,
-        )
-    else:  # unreachable behind argparse choices
-        raise ModelError(f"unknown condition {args.condition!r}")
+            kind="nonstable" if report.passed else "hypotheses_failed", passed=report.passed,
+            separation=report.separation, isolated_pass=report.isolated_pass,
+            equal_words_pass=report.equal_words_pass, isometry_pass=report.isometry_pass,
+            max_isometry_deviation=report.max_isometry_deviation, witnesses=report.witnesses)
     _write_json(_jsonable(verdict), args.out)
     return code
 
@@ -251,25 +262,14 @@ def _cmd_gallery(args) -> int:
             spec = gallery.PermFamilySpec(base=base, members=members,
                                           d=_param(params, "d", int, "an integer"), Q=Q)
         model = gallery.perm_family_model(spec)
-    elif args.kind == "birkhoff":
+    else:  # birkhoff
         model = gallery.birkhoff_partition_model(
             _param(params, "matrix", _floats, "a square matrix of numbers"))
-    else:
-        raise ModelError(f"unknown gallery kind {args.kind!r}")
     save_model(model, args.out)
     return EXIT_OK
 
 
 def _cmd_entropy(args) -> int:
-    _check_flag("--horizon", args.horizon, 1)
-    _check_flag("--prune", args.prune, 0, 1)
-    mc = {}
-    for tok in args.mc or ():
-        key, _, val = tok.partition("=")
-        if key not in _MC_KEYS:
-            raise ModelError(f"unknown --mc key {key!r}; the keys are samples, burn and seed")
-        mc[_MC_KEYS[key]] = _parse_flag(f"--mc {key}", val, int, f"an integer, as {key}=K")
-    _check_flag("--mc seed", mc.get("seed", 0), 0)
     model = load_model(args.model)
     m = model.partition
     pi = model.stationary
@@ -277,7 +277,7 @@ def _cmd_entropy(args) -> int:
     series = report.series if report else entropy_series(pi, m, args.horizon + 1, prune=args.prune)
     lower, upper = report.bracket if report else (None, None)
     # computed before the CSV is written, so that a failed run writes nothing
-    mc_line = ("mc_estimate={:.12g} mc_stderr={:.12g}".format(*entropy_rate_mc(m, **mc))
+    mc_line = ("mc_estimate={:.12g} mc_stderr={:.12g}".format(*entropy_rate_mc(m, **args.mc))
                if args.mc is not None else None)
     v = series.values
     with _output(args.out, newline="") as out:
@@ -372,6 +372,7 @@ def run(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_ERROR
     try:
+        _check_flags(args)
         return args.func(args)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)

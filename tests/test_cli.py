@@ -39,18 +39,6 @@ def test_gallery_then_nonstability_check(tmp_path, capsys):
     assert verdict["separation"] > 0
 
 
-def test_thm11_at_depth_zero_is_an_error(tmp_path, capsys):
-    # no word is active at depth 0, so no hypothesis has any evidence
-    model_path = tmp_path / "k.json"
-    assert run(["gallery", "kesten", "--out", str(model_path)]) == 0
-    verdict_path = tmp_path / "verdict.json"
-    code = run(["check", "--model", str(model_path), "--condition", "thm11",
-                "--subset", "0,1", "--depth", "0", "--out", str(verdict_path)])
-    assert code == 1
-    assert "n_max must be at least 1" in capsys.readouterr().err
-    assert not verdict_path.exists()
-
-
 @pytest.mark.parametrize("subset, state", [("0,0", 0), ("0,0,1", 0), ("2,1,2,3", 2)])
 def test_thm11_rejects_a_subset_that_repeats_a_state(tmp_path, capsys, kesten_file, subset,
                                                      state):
@@ -707,6 +695,20 @@ def test_entropy_checks_the_horizon_before_anything_else(tmp_path, capsys, keste
     # an IndexError out of `run`
     (["check", "--condition", "thm11", "--subset", "0,1", "--samples", "-1"],
      "sample_count (--samples) must be >= 0, got -1"),
+    # said "simulate_filter requires steps >= 1" and "evolve requires n >= 1"
+    (["simulate", "--steps", "0"], "--steps must be >= 1, got 0"),
+    (["evolve", "--steps", "0"], "--steps must be >= 1, got 0"),
+    # said "n_max must be at least 1": no word is active at depth 0, so no
+    # hypothesis has any evidence
+    (["check", "--condition", "thm11", "--subset", "0,1", "--depth", "0"],
+     "--depth must be >= 1, got 0"),
+    # said "need at least as many samples as batches"; entropy_rate_mc forms 20
+    (["entropy", "--horizon", "1", "--mc", "samples=10"], "--mc samples must be >= 20, got 10"),
+    # said "subset index out of range"
+    (["check", "--condition", "thm11", "--subset", "0,9"],
+     "--subset names state 9, but the model has 8 states"),
+    (["check", "--condition", "thm11", "--subset=-1,0"],
+     "--subset names state -1, but the model has 8 states"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_a_numeric_flag_out_of_range_is_an_error_naming_it(tmp_path, capsys, kesten_file,
                                                            argv, flag):
@@ -733,6 +735,10 @@ def test_a_numeric_flag_out_of_range_is_an_error_naming_it(tmp_path, capsys, kes
     (["check", "--condition", "thm11", "--subset", "0,1", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     (["entropy", "--horizon", "1", "--mc", "seed=-1"], "--mc seed must be >= 0, got -1"),
+    # exited 0 from the model's start, and said "--subset is required for thm11"
+    (["simulate", "--steps", "2", "--x0", ""], "--x0 must be comma-separated numbers, got ''"),
+    (["check", "--condition", "thm11", "--subset", ""],
+     "--subset must be comma-separated state indices, got ''"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_a_flag_that_does_not_parse_is_an_error_naming_it(tmp_path, capsys, kesten_file, argv,
                                                           flag):
@@ -740,6 +746,27 @@ def test_a_flag_that_does_not_parse_is_an_error_naming_it(tmp_path, capsys, kest
     assert run([argv[0], "--model", str(kesten_file), *argv[1:], "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {flag}\n"
     assert not out.exists()
+
+
+def test_mc_samples_at_the_batch_count_is_accepted(tmp_path, capsys, kesten_file):
+    out = tmp_path / "h.csv"
+    assert run(["entropy", "--model", str(kesten_file), "--horizon", "1", "--mc", "samples=20",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("mc_estimate=")
+
+
+def test_thm93_honours_col_bound(tmp_path, capsys):
+    # exited 2, "prerequisite words not found": the bound reached only `localizing`
+    P = fm.TransitionMatrix.from_dense([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25],
+                                        [0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.2, 0.2]])
+    model = tmp_path / "one_label.json"
+    fm.save_model(fm.FilterModel(fm.Partition.trivial(P)), model)
+    out = tmp_path / "verdict.json"
+    assert run(["check", "--model", str(model), "--condition", "thm93", "--col-bound", "4",
+                "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())
+    assert verdict["kind"] == "b1_converged" and verdict["word"] == list(
+        fm.compose_rank_one_witness(fm.load_model(model).partition, col_bound=4)[0])
 
 
 def test_merge_eps_inf_is_accepted_and_merges_every_atom(tmp_path, capsys, kesten_file):
@@ -769,6 +796,10 @@ _NUMERIC_FLAGS = [
 @given(case=st.sampled_from(_NUMERIC_FLAGS),
        value=st.sampled_from(["-3", "-1", "0", "nan", "inf", "-inf", "1", "2", "1e-3", "0.5"]))
 @example(case=_NUMERIC_FLAGS[13], value="-1")  # an IndexError out of `run`
+# each said neither `--steps`, `--depth` nor `--mc samples`
+@example(case=_NUMERIC_FLAGS[0], value="0")
+@example(case=_NUMERIC_FLAGS[14], value="0")
+@example(case=_NUMERIC_FLAGS[7], value="1")
 def test_numeric_flags_end_in_an_exit_code_not_a_traceback(kesten_file, case, value):
     # every value is small: `simulate --steps 10000000000` would draw one
     # array of that many numbers, and `thm11 --depth 40` walk 2**40 words
@@ -777,6 +808,12 @@ def test_numeric_flags_end_in_an_exit_code_not_a_traceback(kesten_file, case, va
     if flag == "burn=":
         setting = ["samples=100", *setting]
     out = Path(kesten_file).parent / "fuzz.out"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run([argv[0], "--model", str(kesten_file), *argv[1:], *setting, "--out", str(out)])
     assert code in (0, 1, 2)
+    # an error names the flag as typed, or is one of the library's own checks
+    typed = f"--mc {flag[:-1]}" if flag.endswith("=") else flag
+    assert code != 1 or typed in err.getvalue() or any(m in err.getvalue() for m in (
+        "tol must be nonnegative", "burn_in must be >= 0",
+        "pushforward pruned away all mass; lower `prune`")), err.getvalue()
