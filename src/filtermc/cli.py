@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -180,11 +181,9 @@ def _cmd_check(args) -> int:
                 raise ModelError(f"--subset names state {i}, but the model has {m.n} states")
         report = check_isometry_obstruction(
             m, subset, n_max=args.depth, sample_count=args.samples, seed=args.seed)
-        verdict.update(
-            kind="nonstable" if report.passed else "hypotheses_failed", passed=report.passed,
-            separation=report.separation, isolated_pass=report.isolated_pass,
-            equal_words_pass=report.equal_words_pass, isometry_pass=report.isometry_pass,
-            max_isometry_deviation=report.max_isometry_deviation, witnesses=report.witnesses)
+        verdict.update(kind="nonstable" if report.passed else "hypotheses_failed",
+                       passed=report.passed,
+                       **{key: v for key, v in vars(report).items() if key != "subset"})
     _write_json(_jsonable(verdict), args.out)
     return code
 
@@ -358,6 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes -1e-9, -inf and -nan for flags: join each to its flag, as --tol=-inf
+    for t in range(len(argv) - 1, 0, -1):
+        if re.match(r"-(\.?\d|inf|nan)", argv[t], re.I) and re.fullmatch(r"--[^=]+", argv[t - 1]):
+            argv[t - 1:t + 1] = [argv[t - 1] + "=" + argv[t]]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on bad flags (2) and --help (0)

@@ -307,9 +307,12 @@ class NonnegMatrix:
 
     def scaled(self, factor: float) -> "NonnegMatrix":
         """``factor`` times each entry, without the entries that underflow to zero."""
-        if factor <= 0:
-            raise ModelError("scale factor must be positive")
-        data = self.data * factor
+        if not 0 < factor < np.inf:
+            raise ModelError(f"scale factor must be positive and finite, got {factor!r}")
+        return self._with_values(self.data * factor)
+
+    def _with_values(self, data: np.ndarray) -> "NonnegMatrix":
+        """This layout with ``data`` for values, without the entries where it is zero."""
         keep = data > 0
         return NonnegMatrix._csr((self.rows, self.cols), _kept_indptr(self.indptr, keep),
                                  self.indices[keep], data[keep])
@@ -370,6 +373,23 @@ _BLOCK_BYTES = 2**18  # the most a block of fan-out children or of word products
 def _block_rows(m: "Partition") -> int:
     """Rows per fan-out block: its children take at most ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (8 * m.num_labels * m.n))
+
+
+def _l1_blocks(rows: np.ndarray, others: np.ndarray | None = None):
+    """The l1 distances from the rows of ``rows`` to those of ``others``
+    (by default, to those of ``rows`` from theirs on) in blocks ``(i, j, d)``,
+    where ``d[a, b]`` pairs rows ``i + a`` and ``j + b``: 8 rows against at
+    most ``max(64, 2**14 // n)``, so at most ``max(512 n, 2**17)`` values
+    whatever the row counts (1 MB up to n = 256).  Every pair is in some
+    block, bit-equal to ``np.abs(u - v).sum()``, as each is summed along a
+    contiguous axis of length ``n``; by default ``d[a, a]`` pairs a row with
+    itself where ``i == j``."""
+    step, same = max(64, 2**14 // rows.shape[1]), others is None
+    others = rows if same else others
+    for i in range(0, len(rows), 8):
+        for j in range(i if same else 0, len(others), step):
+            d = np.subtract(rows[i:i + 8, None, :], others[None, j:j + step, :])
+            yield i, j, np.abs(d, out=d).sum(axis=2)
 
 
 class Partition:

@@ -41,27 +41,23 @@ __all__ = [
 # coordinates 1 and 3 equal and strictly below the equal coordinates 2 and 4.
 KESTEN_DEFAULT_START = (0.15, 0.35, 0.15, 0.35, 0.0, 0.0, 0.0, 0.0)
 
-# Positions of the 1/2 entries, one pair per row (0-based).
-_KESTEN_SUPPORT = [
-    (0, 4), (1, 5), (3, 7), (2, 6),
-    (0, 7), (1, 6), (3, 4), (2, 5),
-]
+
+@functools.cache  # no matrix is written once built, so every Kesten model shares these
+def _kesten_members() -> tuple[dict, TransitionMatrix]:
+    return _perm_members(kesten_perm_spec())
 
 
 def kesten_model() -> FilterModel:
     """The 8-state doubly stochastic chain, lumped into two 4-state blocks,
-    whose filter chain is periodic (hence not asymptotically stable)."""
-    entries = [(i, j, 0.5) for i, pair in enumerate(_KESTEN_SUPPORT) for j in pair]
-    P = TransitionMatrix(NonnegMatrix(8, 8, entries))
-    lumping = ["a"] * 4 + ["b"] * 4
-    partition = partition_from_lumping(P, lumping)
+    whose filter chain is periodic (hence not asymptotically stable): the
+    blow-up of :func:`kesten_perm_spec`, whose members are the lumping's."""
     meta = {
         "name": "kesten",
-        "partition_spec": {"lumping": lumping},
+        "partition_spec": {"lumping": ["a"] * 4 + ["b"] * 4},
         "default_start": list(KESTEN_DEFAULT_START),
         "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]],
     }
-    return FilterModel(partition, meta=meta)
+    return FilterModel(Partition(*_kesten_members()), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +207,16 @@ class PermFamilySpec:
         return np.asarray(sigma, dtype=int)
 
 
+def _perm_members(spec: PermFamilySpec) -> tuple[dict, TransitionMatrix]:
+    """Each member of ``spec`` with its block transitions blown up into d x d
+    permutation blocks, and the chain they sum to."""
+    d, n = spec.d, spec.base.n * spec.d
+    members = {w: NonnegMatrix(n, n, [(i * d + j, k * d + s, v) for i, k, v in M.triplets()
+                                      for j, s in enumerate(spec.perm(i, k, w).tolist())])
+               for w, M in spec.members}
+    return members, TransitionMatrix(functools.reduce(NonnegMatrix.add, members.values()))
+
+
 def perm_family_model(spec: PermFamilySpec) -> FilterModel:
     """Blow each block transition up into a d x d permutation block.
 
@@ -218,15 +224,8 @@ def perm_family_model(spec: PermFamilySpec) -> FilterModel:
     satisfies the non-stability hypotheses on every block simplex
     {i} x {0..d-1}.
     """
-    nb = spec.base.n
-    d = spec.d
-    n = nb * d
-    members = {}
-    for w, M in spec.members:
-        members[w] = NonnegMatrix(n, n, [(i * d + j, k * d + s, v) for i, k, v in M.triplets()
-                                         for j, s in enumerate(spec.perm(i, k, w).tolist())])
-    P = TransitionMatrix(functools.reduce(NonnegMatrix.add, members.values()))
-    partition = Partition(members, P)
+    nb, d = spec.base.n, spec.d
+    partition = Partition(*_perm_members(spec))  # first: it checks d before meta spans it
     meta = {
         "name": "perm_family",
         "blocks": [[i * d + j for j in range(d)] for i in range(nb)],

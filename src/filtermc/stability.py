@@ -26,6 +26,7 @@ from .core_model import (
     ModelError,
     NonnegMatrix,
     Partition,
+    _l1_blocks,
     check_irreducible_aperiodic,
     matrix_word_product,
     operator_norm,
@@ -53,10 +54,11 @@ DEFAULT_BUDGET = 200_000
 class StabilityVerdict:
     """Outcome of a stability search.
 
-    ``kind`` is one of ``condition_a``, ``localizing``, ``b1_converged``,
-    ``undecided``, ``nonstable``.  A ``b1_converged`` verdict carries the
-    witness ``W`` (a normalised word product of operator norm 1 whose rows
-    above the floor are aligned within the tolerance).
+    The library returns ``kind`` ``b1_converged`` or ``undecided``; the CLI
+    also writes ``condition_a``, ``localizing``, ``nonstable`` and
+    ``hypotheses_failed``.  A ``b1_converged`` verdict carries the witness
+    ``W`` (a normalised word product of operator norm 1 whose rows above
+    the floor are aligned within the tolerance).
     """
 
     kind: str
@@ -96,11 +98,21 @@ def default_search_depth(num_labels: int, cap: int = 8, node_budget: int = 10**6
     return depth
 
 
-def _normalized(M: NonnegMatrix) -> NonnegMatrix:
-    nrm = operator_norm(M)
+def _divided(data: np.ndarray, norm) -> np.ndarray:
+    """``data`` over ``norm`` > 0 (a float, or one per value): times ``1.0 / norm``,
+    or divided at or below 2**-1024, exactly where that reciprocal overflows."""
+    if np.ndim(norm):
+        ok = norm > 2.0**-1024
+        return np.where(ok, data * (1.0 / np.where(ok, norm, 1.0)), data / norm)
+    return data * (1.0 / norm) if norm > 2.0**-1024 else data / norm
+
+
+def _normalized(M: NonnegMatrix, nrm: float | None = None) -> NonnegMatrix:
+    """``M`` over its operator norm ``nrm`` by :func:`_divided`, less what underflows."""
+    nrm = operator_norm(M) if nrm is None else nrm
     if nrm <= 0:
         raise ModelError("cannot normalise the zero matrix")
-    return M.scaled(1.0 / nrm)
+    return M._with_values(_divided(M.data, nrm))
 
 
 class _Budget:
@@ -118,61 +130,46 @@ _SPREAD_ROWS = 8  # rows per product that _Block.spread_bounds pairs
 
 class _Block:
     """Word products side by side in one matrix ``S``, ``n`` columns each:
-    product ``i`` is columns ``i n`` to ``(i + 1) n``.  ``word`` gives the
-    product of each entry.  It is the matrix analogue of the stack of
-    states that ``Partition.fan_out`` takes: one product forms the children
-    of all its products (:meth:`children`), and each test reads them all at
-    once."""
+    product ``i`` is columns ``i n`` to ``(i + 1) n``, the matrix analogue of
+    the stack of states that ``Partition.fan_out`` takes: one product forms
+    the children of all its products (:meth:`children`), and each test reads
+    them all at once.  Besides ``S`` it keeps a run table: ``start``, the
+    first entry of each run of entries one row of one product holds (its
+    columns are sorted), and ``prod``, that run's product."""
 
-    __slots__ = ("S", "n", "count", "word", "_runs")
+    __slots__ = ("S", "n", "count", "start", "prod")
 
     def __init__(self, S: NonnegMatrix, n: int):
-        self.S, self.n, self.count, self.word = S, n, S.cols // n, S.indices // n
-        self._runs = None
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first entry of each run of entries that one row of one
-        product holds (its columns are sorted), and that run's product and row."""
-        if self._runs is None:
-            S, word = self.S, self.word
-            new = np.zeros(word.size + 1, bool)
-            new[S.indptr] = True
-            new[1:-1] |= word[1:] != word[:-1]
-            start = np.flatnonzero(new[:-1])
-            self._runs = start, word[start], np.searchsorted(S.indptr, start, "right") - 1
-        return self._runs
+        self.S, self.n, self.count, word = S, n, S.cols // n, S.indices // n
+        new = np.zeros(word.size + 1, bool)
+        new[S.indptr] = True
+        new[1:-1] |= word[1:] != word[:-1]
+        self.start = np.flatnonzero(new[:-1])
+        self.prod = word[self.start]
 
     def product(self, i: int) -> NonnegMatrix:
         """Product ``i`` on its own, in the dtypes of ``S``."""
-        S, mine = self.S, self.word == i
+        S, mine = self.S, self.S.indices // self.n == i
         return NonnegMatrix._csr((S.rows, self.n), core_model._kept_indptr(S.indptr, mine),
                                  S.indices[mine] - i * self.n, S.data[mine])
 
     def support_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each product's numbers of entries, of rows with one and of
         columns with one, as exact integer counts."""
-        word = self.runs()[1]
-        cols = np.zeros(self.S.cols, bool)
-        cols[self.S.indices] = True
-        return (np.bincount(self.word, minlength=self.count),
-                np.bincount(word, minlength=self.count),
+        cols = np.bincount(self.S.indices, minlength=self.S.cols) > 0
+        lens = np.diff(self.start, append=self.S.indices.size)
+        return (np.bincount(self.prod, lens, self.count).astype(np.int64),
+                np.bincount(self.prod, minlength=self.count),
                 cols.reshape(self.count, self.n).sum(axis=1))
 
     def row_sums(self) -> np.ndarray:
         """The row sums of each product, one row of the result per product:
         ``reduceat`` over the run of each row, as ``NonnegMatrix.row_sums``
         takes each row of one product, so bit for bit."""
-        start, word, row = self.runs()
         out = np.zeros((self.count, self.S.rows))
-        out[word, row] = np.add.reduceat(self.S.data, start)
+        row = np.searchsorted(self.S.indptr, self.start, "right") - 1
+        out[self.prod, row] = np.add.reduceat(self.S.data, self.start)
         return out
-
-    def scales(self) -> np.ndarray:
-        """Each product's factor in :func:`_normalized`, bit for bit: ``1.0
-        /`` its largest row sum, or 1.0 for a zero product."""
-        norm = self.row_sums().max(axis=1)
-        with np.errstate(over="ignore"):  # inf, as Python's float division gives
-            return 1.0 / np.where(norm > 0, norm, 1.0)
 
     def children(self, m: Partition, keep: np.ndarray) -> "_Block":
         """The products ``P M(w)`` side by side for the products ``P`` where
@@ -205,22 +202,22 @@ class _Block:
         the members in its part of the right factor, and the product
         kernel's two arrays over its children's columns."""
         T, S = m._stack, self.S
-        start, word, _ = self.runs()
-        met = np.add.reduceat(np.diff(T.indptr)[S.indices % self.n], start)
+        met = np.add.reduceat(np.diff(T.indptr)[S.indices % self.n], self.start)
         return ((8 + S.indices.itemsize)
-                * (np.bincount(word, met, self.count) + T.data.size + T.cols))
+                * (np.bincount(self.prod, met, self.count) + T.data.size + T.cols))
 
-    def spread_bounds(self, row_floor: float, scale: np.ndarray | None = None) -> np.ndarray:
+    def spread_bounds(self, row_floor: float, norm: np.ndarray | None = None) -> np.ndarray:
         """For each product ``P_i``, a lower bound on ``rank_one_proximity(.,
-        row_floor)`` of ``P_i.scaled(scale[i])`` (``P_i`` with no ``scale``):
+        row_floor)`` of ``_normalized(P_i, norm[i])`` (``P_i`` with no ``norm``):
         the largest l1 distance from the first to the others of its kept rows
         among ``_SPREAD_ROWS`` rows spread through it, or 0.0 with under two.
 
         Those rows are made dense, summed, kept where the sum is above the
         floor, divided by it and paired by the same numpy calls along a
-        contiguous axis of length ``n`` as in :func:`_kept_rows` and
-        :func:`_l1_blocks`, so each distance is one of the proximity's
-        pairwise values bit for bit, and the bound needs no rounding slack.
+        contiguous axis of length ``n`` as in :func:`rank_one_proximity` and
+        :func:`_l1_blocks` (:func:`_divided` only the entries read), so each
+        distance is one of the proximity's pairwise values bit for bit, and
+        the bound needs no rounding slack.
         A slack would not do: where two rows have disjoint supports the
         proximity is 2 up to rounding, stored on either side of 2.0, and a
         bound below 2.0 could not skip such a product once another has
@@ -229,11 +226,12 @@ class _Block:
         rows = sorted({t * (S.rows - 1) // (_SPREAD_ROWS - 1) for t in range(_SPREAD_ROWS)})
         at = np.concatenate([np.arange(S.indptr[r], S.indptr[r + 1]) for r in rows])
         lens = [S.indptr[r + 1] - S.indptr[r] for r in rows]
+        word = S.indices[at] // n
         # entry (product, candidate, column) of a flat array
-        flat = (self.word[at] * ((len(rows) - 1) * n) + S.indices[at]
+        flat = (word * ((len(rows) - 1) * n) + S.indices[at]
                 + np.repeat(np.arange(0, len(rows) * n, n), lens))
         dense = np.zeros(self.count * len(rows) * n)
-        dense[flat] = S.data[at] if scale is None else S.data[at] * scale[self.word[at]]
+        dense[flat] = S.data[at] if norm is None else _divided(S.data[at], norm[word])
         dense = dense.reshape(self.count, len(rows), n)
         sums = dense.sum(axis=2)
         kept = sums > row_floor
@@ -244,15 +242,15 @@ class _Block:
 
 
 class _Level:
-    """The words of one length that one block holds, their tests, and the
-    level of the children of words ``lo`` to ``hi``, where those of word
-    ``p`` start at ``first[p - lo]``."""
+    """The products of the words of one length that one block holds, their
+    tests, and the level of the children of words ``lo`` to ``hi``, where
+    those of word ``p`` start at ``first[p - lo]``."""
 
-    __slots__ = ("words", "block", "nonzero", "values", "cost", "child", "lo", "hi", "first")
+    __slots__ = ("block", "nonzero", "values", "cost", "child", "lo", "hi", "first")
 
-    def __init__(self, words: list, block: _Block, test):
-        self.words, self.block, self.values = words, block, test(block)
-        self.nonzero = (np.bincount(block.word, minlength=block.count) > 0).tolist()
+    def __init__(self, block: _Block, test):
+        self.block, self.values = block, test(block)
+        self.nonzero = (np.bincount(block.prod, minlength=block.count) > 0).tolist()
         self.cost = self.child = self.first = None
         self.lo = self.hi = 0
 
@@ -264,10 +262,9 @@ class _Level:
             self.cost = self.block.extension_bytes(m) * np.array(self.nonzero)
         fits = np.searchsorted(np.cumsum(self.cost[i + 1:]), room - self.cost[i], "right")
         hi = i + 1 + int(fits)
-        keep = np.zeros(len(self.words), bool)
+        keep = np.zeros(self.block.count, bool)
         keep[i:hi] = self.nonzero[i:hi]
-        words = [self.words[p] + (w,) for p in np.flatnonzero(keep).tolist() for w in m.labels]
-        self.child = _Level(words, self.block.children(m, keep), test)
+        self.child = _Level(self.block.children(m, keep), test)
         self.lo, self.hi = i, hi
         self.first = ((np.cumsum(keep[i:hi]) - 1) * m.num_labels).tolist()
 
@@ -289,23 +286,26 @@ def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
     shares sum to less than ``3.5 * _BLOCK_BYTES`` whatever the depth; a
     length exceeds its share only where one word alone does.  The words
     are still taken, paid for and yielded one at a time in depth-first
-    order, so a walk that ends early leaves some formed children unread."""
-    k = m.num_labels
+    order, so a walk that ends early leaves some formed children unread.
+    Each word is formed from its prefix on the way down; no level holds words."""
+    k, labels = m.num_labels, m.labels
+    share = [core_model._BLOCK_BYTES / 2 ** ((depth - 1 - d) / 2) for d in range(depth)]
 
-    def walk(L: _Level, lo: int, length: int):
+    def walk(L: _Level, lo: int, prefix: tuple):
         for i in range(lo, lo + k):
             if not budget.left():
                 return
             budget.spent += 1
             if not L.nonzero[i]:
                 continue
-            yield L.words[i], L.values[i]
-            if length < depth:
+            word = prefix + (labels[i - lo],)
+            yield word, L.values[i]
+            if len(word) < depth:
                 if not L.lo <= i < L.hi:
-                    L.extend(m, i, core_model._BLOCK_BYTES / 2 ** ((depth - 1 - length) / 2), test)
-                yield from walk(L.child, L.first[i - L.lo], length + 1)
+                    L.extend(m, i, share[len(word)], test)
+                yield from walk(L.child, L.first[i - L.lo], word)
 
-    yield from walk(_Level([(w,) for w in m.labels], _Block(m._stack, m.n), test), 0, 1)
+    yield from walk(_Level(_Block(m._stack, m.n), test), 0, ())
 
 
 def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
@@ -329,8 +329,7 @@ def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
                 best = (t, nrm)
         if best is None:
             return
-        word = word + (m.labels[best[0]],)
-        prod = cands.product(best[0]).scaled(1.0 / best[1])
+        word, prod = word + (m.labels[best[0]],), _normalized(cands.product(best[0]), best[1])
         yield word, prod
 
 
@@ -372,9 +371,10 @@ def _word_search(m: Partition, test, max_len: int, budget: int):
 
     Phase 1 enumerates all words up to the exhaustive depth in label order
     (depth-first, so prefixes are tested before their extensions); phase 2
-    extends a single word greedily by the label maximising the product norm.
-    Returns the first hit or None; ties in the greedy phase break
-    lexicographically.
+    extends a single word greedily by the label maximising the product norm,
+    testing only its prefixes past that depth: phase 1 decided the others,
+    unless the budget ran out, and then phase 2 forms none.  Returns the
+    first hit or None; ties in the greedy phase break lexicographically.
     """
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
@@ -384,8 +384,9 @@ def _word_search(m: Partition, test, max_len: int, budget: int):
     def hits(block):
         return test(*block.support_counts()).tolist()
 
-    greedy = ((word, hits(_Block(prod, m.n))[0]) for word, prod in _greedy_walk(m, max_len, work))
-    for word, hit in chain(_exhaustive_walk(m, depth, work, hits), greedy):
+    greedy = _greedy_walk(m, max_len, work) if max_len > depth else ()
+    longer = ((word, hits(_Block(prod, m.n))[0]) for word, prod in greedy if len(word) > depth)
+    for word, hit in chain(_exhaustive_walk(m, depth, work, hits), longer):
         if hit:
             return word
     return None
@@ -415,18 +416,6 @@ def find_localizing_word(m: Partition, max_len: int = 8, col_bound: int | None =
     return _word_search(m, lambda entries, rows, cols: cols <= bound, max_len, budget)
 
 
-def _kept_rows(M: NonnegMatrix | np.ndarray, row_floor: float) -> np.ndarray:
-    """The rows with l1 mass above ``row_floor``, each divided by its mass."""
-    a = M.toarray() if isinstance(M, NonnegMatrix) else np.asarray(M, dtype=float)
-    sums = a.sum(axis=1)
-    keep = sums > row_floor
-    if not keep.any():
-        raise ModelError("rank_one_proximity: all rows at or below the floor")
-    rows = a[keep]  # a copy, so the division may write into it
-    rows /= sums[keep, None]
-    return rows
-
-
 def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> float:
     """How far the rows (with l1 mass above ``row_floor``) are from being
     proportional: the maximum pairwise l1 distance between normalised rows.
@@ -436,27 +425,14 @@ def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> 
     (Seneta, *Non-negative Matrices and Markov Chains*, 1981, ch. 3).
     :meth:`_Block.spread_bounds` bounds it from below at O(n) cost instead of
     O(r^2 n)."""
-    rows = _kept_rows(M, row_floor)
+    a = M.toarray() if isinstance(M, NonnegMatrix) else np.asarray(M, dtype=float)
+    sums = a.sum(axis=1)
+    keep = sums > row_floor
+    if not keep.any():
+        raise ModelError("rank_one_proximity: all rows at or below the floor")
+    rows = a[keep]  # a copy, so the division may write into it
+    rows /= sums[keep, None]
     return max(float(d.max()) for *_, d in _l1_blocks(rows))
-
-
-def _l1_blocks(rows: np.ndarray):
-    """The pairwise l1 distances between the rows of ``rows`` in blocks
-    ``(i, j, d)``, where ``d[a, b]`` pairs rows ``i + a`` and ``j + b``.
-    Each block takes 8 rows against at most ``max(64, 2**14 // n)`` rows
-    from theirs on, so it holds at most ``max(512 n, 2**17)`` values
-    whatever the row count (1 MB up to n = 256).  At n <= 64 columns and
-    at most 64 rows, as in the word products, each block is the 8 rows
-    against all rows from theirs on.  Every unordered pair appears in some
-    block, and ``d`` is bit-equal to ``np.abs(u - v).sum()`` for each of
-    its pairs, since each is summed along a contiguous axis of length
-    ``n``.  Where ``i == j``, ``d[a, a]`` pairs a row with itself."""
-    r, n = rows.shape
-    step = max(64, 2**14 // n)
-    for i in range(0, r, 8):
-        for j in range(i, r, step):
-            d = np.subtract(rows[i:i + 8, None, :], rows[None, j:j + step, :])
-            yield i, j, np.abs(d, out=d).sum(axis=2)
 
 
 def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None = None,
@@ -490,7 +466,7 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     greedy prefix has its proximity computed in full.  The enumeration
     forms its words in blocks bounded in bytes (:func:`_exhaustive_walk`),
     one product for the children of a block of words, and bounds each
-    block's words at once (:meth:`_Block.spread_bounds`), scaling only the
+    block's words at once (:meth:`_Block.spread_bounds`), dividing only the
     entries it reads; the words are still taken one by one in depth-first
     order.  A word's bound is one of its pairwise row distances bit for
     bit, so it never exceeds its proximity: when it already reaches the
@@ -531,14 +507,14 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
 
     if "exhaustive" in policy and max_depth >= 1:
         def bounded(block):
-            scale = block.scales()
-            bounds = block.spread_bounds(row_floor, scale)
-            return [(block, i, *bs) for i, bs in enumerate(zip(bounds.tolist(), scale.tolist()))]
+            norm = block.row_sums().max(axis=1)
+            bounds = block.spread_bounds(row_floor, norm)
+            return [(block, i, *bn) for i, bn in enumerate(zip(bounds.tolist(), norm.tolist()))]
 
-        for word, (block, i, bound, s) in _exhaustive_walk(m, max_depth, work, bounded):
+        for word, (block, i, bound, nrm) in _exhaustive_walk(m, max_depth, work, bounded):
             # best[0] > tol while the search runs, so a word whose bound
             # reaches it can neither converge nor improve min_proximity
-            if bound < best[0] and converged(word, H := block.product(i).scaled(s)):
+            if bound < best[0] and converged(word, H := _normalized(block.product(i), nrm)):
                 return verdict("exhaustive", word, H)
 
     if "repeat" in policy:
@@ -765,17 +741,17 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     row = np.full((len(samples), len(words)), -1)
     row[start, word] = np.arange(start.size)
     present = row >= 0
+    # two word sets differ only if one differs from sample 0's, so the first
+    # pair in pair order that differs is (0, b) for the first such b
+    diff = present[1:] != present[0]
+    b, i = divmod(int(diff.argmax()), len(words))
+    words_witness = {"pair": (0, b + 1), "differing_word": words[i]} if diff.any() else None
     pair_a, pair_b = np.triu_indices(len(samples), 1)
     base = np.abs(samples[pair_a] - samples[pair_b]).sum(axis=1)
     step = 2**16 // (len(words) * n + 1) + 1
-    words_witness, iso_witness, max_dev = None, None, 0.0
+    iso_witness, max_dev = None, 0.0
     for lo in range(0, pair_a.size, step):
         a, b = pair_a[lo:lo + step], pair_b[lo:lo + step]
-        # the first pair whose word sets differ, and the first such word
-        diff = present[a] != present[b]
-        if words_witness is None and diff.any():
-            p, i = divmod(int(diff.argmax()), len(words))
-            words_witness = {"pair": (int(a[p]), int(b[p])), "differing_word": words[i]}
         # the first largest deviation in pair order, then word order, which
         # a later block must exceed strictly
         p, i = np.nonzero(present[a] & present[b])

@@ -413,17 +413,22 @@ def reference_word_search(m: Partition, predicate, max_len: int, budget: int):
         if best is None:
             break
         word = word + (best[0],)
-        prod = best[1].scaled(1.0 / best[2])
+        prod = _reference_normalized(best[1], best[2])
         if predicate(prod):
             return word
     return None
 
 
-def _reference_normalized(M: NonnegMatrix) -> NonnegMatrix:
-    nrm = operator_norm(M)
+def _reference_normalized(M: NonnegMatrix, nrm: float | None = None) -> NonnegMatrix:
+    """``M`` times the reciprocal of its norm, or divided by the norm where
+    that reciprocal overflows; a norm that small is below 1, so no quotient
+    underflows."""
+    nrm = operator_norm(M) if nrm is None else nrm
     if nrm <= 0:
         raise ModelError("cannot normalise the zero matrix")
-    return M.scaled(1.0 / nrm)
+    if 1.0 / nrm < math.inf:
+        return M.scaled(1.0 / nrm)
+    return NonnegMatrix._csr((M.rows, M.cols), M.indptr, M.indices, M.data / nrm)
 
 
 def reference_powers(base: NonnegMatrix, iters: int) -> list:
@@ -531,7 +536,7 @@ def reference_detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth=N
             if best is None or not paid:
                 break
             word = word + (best[0],)
-            prod = best[1].scaled(1.0 / best[2])
+            prod = _reference_normalized(best[1], best[2])
             prox = reference_rank_one_proximity(prod, row_floor)
             curve.append(prox)
             if prox < best_prox:

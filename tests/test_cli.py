@@ -709,6 +709,15 @@ def test_entropy_checks_the_horizon_before_anything_else(tmp_path, capsys, keste
      "--subset names state 9, but the model has 8 states"),
     (["check", "--condition", "thm11", "--subset=-1,0"],
      "--subset names state -1, but the model has 8 states"),
+    # a value that starts as a negative number reaches its check; argparse
+    # took each for a flag: "argument --tol: expected one argument"
+    (["check", "--condition", "thm11", "--subset", "-1,0"],
+     "--subset names state -1, but the model has 8 states"),
+    (["evolve", "--steps", "2", "--merge-eps", "-inf"], "--merge-eps must be >= 0, got -inf"),
+    (["evolve", "--steps", "2", "--prune", "-1e-3"], "--prune must be in [0, 1), got -0.001"),
+    (["check", "--condition", "b1", "--tol", "-nan"], "--tol must be below 1, got nan"),
+    (["check", "--condition", "b1", "--tol", "-1e-9"], "tol must be nonnegative, got -1e-09"),
+    (["check", "--condition", "thm93", "--tol", "-INF"], "tol must be nonnegative, got -inf"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_a_numeric_flag_out_of_range_is_an_error_naming_it(tmp_path, capsys, kesten_file,
                                                            argv, flag):
@@ -794,7 +803,8 @@ _NUMERIC_FLAGS = [
 
 @settings(max_examples=160, deadline=None)
 @given(case=st.sampled_from(_NUMERIC_FLAGS),
-       value=st.sampled_from(["-3", "-1", "0", "nan", "inf", "-inf", "1", "2", "1e-3", "0.5"]))
+       value=st.sampled_from(["-3", "-1", "0", "nan", "inf", "-inf", "1", "2", "1e-3", "0.5",
+                              "-1e-9", "-nan"]))
 @example(case=_NUMERIC_FLAGS[13], value="-1")  # an IndexError out of `run`
 # each said neither `--steps`, `--depth` nor `--mc samples`
 @example(case=_NUMERIC_FLAGS[0], value="0")

@@ -32,6 +32,8 @@ CASES = {
     "add with mismatched shapes": (lambda: _P.add(fm.NonnegMatrix.identity(3)),
                                    "matrix sum dimension mismatch"),
     "scaled(0)": (lambda: _P.scaled(0), "scale factor must be positive"),
+    "scaled(inf)": (lambda: _P.scaled(np.inf), "scale factor must be positive and finite, got inf"),
+    "scaled(nan)": (lambda: _P.scaled(np.nan), "scale factor must be positive and finite, got nan"),
     "a partition member that is not a matrix": (
         lambda: fm.Partition({"a": _P.toarray()}, _P), "Partition members must be NonnegMatrix"),
     "a partition member of the wrong size": (

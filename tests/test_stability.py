@@ -1192,7 +1192,8 @@ def test_block_walk_forms_few_products_on_rw63(monkeypatch):
 def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
     # rw256 words of length 8 hold about 4,400 entries each, and 2,000
     # words are walked; the blocks held at once stay a few _BLOCK_BYTES
-    # however deep the walk goes
+    # however deep the walk goes (a block keeps a run table, not a product
+    # index per entry: 3.3 at depth 16, where that index took it to 4.1)
     m = fm.random_walk_case_a(256).partition
     for depth in (4, 8, 16):
         tracemalloc.start()
@@ -1203,4 +1204,39 @@ def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
         finally:
             tracemalloc.stop()
         assert walked == min(2000, 2 ** (depth + 1) - 2)
-        assert peak < 4.5 * fm.core_model._BLOCK_BYTES
+        assert peak < 3.5 * fm.core_model._BLOCK_BYTES
+
+
+def _tiny_member_chain():
+    """A 2-state chain with a member ``t = 1e-160 I``, within PARTITION_ATOL
+    of nothing: the product of ``(t, t)`` has norm 1e-320, whose reciprocal
+    overflows."""
+    P = fm.TransitionMatrix.from_dense([[0.9, 0.1], [0.2, 0.8]])
+    return fm.Partition({"a": P, "t": fm.NonnegMatrix.from_dense(1e-160 * np.eye(2))}, P)
+
+
+def test_a_product_whose_norm_has_no_reciprocal_normalises_to_finite_entries():
+    # the reciprocal was multiplied in: H held inf, and the next power's norm
+    # was inf, so the powers raised "scale factor must be positive"
+    # one norm or one per value: the reciprocal overflows exactly at or below 2**-1024
+    data = np.array([1e-320, 2.0**-1025, 3e-310])
+    for norm in (2.0**-1024, float(np.nextafter(2.0**-1024, 1.0)), 1e-300, 0.5):
+        inv = 1.0 / norm  # a float, inf where it overflows
+        want = (data / norm if inv == math.inf else data * inv).tobytes()
+        assert stability._divided(data, norm).tobytes() == want
+        assert stability._divided(data, np.full(3, norm)).tobytes() == want
+    m = _tiny_member_chain()
+    H = _normalized(fm.matrix_word_product(m, ("t", "t")))
+    assert H._same_layout(fm.NonnegMatrix.identity(2))
+    res = fm.detect_rank_one_limit(m, policy=("repeat",), repeat_words=[("t", "t")],
+                                   power_iters=5)
+    assert res.kind == "undecided"
+    assert res.diagnostics["curves"] == {repr(("t", "t")): [2.0] * 5}
+    # the exhaustive walk bounds and normalises (t, t) by the same rule: its
+    # bound divided inf by inf
+    res = fm.detect_rank_one_limit(m, policy=("exhaustive",), max_depth=2)
+    assert res.kind == "undecided" and res.diagnostics["examined"] == 6
+    assert 0.0 < res.diagnostics["min_proximity"] < 2.0
+    for policy in (("repeat",), ("exhaustive", "greedy")):
+        assert_detect_is_bit_equal_to_reference(m, policy=policy, repeat_words=[("t", "t")],
+                                                power_iters=5, max_depth=2)
