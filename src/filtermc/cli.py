@@ -291,9 +291,19 @@ def _cmd_entropy(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a value such as -1e-9, -inf or -1,0 for a number, where argparse
+    takes only -1 and -.5, and any other value that starts with - for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        number = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
+        self._negative_number_matcher = re.compile(rf"-{number}(,[-+]?{number})*$", re.I)
+
+
 @functools.cache  # built once per process; `run` reads FILTERMC_THREADS on each call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filtermc",
         description="Filtering processes of partially observed Markov chains on the simplex.",
     )
@@ -357,11 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes -1e-9, -inf and -nan for flags: join each to its flag, as --tol=-inf
-    for t in range(len(argv) - 1, 0, -1):
-        if re.match(r"-(\.?\d|inf|nan)", argv[t], re.I) and re.fullmatch(r"--[^=]+", argv[t - 1]):
-            argv[t - 1:t + 1] = [argv[t - 1] + "=" + argv[t]]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on bad flags (2) and --help (0)

@@ -42,11 +42,6 @@ __all__ = [
 KESTEN_DEFAULT_START = (0.15, 0.35, 0.15, 0.35, 0.0, 0.0, 0.0, 0.0)
 
 
-@functools.cache  # no matrix is written once built, so every Kesten model shares these
-def _kesten_members() -> tuple[dict, TransitionMatrix]:
-    return _perm_members(kesten_perm_spec())
-
-
 def kesten_model() -> FilterModel:
     """The 8-state doubly stochastic chain, lumped into two 4-state blocks,
     whose filter chain is periodic (hence not asymptotically stable): the
@@ -57,7 +52,7 @@ def kesten_model() -> FilterModel:
         "default_start": list(KESTEN_DEFAULT_START),
         "blocks": [[0, 1, 2, 3], [4, 5, 6, 7]],
     }
-    return FilterModel(Partition(*_kesten_members()), meta=meta)
+    return FilterModel(Partition(*_perm_members(kesten_perm_spec())), meta=meta)
 
 
 # ---------------------------------------------------------------------------

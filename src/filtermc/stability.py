@@ -371,10 +371,10 @@ def _word_search(m: Partition, test, max_len: int, budget: int):
 
     Phase 1 enumerates all words up to the exhaustive depth in label order
     (depth-first, so prefixes are tested before their extensions); phase 2
-    extends a single word greedily by the label maximising the product norm,
-    testing only its prefixes past that depth: phase 1 decided the others,
-    unless the budget ran out, and then phase 2 forms none.  Returns the
-    first hit or None; ties in the greedy phase break lexicographically.
+    extends a single word greedily by the label maximising the product norm
+    and tests every prefix: phase 1 decides a word from its unnormalised
+    product, which can underflow where the normalised one keeps an entry.
+    Returns the first hit or None; ties in the greedy phase break lexicographically.
     """
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
@@ -384,9 +384,8 @@ def _word_search(m: Partition, test, max_len: int, budget: int):
     def hits(block):
         return test(*block.support_counts()).tolist()
 
-    greedy = _greedy_walk(m, max_len, work) if max_len > depth else ()
-    longer = ((word, hits(_Block(prod, m.n))[0]) for word, prod in greedy if len(word) > depth)
-    for word, hit in chain(_exhaustive_walk(m, depth, work, hits), longer):
+    greedy = ((word, hits(_Block(prod, m.n))[0]) for word, prod in _greedy_walk(m, max_len, work))
+    for word, hit in chain(_exhaustive_walk(m, depth, work, hits), greedy):
         if hit:
             return word
     return None

@@ -757,6 +757,22 @@ def test_a_flag_that_does_not_parse_is_an_error_naming_it(tmp_path, capsys, kest
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, stray", [
+    (["entropy", "--horizon", "2", "--bracket", "-1"], "unrecognized arguments: -1"),
+    (["entropy", "--horizon", "2", "--bracket", "-inf"], "unrecognized arguments: -inf"),
+    (["check", "--condition", "b1", "--tol", "-infile"], "argument --tol: expected one argument"),
+    (["check", "--condition", "b1", "--tol", "-nanx"], "argument --tol: expected one argument"),
+])
+def test_a_negative_number_is_read_only_as_a_flag_value(tmp_path, capsys, kesten_file, argv,
+                                                       stray):
+    # after a flag that takes no value, a negative number keeps argparse's
+    # report, and so does a value that starts with - and is not a number
+    out = tmp_path / "out"
+    assert run([argv[0], "--model", str(kesten_file), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {stray}")
+    assert not out.exists()
+
+
 def test_mc_samples_at_the_batch_count_is_accepted(tmp_path, capsys, kesten_file):
     out = tmp_path / "h.csv"
     assert run(["entropy", "--model", str(kesten_file), "--horizon", "1", "--mc", "samples=20",

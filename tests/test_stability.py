@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
@@ -371,9 +371,25 @@ def assert_detect_matches_reference(m, **kwargs):
             got.diagnostics["min_proximity"], rel=1e-6, abs=1e-9)
 
 
+def _subnormal_chain():
+    """A 3-state chain with entries of three subnormal ulps: the unnormalised
+    product of (b, b, b, b) loses entries to underflow and is not
+    subrectangular, while the greedy walk's normalised one keeps them, and
+    is positive."""
+    u = 5e-324
+    P = np.array([[3 * u, 1.0, 3 * u], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]])
+    in_b = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 0]], bool)
+    return fm.Partition({"a": fm.NonnegMatrix.from_dense(np.where(in_b, 0.0, P)),
+                         "b": fm.NonnegMatrix.from_dense(np.where(in_b, P, 0.0))},
+                        fm.TransitionMatrix.from_dense(P))
+
+
 @settings(max_examples=80, deadline=None)
 @given(m=small_partitions(), max_len=st.integers(1, 5), budget=st.integers(0, 60),
        col_bound=st.integers(1, 3))
+# the greedy word's prefixes within the exhaustive depth are tested again:
+# the walk's product of (b, b, b, b) underflows, the greedy one does not
+@example(m=_subnormal_chain(), max_len=4, budget=60, col_bound=1)
 def test_word_search_matches_reference(m, max_len, budget, col_bound):
     # the search tests support counts of blocks, the reference one matrix
     for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
