@@ -30,6 +30,8 @@ from .core_model import (
 )
 from .entropy import entropy_bracket, entropy_rate_mc, entropy_series
 from .filter_dynamics import (
+    DEFAULT_MERGE_EPS,
+    DEFAULT_PRUNE,
     as_prob_vector,
     evolve,
     load_measure,
@@ -276,7 +278,7 @@ def _cmd_entropy(args) -> int:
     series = report.series if report else entropy_series(pi, m, args.horizon + 1, prune=args.prune)
     lower, upper = report.bracket if report else (None, None)
     # computed before the CSV is written, so that a failed run writes nothing
-    mc_line = ("mc_estimate={:.12g} mc_stderr={:.12g}".format(*entropy_rate_mc(m, **args.mc))
+    mc_line = ("mc_estimate={:.12g} mc_stderr={:.12g}".format(*entropy_rate_mc(m, x0=pi, **args.mc))
                if args.mc is not None else None)
     v = series.values
     with _output(args.out, newline="") as out:
@@ -323,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--x0")
-    p.add_argument("--prune", type=float, default=1e-12)
-    p.add_argument("--merge-eps", type=float, default=1e-10)
+    p.add_argument("--prune", type=float, default=DEFAULT_PRUNE)
+    p.add_argument("--merge-eps", type=float, default=DEFAULT_MERGE_EPS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evolve)
 
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="entropy horizons, brackets, Monte Carlo rate")
     p.add_argument("--model", required=True)
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--prune", type=float, default=1e-12)
+    p.add_argument("--prune", type=float, default=DEFAULT_PRUNE)
     p.add_argument("--bracket", action="store_true")
     p.add_argument("--mc", nargs="*", metavar="key=val",
                    help="Monte Carlo options: samples=K burn=B seed=S")

@@ -46,11 +46,10 @@ class TransportPlan:
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """Max deviation of the plan's marginals from the two weight vectors."""
-        row = np.zeros(mu.size)
-        col = np.zeros(nu.size)
-        for i, j, mass in self.entries:
-            row[i] += mass
-            col[j] += mass
+        i, j, mass = np.array(self.entries, dtype=float).reshape(-1, 3).T
+        row, col = np.zeros(mu.size), np.zeros(nu.size)
+        np.add.at(row, i.astype(int), mass)  # entry by entry, as a loop adds them
+        np.add.at(col, j.astype(int), mass)
         return float(max(np.abs(row - mu.weights).max(), np.abs(col - nu.weights).max()))
 
 
@@ -189,80 +188,53 @@ def retarget_barycenter(phi, b) -> tuple[list[ProbVector], DiscreteMeasure]:
     so the transport distance from ``phi`` to ``Psi`` equals ``|a - b|``
     exactly — optimal, because the barycenter gap is a lower bound.
 
-    Atoms are processed last to first; the mass moved out of an atom is
-    allocated to its deficient coordinates by a deterministic greedy sweep
-    (rows ascending, columns ascending).  Any feasible allocation attains the
-    same cost; the deterministic one keeps results reproducible.
+    Atoms are moved last to first by :func:`_retarget_step`, the first one
+    to what is left of ``b``; the fill is deterministic, so is the result.
     """
     if isinstance(phi, DiscreteMeasure):
-        betas = [float(w) for w in phi.weights]
-        xis = [np.array(p, dtype=float) for p in phi.points]
+        betas, xis = phi.weights, phi.points
     else:
-        betas = [float(w) for w, _ in phi]
-        xis = [np.asarray(as_prob_vector(p).coords, dtype=float) for _, p in phi]
-    if any(w <= 0 for w in betas):
+        betas = np.array([float(w) for w, _ in phi])
+        xis = np.array([as_prob_vector(p).coords for _, p in phi])
+    if (betas <= 0).any():
         raise ModelError("retarget_barycenter rejects zero-weight atoms")
-    if abs(sum(betas) - 1.0) > PROB_ATOL:
+    if abs(betas.sum() - 1.0) > PROB_ATOL:
         raise ModelError("retarget_barycenter expects a probability measure")
-
-    b_vec = np.asarray(b, dtype=float)
-    if (b_vec < 0).any():
+    b = np.asarray(b, dtype=float)
+    if (b < 0).any():
         raise ModelError("target vector must be nonnegative")
-    a_vec = np.zeros_like(b_vec)
-    for w, xi in zip(betas, xis):
-        a_vec = a_vec + w * xi
-    if abs(float(b_vec.sum()) - float(a_vec.sum())) > PROB_ATOL:
+    # summed atom by atom down the columns; ``betas @ xis`` rounds differently
+    a = (betas[:, None] * xis).sum(axis=0)
+    if abs(float(b.sum()) - float(a.sum())) > PROB_ATOL:
         raise ModelError("target vector mass must equal the barycenter mass")
+    zetas = np.empty_like(xis)
+    for k in range(betas.size - 1, 0, -1):
+        zetas[k] = np.maximum(_retarget_step(a, b, betas[k], xis[k]), 0.0)
+        a = np.maximum(a - betas[k] * xis[k], 0.0)
+        b = np.maximum(b - betas[k] * zetas[k], 0.0)
+    zetas[0] = np.maximum(b / betas[0], 0.0)
+    moved = [ProbVector(z) for z in zetas]
+    return moved, DiscreteMeasure(betas, [z.coords for z in moved])
 
-    zetas_rev: list[np.ndarray] = []
-    a = a_vec.copy()
-    b_cur = b_vec.copy()
-    for k in range(len(betas) - 1, -1, -1):
-        beta = betas[k]
-        xi = xis[k]
-        if k == 0:
-            zeta = b_cur / beta
-        else:
-            zeta = _retarget_step(a, b_cur, beta, xi)
-        zeta = np.maximum(zeta, 0.0)
-        zetas_rev.append(zeta)
-        a = np.maximum(a - beta * xi, 0.0)
-        b_cur = np.maximum(b_cur - beta * zeta, 0.0)
-    zetas = [ProbVector(z) for z in reversed(zetas_rev)]
-    psi = DiscreteMeasure(betas, [z.coords for z in zetas])
-    return zetas, psi
+
+def _north_west(own: np.ndarray, total: float) -> np.ndarray:
+    """``own`` filled in index order up to ``total``: each entry takes the overlap
+    of its stretch of the running sum with ``[0, total]``, capped at itself."""
+    before = np.cumsum(own) - own
+    return np.minimum(own, np.maximum(total - before, 0.0))
 
 
 def _retarget_step(a: np.ndarray, b: np.ndarray, beta: float, xi: np.ndarray) -> np.ndarray:
     """One induction step: move as much as possible of the current atom's
     mass from coordinates where ``a`` exceeds ``b`` to those where it falls
-    short, without overshooting either side."""
-    s1 = a > b
-    s2 = a < b
-    r1 = np.flatnonzero(s1 & (xi > 0))
-    if r1.size == 0:
-        return xi.copy()
-    js = np.flatnonzero(s2)
-    demand = np.minimum(beta * xi[r1], (a - b)[r1])
-    capacity = (b - a)[js]
-    moved_out = np.zeros(r1.size)
-    moved_in = np.zeros(js.size)
-    jj = 0
-    for idx in range(r1.size):
-        need = demand[idx]
-        while need > 0 and jj < js.size:
-            take = min(need, capacity[jj] - moved_in[jj])
-            if take > 0:
-                moved_in[jj] += take
-                moved_out[idx] += take
-                need -= take
-            if capacity[jj] - moved_in[jj] <= 0:
-                jj += 1
-        # rounding can leave a residue smaller than float noise; ignore it
-    zeta = xi.copy()
-    zeta[r1] -= moved_out / beta
-    zeta[js] += moved_in / beta
-    return zeta
+    short, without overshooting either side.  The pairing is the north-west
+    corner rule of the transportation problem (Dantzig 1963), surplus and
+    room both in ascending coordinates: the smaller total moves, and each
+    side fills its coordinates in order up to it."""
+    surplus = np.maximum(np.minimum(beta * xi, a - b), 0.0)
+    room = np.maximum(b - a, 0.0)
+    moved = min(surplus.sum(), room.sum())
+    return xi + (_north_west(room, moved) - _north_west(surplus, moved)) / beta
 
 
 def distance_to_fiber(mu: DiscreteMeasure, q) -> float:

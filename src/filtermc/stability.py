@@ -190,11 +190,8 @@ class _Block:
         indptr = np.zeros(self.count * n + 1, idx)
         np.cumsum(lens.ravel(), out=indptr[1:])
         indices = (T.indices + (np.arange(kept, dtype=idx) * (k * n))[:, None]).ravel()
-        out = self.S @ NonnegMatrix._csr((self.count * n, kept * k * n), indptr, indices,
-                                         np.tile(T.data, kept))
-        # the kernel's arrays hold room for every term: keep the entries, let those go
-        out = NonnegMatrix._csr((out.rows, out.cols), out.indptr, out.indices.copy(), out.data.copy())
-        return _Block(out, n)
+        return _Block(self.S @ NonnegMatrix._csr((self.count * n, kept * k * n), indptr, indices,
+                                                 np.tile(T.data, kept)), n)
 
     def extension_bytes(self, m: Partition) -> np.ndarray:
         """The bytes that extending each product takes at most: an entry per

@@ -19,7 +19,9 @@ the memoised and blocked one, the triplet scans of the partition constructors
 for their masks, the random-walk gallery's tuple loops for its arrays, the
 dense support-graph walks and the stationary power iteration for the sparse
 graph check, connector search and direct
-stationary solve, and ``linprog`` for the transport LP on the HiGHS core.
+stationary solve, ``linprog`` for the transport LP on the HiGHS core, and
+the two-pointer sweep of the barycenter retargeting for its north-west
+corner fill.
 ``from_csr_array`` and ``as_csr_array`` move CSR arrays between
 ``NonnegMatrix`` and scipy, for the differential tests of its kernels.
 """
@@ -174,6 +176,67 @@ def reference_solve_linprog(c: np.ndarray, b_eq: np.ndarray, m: int, n: int) -> 
     if res.status != 0:
         raise ModelError(f"transport solver failed: {res.message}")
     return res.x
+
+
+def reference_retarget_barycenter(phi, b) -> tuple[list[ProbVector], DiscreteMeasure]:
+    """``kantorovich.retarget_barycenter`` as a two-pointer sweep: each
+    atom's surplus coordinates, ascending, fill the deficient ones,
+    ascending, one pair at a time."""
+    if isinstance(phi, DiscreteMeasure):
+        betas = [float(w) for w in phi.weights]
+        xis = [np.array(p, dtype=float) for p in phi.points]
+    else:
+        betas = [float(w) for w, _ in phi]
+        xis = [np.asarray(as_prob_vector(p).coords, dtype=float) for _, p in phi]
+    b_vec = np.asarray(b, dtype=float)
+    a_vec = np.zeros_like(b_vec)
+    for w, xi in zip(betas, xis):
+        a_vec = a_vec + w * xi
+    zetas_rev: list[np.ndarray] = []
+    a = a_vec.copy()
+    b_cur = b_vec.copy()
+    for k in range(len(betas) - 1, -1, -1):
+        beta = betas[k]
+        xi = xis[k]
+        if k == 0:
+            zeta = b_cur / beta
+        else:
+            zeta = _reference_retarget_step(a, b_cur, beta, xi)
+        zeta = np.maximum(zeta, 0.0)
+        zetas_rev.append(zeta)
+        a = np.maximum(a - beta * xi, 0.0)
+        b_cur = np.maximum(b_cur - beta * zeta, 0.0)
+    zetas = [ProbVector(z) for z in reversed(zetas_rev)]
+    return zetas, DiscreteMeasure(betas, [z.coords for z in zetas])
+
+
+def _reference_retarget_step(a: np.ndarray, b: np.ndarray, beta: float,
+                             xi: np.ndarray) -> np.ndarray:
+    s1 = a > b
+    s2 = a < b
+    r1 = np.flatnonzero(s1 & (xi > 0))
+    if r1.size == 0:
+        return xi.copy()
+    js = np.flatnonzero(s2)
+    demand = np.minimum(beta * xi[r1], (a - b)[r1])
+    capacity = (b - a)[js]
+    moved_out = np.zeros(r1.size)
+    moved_in = np.zeros(js.size)
+    jj = 0
+    for idx in range(r1.size):
+        need = demand[idx]
+        while need > 0 and jj < js.size:
+            take = min(need, capacity[jj] - moved_in[jj])
+            if take > 0:
+                moved_in[jj] += take
+                moved_out[idx] += take
+                need -= take
+            if capacity[jj] - moved_in[jj] <= 0:
+                jj += 1
+    zeta = xi.copy()
+    zeta[r1] -= moved_out / beta
+    zeta[js] += moved_in / beta
+    return zeta
 
 
 def operator_norm_by_sign_vectors(M: NonnegMatrix) -> float:

@@ -322,6 +322,27 @@ def test_entropy_bracket_computes_the_stationary_series_once(tmp_path, monkeypat
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_entropy_mc_solves_the_stationary_vector_once(tmp_path, monkeypatch, capsys):
+    # the Monte Carlo path starts from the model's stationary vector, solved once
+    model_path = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(model_path)])
+    args = ["entropy", "--model", str(model_path), "--horizon", "2",
+            "--mc", "samples=100", "burn=10", "seed=1", "--out", str(tmp_path / "e.csv")]
+    assert run(args) == 0
+    want = capsys.readouterr().out
+    solve, solves = fm.core_model.stationary_vector, []
+
+    def counted(*a, **kw):
+        solves.append(a)
+        return solve(*a, **kw)
+
+    monkeypatch.setattr("filtermc.core_model.stationary_vector", counted)
+    monkeypatch.setattr("filtermc.entropy.stationary_vector", counted)
+    assert run(args) == 0
+    assert len(solves) == 1
+    assert capsys.readouterr().out == want
+
+
 def _gallery(tmp_path, kind, params, name="model.json"):
     argv = ["gallery", kind, "--out", str(tmp_path / name)]
     if params is not None:

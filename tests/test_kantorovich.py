@@ -10,7 +10,12 @@ from filtermc import ModelError
 from filtermc import kantorovich
 from filtermc.kantorovich import _cost_matrix, _solve_highs
 
-from helpers import random_measure, reference_solve_linprog, transport_by_tree_enumeration
+from helpers import (
+    random_measure,
+    reference_retarget_barycenter,
+    reference_solve_linprog,
+    transport_by_tree_enumeration,
+)
 
 
 def test_distance_between_point_masses_is_l1():
@@ -202,6 +207,41 @@ def test_retarget_boundary_target_with_zeros():
     b = np.array([0.0, 0.0, 0.4, 0.6])
     zetas, psi = fm.retarget_barycenter(mu, b)
     assert np.abs(fm.barycenter(psi).coords - b).sum() <= 1e-9
+
+
+def test_retarget_matches_the_two_pointer_sweep():
+    # the north-west corner fill moves what the pairwise sweep moved, up to
+    # rounding: a fifth of the targets and a quarter of the atoms have zeros
+    rng = np.random.default_rng(28)
+    worst = 0.0
+    for _ in range(1200):
+        dim = int(rng.integers(2, 12))
+        atoms = int(rng.integers(1, 12))
+        points = rng.dirichlet(np.ones(dim), size=atoms)
+        for k in np.flatnonzero(rng.random(atoms) < 0.25):
+            points[k, rng.integers(dim)] = 0.0
+            points[k] /= points[k].sum()
+        mu = fm.DiscreteMeasure(rng.dirichlet(np.ones(atoms)), points, merge_eps=0.0)
+        b = rng.dirichlet(np.ones(dim))
+        if rng.random() < 0.2:
+            b[rng.choice(dim, size=dim // 2, replace=False)] = 0.0
+            b /= b.sum()
+        got, _ = fm.retarget_barycenter(mu, b)
+        want, _ = reference_retarget_barycenter(mu, b)
+        worst = max(worst, max(np.abs(z.coords - r.coords).max() for z, r in zip(got, want)))
+    assert worst <= 1e-10
+
+
+def test_plan_marginals_add_each_entry_in_order():
+    rng = np.random.default_rng(29)
+    mu, nu = random_measure(rng, 3, 5), random_measure(rng, 3, 4)
+    _, plan = fm.kantorovich_distance(mu, nu)
+    row, col = np.zeros(mu.size), np.zeros(nu.size)
+    for i, j, mass in plan.entries:
+        row[i] += mass
+        col[j] += mass
+    want = float(max(np.abs(row - mu.weights).max(), np.abs(col - nu.weights).max()))
+    assert plan.check_marginals(mu, nu) == want
 
 
 def test_retarget_rejects_mass_mismatch():

@@ -1209,7 +1209,7 @@ def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
     # rw256 words of length 8 hold about 4,400 entries each, and 2,000
     # words are walked; the blocks held at once stay a few _BLOCK_BYTES
     # however deep the walk goes (a block keeps a run table, not a product
-    # index per entry: 3.3 at depth 16, where that index took it to 4.1)
+    # index per entry, and the product kernel's arrays: 3.1 at depth 16)
     m = fm.random_walk_case_a(256).partition
     for depth in (4, 8, 16):
         tracemalloc.start()
@@ -1220,7 +1220,36 @@ def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
         finally:
             tracemalloc.stop()
         assert walked == min(2000, 2 ** (depth + 1) - 2)
-        assert peak < 3.5 * fm.core_model._BLOCK_BYTES
+        assert peak < 3.2 * fm.core_model._BLOCK_BYTES
+
+
+def _holds_exactly(a: np.ndarray) -> bool:
+    """Whether ``a`` owns its memory or views all of its base's."""
+    return a.base is None or a.base.nbytes == a.nbytes
+
+
+def test_every_product_holds_exactly_its_entries():
+    # a block keeps its product's index and value arrays as the product
+    # kernel made them, which holds no more memory than the entries only
+    # because the kernel's arrays are sized by csr_matmat_maxnnz
+    m = fm.random_walk_case_a(256).partition
+    blocks = []
+
+    def keep(block):
+        blocks.append(block.S)
+        return [None] * block.count
+
+    for _ in stability._exhaustive_walk(m, 8, stability._Budget(2000), keep):
+        pass
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        P = random_transition(rng, n, sparsity=float(rng.uniform(0.0, 0.9)))
+        Q = random_transition(rng, n, sparsity=float(rng.uniform(0.0, 0.9)))
+        blocks.append(P @ Q)
+    assert len(blocks) > 20
+    for S in blocks:
+        assert _holds_exactly(S.indices) and _holds_exactly(S.data)
 
 
 def _tiny_member_chain():

@@ -4,9 +4,11 @@ iteration they replaced (kept in ``helpers``), plus an exact
 detailed-balance oracle and two memory bounds at n = 16384.
 """
 
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +195,7 @@ print(peak * 1024 - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_check_and_solve_peak_rss_grows_with_nonzeros():
     # the growth also holds what building P freed again, about 15 MB
-    out = subprocess.run([sys.executable, "-c", _RSS_CHILD], capture_output=True, text=True,
-                         check=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(fm.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _RSS_CHILD], env=env, capture_output=True,
+                         text=True, check=True)
     assert int(out.stdout) < 64 * 2**20
