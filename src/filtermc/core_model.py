@@ -392,6 +392,18 @@ def _l1_blocks(rows: np.ndarray, others: np.ndarray | None = None):
             yield i, j, np.abs(d, out=d).sum(axis=2)
 
 
+def _pair_blocks(count: np.ndarray, step: int):
+    """The index pairs ``(i, j)``, ``j = i + 1 .. i + count[i]``, in that
+    order, as arrays of ``step`` pairs a block (the last may hold fewer): no
+    index array of all pairs is ever built."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, step):
+        p = np.arange(s, min(s + step, total))
+        i = np.searchsorted(ends, p, side="right")
+        yield i, p + i + 1 + count[i] - ends[i]
+
+
 class Partition:
     """A labelled family of nonnegative matrices summing to a transition matrix.
 

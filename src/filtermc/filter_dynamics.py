@@ -25,6 +25,7 @@ from .core_model import (
     ModelError,
     Partition,
     ProbVector,
+    _pair_blocks,
     _write_json,
     as_prob_vector,
 )
@@ -104,7 +105,7 @@ class DiscreteMeasure:
             raise ModelError("DiscreteMeasure points must be finite")
         w = w / total
         if merge_eps > 0.0 and w.size > 1:
-            w, pts = _merge_atoms(w, pts, merge_eps)
+            w, pts, _ = _merge_atoms(w, pts, merge_eps)
             w = w / w.sum()
         pts = pts.copy()
         pts.setflags(write=False)
@@ -133,10 +134,13 @@ class DiscreteMeasure:
 _WINDOW_PAIRS = 32  # window pairs per atom above which the merge scans instead
 
 
-def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
+def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float, part: np.ndarray | None = None):
     """Greedy first-seen merge of finite atoms within l1 distance eps: each
     atom joins the nearest representative so far (the first on ties) if that
-    lies within eps, else it becomes one.
+    lies within eps, else it becomes one.  Atoms of different parts never
+    merge (``part`` numbers each atom's, each part's atoms consecutive; one
+    part by default): the representatives' weights, points and parts are
+    each part's merge in turn, and exact duplicates collapse by (part, point).
 
     Representatives sit at atoms' points, so only pairs of distinct points
     within eps matter: those whose keys ``p @ c``, ``c`` in [1/2, 1]^n, lie
@@ -144,30 +148,28 @@ def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
     the scan.  Sound: with u = 2**-53, a computed ``d <= eps`` bounds the
     true distance by ``eps / (1 - u)**n <= 2 eps``; keys differ by at most
     that plus their rounding, ``2 n u S`` each for S the largest l1 norm, and
-    the slack covers those and the rounding of ``key + width``.  Above
-    ``_WINDOW_PAIRS`` pairs per atom (say all within eps) it scans instead."""
+    the slack covers those and the rounding of ``key + width``; parts only
+    drop pairs.  Above ``_WINDOW_PAIRS`` pairs per atom (say all within eps)
+    it scans instead, each part's atoms against its representatives."""
     n = pts.shape[1]
-    pts = np.ascontiguousarray(pts)
-    _, first, group = np.unique(pts.view(np.dtype((np.void, 8 * n))).ravel(),
+    part = np.zeros(w.shape[0], int) if part is None else np.asarray(part)
+    rows = np.column_stack((part, pts))  # float rows: parts are exact small integers
+    _, first, group = np.unique(rows.view(np.dtype((np.void, 8 * n + 8))).ravel(),
                                 return_index=True, return_inverse=True)
-    pts_u = pts[first]  # the distinct points, numbered as in ``group``
+    pts_u, part_u = pts[first], part[first]  # the distinct rows, numbered as in ``group``
     keys = pts_u @ (0.5 + 0.5 * np.modf(np.arange(n) * 0.6180339887)[0])
     order = np.argsort(keys)
     keys = keys[order]
     floor, norm = abs(eps), float(np.abs(pts_u).sum(axis=1).max(initial=0))
     width = 2 * floor + (n + 4) * 2.0**-50 * (norm + floor)
     count = np.searchsorted(keys, keys + width, side="right") - np.arange(1, keys.size + 1)
-    total = int(count.sum())
-    if n and np.isfinite(width) and total <= _WINDOW_PAIRS * w.shape[0]:
-        # pair (order[i], order[j]) for j = i + 1 .. i + count[i], 2**16 values a block
-        i = np.repeat(np.arange(keys.size), count)
-        j = i + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    if n and np.isfinite(width) and int(count.sum()) <= _WINDOW_PAIRS * w.shape[0]:
+        # pairs (order[i], order[j]) for j = i + 1 .. i + count[i], 2**16 values a block
         near = [[] for _ in range(keys.size)]
-        step = 2**16 // n + 1
-        for s in range(0, total, step):
-            a, b = order[i[s:s + step]], order[j[s:s + step]]
+        for i, j in _pair_blocks(count, 2**16 // n + 1):
+            a, b = order[i], order[j]
             d = np.abs(pts_u[a] - pts_u[b]).sum(axis=1)
-            hit = d <= eps
+            hit = (d <= eps) & (part_u[a] == part_u[b])
             for g, h, dg in zip(a[hit].tolist(), b[hit].tolist(), d[hit].tolist()):
                 near[g].append((dg, h))
                 near[h].append((dg, g))
@@ -186,20 +188,23 @@ def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float):
             elif wk > rep_w[j]:  # the heavier atom keeps its coordinates
                 rep_at[rep_g[j]], rep_at[g], rep_g[j] = -1, j, g
             rep_w[j] += wk
-        return np.array(rep_w), pts_u[rep_g]
-    rep_w, rep_p, u = np.empty(w.shape[0]), np.empty(pts.shape), 0
+        return np.array(rep_w), pts_u[rep_g], part_u[rep_g]
+    rep_w, rep_p, rep_k, lo = np.empty(w.shape[0]), np.empty(pts.shape), [], 0
     for k, p in enumerate(pts):
-        if u:
-            d = np.abs(rep_p[:u] - p).sum(axis=1)
-            j = int(np.argmin(d))
-            if d[j] <= eps:
+        u = len(rep_k)
+        if k and part[k] != part[k - 1]:  # the part's representatives start at ``lo``
+            lo = u
+        if u > lo:
+            d = np.abs(rep_p[lo:u] - p).sum(axis=1)
+            j = lo + int(np.argmin(d))
+            if d[j - lo] <= eps:
                 if w[k] > rep_w[j]:  # the heavier atom keeps its coordinates
                     rep_p[j] = p
                 rep_w[j] += w[k]
                 continue
         rep_w[u], rep_p[u] = w[k], p
-        u += 1
-    return rep_w[:u], rep_p[:u]
+        rep_k.append(k)
+    return rep_w[:len(rep_k)], rep_p[:len(rep_k)], part[rep_k]
 
 
 def dirac(x) -> DiscreteMeasure:

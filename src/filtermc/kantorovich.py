@@ -201,6 +201,8 @@ def retarget_barycenter(phi, b) -> tuple[list[ProbVector], DiscreteMeasure]:
     if abs(betas.sum() - 1.0) > PROB_ATOL:
         raise ModelError("retarget_barycenter expects a probability measure")
     b = np.asarray(b, dtype=float)
+    if b.shape != xis.shape[1:]:
+        raise ModelError(f"target vector has shape {b.shape}, but the atoms have dimension {xis.shape[1]}")
     if (b < 0).any():
         raise ModelError("target vector must be nonnegative")
     # summed atom by atom down the columns; ``betas @ xis`` rounds differently

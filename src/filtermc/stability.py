@@ -27,6 +27,7 @@ from .core_model import (
     NonnegMatrix,
     Partition,
     _l1_blocks,
+    _pair_blocks,
     check_irreducible_aperiodic,
     matrix_word_product,
     operator_norm,
@@ -685,10 +686,12 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     Vertices of the subset are always included among the samples, besides
     ``sample_count`` random points; a negative count raises.  An
     ``n_max`` below 1 raises :class:`ModelError`: no word would be active,
-    and every hypothesis would pass vacuously.  ``isolated_pass`` cannot
-    fail: a point is kept only if it lies more than ``dedup_eps`` from every
-    point kept before it, and the merge and :func:`_l1_blocks` sum each
-    distance alike, bit for bit, so ``separation > dedup_eps`` always.
+    and every hypothesis would pass vacuously.  One atom merge of every
+    start's orbit, each start a part, keeps a point only if it lies more than
+    ``dedup_eps`` from every point of its start kept before it;
+    ``separation`` is the least distance between kept points of one start.
+    Both sum each distance alike, bit for bit, so ``isolated_pass`` cannot
+    fail: ``separation > dedup_eps`` always.
     """
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) < 2:
@@ -714,19 +717,15 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     # distinct points collapse below the dedup floor.  First seen wins: a
     # point is kept unless it lies within the floor of a point kept before
     # it, so an orbit that collapses to a few points is compared against
-    # those few only: the atom merge with unit weights, where no later atom
-    # is heavier than a representative, so none moves.  Singleton orbits are
-    # isolated vacuously and contribute no separation value.
-    separation = float("inf")
-    bounds = np.searchsorted(start, np.arange(len(samples) + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        kept = _merge_atoms(np.ones(hi - lo), points[lo:hi], dedup_eps)[1]
-        if len(kept) < 2:
-            continue
-        for i, j, d in _l1_blocks(kept):
-            if i == j:
-                np.fill_diagonal(d, np.inf)
-            separation = min(separation, float(d.min()))
+    # those few only: one atom merge of every orbit, each start a part, with
+    # unit weights, where no later atom is heavier than a representative, so
+    # none moves.  Each kept point is then measured against the later ones of
+    # its start, about 2**16 values a block; singleton orbits are isolated
+    # vacuously and contribute no separation value.
+    _, kept, part = _merge_atoms(np.ones(start.size), points, dedup_eps, start)
+    later = np.searchsorted(part, part, side="right") - np.arange(1, part.size + 1)
+    separation = min((float(np.abs(kept[i] - kept[j]).sum(axis=1).min())
+                      for i, j in _pair_blocks(later, 2**16 // n + 1)), default=float("inf"))
     isolated = separation > dedup_eps
 
     # pairs and words are visited in a fixed order, so witnesses never

@@ -360,7 +360,8 @@ def assert_merge_matches_reference(w, pts, eps):
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()  # byte for byte: -0.0 is not 0.0
-    return got
+    assert not got[2].any()  # every representative in the one default part
+    return got[:2]
 
 
 @st.composite
@@ -428,6 +429,40 @@ def test_windowed_merge_matches_the_scan_byte_for_byte(cloud):
     assert_merge_matches_reference(*cloud)
 
 
+@st.composite
+def parted_clouds(draw):
+    """Atoms in one to four parts, each part's atoms consecutive: offsets of
+    up to eps around three centres, and copies of atoms drawn from a shared
+    pool, so exact duplicates recur within a part and across parts.  At eps
+    0.5 every atom lies around one centre, and a hundred or so of them put
+    more pairs in the window than its bound allows, so the merge scans."""
+    sizes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    dim = draw(st.integers(1, 6))
+    eps = draw(st.sampled_from([1e-9, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = sum(sizes)
+    centres = rng.dirichlet(np.ones(dim), size=1 if eps == 0.5 else 3)
+    scale = rng.choice([0.0, 1e-16, 1e-12, eps / (2 * dim), eps / dim], size=(size, 1))
+    pool = centres[rng.integers(0, len(centres), size=size)] + scale * rng.random((size, dim))
+    pts = np.where(rng.random((size, 1)) < 0.4, pool[rng.integers(0, size, size=size)], pool)
+    # mostly light atoms, now and then one heavier than all before it
+    w = np.where(rng.random(size) < 0.1, 4.0, rng.integers(1, 5, size=size) / 8)
+    return w, pts, eps, np.repeat(np.arange(len(sizes)), sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parted_clouds())
+def test_parted_merge_is_each_parts_merge_in_turn(cloud):
+    w, pts, eps, part = cloud
+    got = _merge_atoms(w, pts, eps, part)
+    want = [reference_merge_atoms(w[part == q], pts[part == q], eps) for q in range(part[-1] + 1)]
+    assert got[0].tobytes() == np.concatenate([rep_w for rep_w, _ in want]).tobytes()
+    assert got[1].tobytes() == np.concatenate([rep_p for _, rep_p in want]).tobytes()
+    assert got[2].tolist() == [q for q, (rep_w, _) in enumerate(want) for _ in rep_w]
+    if part[-1] == 0:  # one part: the merge without parts, bit for bit
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, _merge_atoms(w, pts, eps)))
+
+
 @pytest.mark.parametrize("size", [_WINDOW_PAIRS * 2 + 1, _WINDOW_PAIRS * 2 + 2])
 def test_merge_within_eps_on_both_sides_of_the_fallback(size):
     # every pair of these distinct points lies in the window, so 65 atoms
@@ -450,7 +485,7 @@ def test_merge_memory_when_every_atom_lies_within_eps():
     w = np.full(4000, 1 / 4000)
     tracemalloc.start()
     try:
-        rep_w, rep_p = _merge_atoms(w, pts, 1e-9)
+        rep_w, rep_p, _ = _merge_atoms(w, pts, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

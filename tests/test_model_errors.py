@@ -99,6 +99,9 @@ CASES = {
         "retarget_barycenter expects a probability measure"),
     "retarget_barycenter with a negative target": (
         lambda: fm.retarget_barycenter(_MU, [-0.5, 1.5]), "target vector must be nonnegative"),
+    "retarget_barycenter with a target of another dimension": (
+        lambda: fm.retarget_barycenter(_MU, [0.5, 0.25, 0.25]),
+        "target vector has shape (3,), but the atoms have dimension 2"),
     "fiber_mass_check with a q off the barycenter": (
         lambda: fm.fiber_mass_check(_MU, 0, q=[0.9, 0.1]), "measure barycenter does not match q"),
     # stability

@@ -32,6 +32,7 @@ from helpers import (
     reference_connector_word,
     reference_detect_rank_one_limit,
     reference_l1_distances,
+    reference_merge_atoms,
     reference_powers,
     reference_rank_one_proximity,
     reference_word_search,
@@ -888,6 +889,24 @@ def test_isometry_obstruction_matches_reference_on_birkhoff_vertex_starts():
         report = _assert_report_matches_reference(m, range(5), n_max=2,
                                                   sample_count=sample_count, seed=4)
         assert report.passed
+    # the random starts' orbits hold distinct points within 1e-9 of each
+    # other (137 and 156 distinct, 82 kept), so the dedup does more than
+    # collapse exact copies
+    rng = np.random.default_rng(4)
+    starts = list(np.eye(5)) + [rng.dirichlet(np.ones(5)) for _ in range(2)]
+    orbits = [np.array([pt for _, pt in orbit.values()])
+              for orbit in active_word_dicts(starts, m, 2)]
+    kept = [len(reference_merge_atoms(np.ones(len(pts)), pts, 1e-9)[1]) for pts in orbits]
+    assert any(len(np.unique(pts, axis=0)) > k for pts, k in zip(orbits, kept))
+
+
+def test_isometry_obstruction_merges_every_orbit_at_once():
+    # one merge of all ten starts' orbits, each start a part
+    with mock.patch.object(stability, "_merge_atoms", wraps=_merge_atoms) as merge:
+        report = fm.check_isometry_obstruction(fm.kesten_model().partition, [0, 1, 2, 3],
+                                               sample_count=6)
+    assert merge.call_count == 1
+    assert report.passed
 
 
 def test_isometry_obstruction_memory_follows_distinct_orbit_points():
