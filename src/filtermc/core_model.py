@@ -375,33 +375,20 @@ def _block_rows(m: "Partition") -> int:
     return max(1, _BLOCK_BYTES // (8 * m.num_labels * m.n))
 
 
-def _l1_blocks(rows: np.ndarray, others: np.ndarray | None = None):
-    """The l1 distances from the rows of ``rows`` to those of ``others``
-    (by default, to those of ``rows`` from theirs on) in blocks ``(i, j, d)``,
-    where ``d[a, b]`` pairs rows ``i + a`` and ``j + b``: 8 rows against at
-    most ``max(64, 2**14 // n)``, so at most ``max(512 n, 2**17)`` values
-    whatever the row counts (1 MB up to n = 256).  Every pair is in some
-    block, bit-equal to ``np.abs(u - v).sum()``, as each is summed along a
-    contiguous axis of length ``n``; by default ``d[a, a]`` pairs a row with
-    itself where ``i == j``."""
-    step, same = max(64, 2**14 // rows.shape[1]), others is None
-    others = rows if same else others
-    for i in range(0, len(rows), 8):
-        for j in range(i if same else 0, len(others), step):
-            d = np.subtract(rows[i:i + 8, None, :], others[None, j:j + step, :])
-            yield i, j, np.abs(d, out=d).sum(axis=2)
-
-
-def _pair_blocks(count: np.ndarray, step: int):
-    """The index pairs ``(i, j)``, ``j = i + 1 .. i + count[i]``, in that
-    order, as arrays of ``step`` pairs a block (the last may hold fewer): no
-    index array of all pairs is ever built."""
+def _l1_pairs(x: np.ndarray, count: np.ndarray):
+    """The l1 distances between rows ``i`` and ``j = i + 1 .. i + count[i]``
+    of ``x``, in that order, in blocks ``(i, j, d)`` of ``2**16 // n + 1``
+    pairs (about 2**16 values; the last may hold fewer), with no index array
+    of all pairs.  ``d = np.abs(x[i] - x[j]).sum(axis=1)`` sums each pair
+    along a contiguous axis of length ``n``, bit-equal to
+    ``np.abs(x[i] - x[j]).sum()`` for that pair alone."""
     ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
+    total, step = int(ends[-1]) if ends.size else 0, 2**16 // x.shape[1] + 1
     for s in range(0, total, step):
         p = np.arange(s, min(s + step, total))
         i = np.searchsorted(ends, p, side="right")
-        yield i, p + i + 1 + count[i] - ends[i]
+        j = p + i + 1 + count[i] - ends[i]
+        yield i, j, np.abs(x[i] - x[j]).sum(axis=1)
 
 
 class Partition:

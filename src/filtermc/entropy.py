@@ -267,8 +267,8 @@ def entropy_rate_mc(m: Partition, burn_in: int = 200, samples: int = 5000, seed:
     """
     if burn_in < 0:  # steps[burn_in:] would then keep only the last -burn_in states
         raise ModelError(f"burn_in must be >= 0, got {burn_in}")
-    if samples < batches:
-        raise ModelError("need at least as many samples as batches")
+    if not 2 <= batches <= samples:  # the batch means' spread needs two of them
+        raise ModelError(f"need 2 <= batches <= samples, got batches={batches}, samples={samples}")
     start = as_prob_vector(x0) if x0 is not None else stationary_vector(m.base)
     trace = simulate_filter(start, m, steps=burn_in + samples, seed=seed)
     states = np.array([state.coords for _, state in trace.steps[burn_in:]])

@@ -25,7 +25,7 @@ from .core_model import (
     ModelError,
     Partition,
     ProbVector,
-    _pair_blocks,
+    _l1_pairs,
     _write_json,
     as_prob_vector,
 )
@@ -135,42 +135,41 @@ _WINDOW_PAIRS = 32  # window pairs per atom above which the merge scans instead
 
 
 def _merge_atoms(w: np.ndarray, pts: np.ndarray, eps: float, part: np.ndarray | None = None):
-    """Greedy first-seen merge of finite atoms within l1 distance eps: each
-    atom joins the nearest representative so far (the first on ties) if that
-    lies within eps, else it becomes one.  Atoms of different parts never
-    merge (``part`` numbers each atom's, each part's atoms consecutive; one
-    part by default): the representatives' weights, points and parts are
-    each part's merge in turn, and exact duplicates collapse by (part, point).
+    """Greedy first-seen merge of finite atoms within l1 distance ``eps``,
+    which must be >= 0: each atom joins the nearest representative so far
+    (the first on ties) if that lies within eps, else it becomes one.  Atoms
+    of different parts never merge (``part`` numbers each atom's, each
+    part's atoms consecutive; one part by default): the representatives'
+    weights, points and parts are each part's merge in turn, and exact
+    duplicates collapse by (part, point).
 
     Representatives sit at atoms' points, so only pairs of distinct points
-    within eps matter: those whose keys ``p @ c``, ``c`` in [1/2, 1]^n, lie
-    within ``width``, each distance summed along the contiguous axis as in
-    the scan.  Sound: with u = 2**-53, a computed ``d <= eps`` bounds the
-    true distance by ``eps / (1 - u)**n <= 2 eps``; keys differ by at most
-    that plus their rounding, ``2 n u S`` each for S the largest l1 norm, and
-    the slack covers those and the rounding of ``key + width``; parts only
-    drop pairs.  Above ``_WINDOW_PAIRS`` pairs per atom (say all within eps)
-    it scans instead, each part's atoms against its representatives."""
+    within eps matter.  Numbered in the order of their keys ``p @ c``, ``c``
+    in [1/2, 1]^n, those whose keys lie within ``width`` are the pairs of
+    :func:`_l1_pairs` by ``count``, each summed as in the scan.  Sound: with
+    u = 2**-53, a computed ``d <= eps`` bounds the true distance by
+    ``eps / (1 - u)**n <= 2 eps``; keys differ by at most that plus their
+    rounding, ``2 n u S`` each for S the largest l1 norm, and the slack
+    covers those and the rounding of ``key + width``; parts only drop pairs.
+    Above ``_WINDOW_PAIRS`` pairs per atom (say all within eps) it scans
+    instead, each part's atoms against its representatives."""
     n = pts.shape[1]
     part = np.zeros(w.shape[0], int) if part is None else np.asarray(part)
     rows = np.column_stack((part, pts))  # float rows: parts are exact small integers
     _, first, group = np.unique(rows.view(np.dtype((np.void, 8 * n + 8))).ravel(),
                                 return_index=True, return_inverse=True)
-    pts_u, part_u = pts[first], part[first]  # the distinct rows, numbered as in ``group``
-    keys = pts_u @ (0.5 + 0.5 * np.modf(np.arange(n) * 0.6180339887)[0])
+    keys = pts[first] @ (0.5 + 0.5 * np.modf(np.arange(n) * 0.6180339887)[0])
     order = np.argsort(keys)
-    keys = keys[order]
-    floor, norm = abs(eps), float(np.abs(pts_u).sum(axis=1).max(initial=0))
-    width = 2 * floor + (n + 4) * 2.0**-50 * (norm + floor)
+    keys, group = keys[order], np.argsort(order)[group]
+    pts_u, part_u = pts[first[order]], part[first[order]]  # the distinct rows in key order
+    norm = float(np.abs(pts_u).sum(axis=1).max(initial=0))
+    width = 2 * eps + (n + 4) * 2.0**-50 * (norm + eps)
     count = np.searchsorted(keys, keys + width, side="right") - np.arange(1, keys.size + 1)
     if n and np.isfinite(width) and int(count.sum()) <= _WINDOW_PAIRS * w.shape[0]:
-        # pairs (order[i], order[j]) for j = i + 1 .. i + count[i], 2**16 values a block
         near = [[] for _ in range(keys.size)]
-        for i, j in _pair_blocks(count, 2**16 // n + 1):
-            a, b = order[i], order[j]
-            d = np.abs(pts_u[a] - pts_u[b]).sum(axis=1)
-            hit = (d <= eps) & (part_u[a] == part_u[b])
-            for g, h, dg in zip(a[hit].tolist(), b[hit].tolist(), d[hit].tolist()):
+        for i, j, d in _l1_pairs(pts_u, count):
+            hit = (d <= eps) & (part_u[i] == part_u[j])
+            for g, h, dg in zip(i[hit].tolist(), j[hit].tolist(), d[hit].tolist()):
                 near[g].append((dg, h))
                 near[h].append((dg, g))
         # an atom at distance 0 from a representative joins it, so no two

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracer.py's SPANS name it here)
 from scipy.optimize._highspy import _core as _highs
 
-from .core_model import PROB_ATOL, ModelError, ProbVector, _l1_blocks, _write_json, as_prob_vector
+from .core_model import PROB_ATOL, ModelError, ProbVector, _write_json, as_prob_vector
 from .filter_dynamics import DiscreteMeasure, TestFunction, barycenter
 
 __all__ = [
@@ -54,13 +54,17 @@ class TransportPlan:
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """l1 distances between the atoms, filled from the bounded blocks of
-    :func:`_l1_blocks`: each pair still summed along its length-dim axis."""
+    """l1 distances between the atoms, broadcast in blocks of about 2**16
+    differences, each pair summed along its length-dim axis."""
     if mu.dim != nu.dim:
         raise ModelError("measures live on simplices of different dimension")
     C = np.empty((mu.size, nu.size))
-    for i, j, d in _l1_blocks(mu.points, nu.points):
-        C[i:i + d.shape[0], j:j + d.shape[1]] = d
+    cols = 2**16 // mu.dim + 1
+    rows = 2**16 // (min(cols, nu.size) * mu.dim) + 1
+    for i in range(0, mu.size, rows):
+        for j in range(0, nu.size, cols):
+            d = np.subtract(mu.points[i:i + rows, None], nu.points[None, j:j + cols])
+            C[i:i + rows, j:j + cols] = np.abs(d, out=d).sum(axis=2)
     return C
 
 

@@ -26,8 +26,7 @@ from .core_model import (
     ModelError,
     NonnegMatrix,
     Partition,
-    _l1_blocks,
-    _pair_blocks,
+    _l1_pairs,
     check_irreducible_aperiodic,
     matrix_word_product,
     operator_norm,
@@ -213,7 +212,7 @@ class _Block:
         Those rows are made dense, summed, kept where the sum is above the
         floor, divided by it and paired by the same numpy calls along a
         contiguous axis of length ``n`` as in :func:`rank_one_proximity` and
-        :func:`_l1_blocks` (:func:`_divided` only the entries read), so each
+        :func:`_l1_pairs` (:func:`_divided` only the entries read), so each
         distance is one of the proximity's pairwise values bit for bit, and
         the bound needs no rounding slack.
         A slack would not do: where two rows have disjoint supports the
@@ -429,7 +428,8 @@ def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> 
         raise ModelError("rank_one_proximity: all rows at or below the floor")
     rows = a[keep]  # a copy, so the division may write into it
     rows /= sums[keep, None]
-    return max(float(d.max()) for *_, d in _l1_blocks(rows))
+    return max((float(d.max()) for *_, d in _l1_pairs(rows, np.arange(len(rows))[::-1])),
+               default=0.0)
 
 
 def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None = None,
@@ -685,9 +685,10 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
 
     Vertices of the subset are always included among the samples, besides
     ``sample_count`` random points; a negative count raises.  An
-    ``n_max`` below 1 raises :class:`ModelError`: no word would be active,
-    and every hypothesis would pass vacuously.  One atom merge of every
-    start's orbit, each start a part, keeps a point only if it lies more than
+    ``n_max`` below 1 raises :class:`ModelError` (no word would be active,
+    and every hypothesis would pass vacuously), as do a negative ``seed``
+    and a NaN or negative ``dedup_eps``.  One atom merge of every start's
+    orbit, each start a part, keeps a point only if it lies more than
     ``dedup_eps`` from every point of its start kept before it;
     ``separation`` is the least distance between kept points of one start.
     Both sum each distance alike, bit for bit, so ``isolated_pass`` cannot
@@ -704,8 +705,10 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
             raise ModelError(f"subset repeats state {i}")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
-    if sample_count < 0:
-        raise ModelError(f"sample_count (--samples) must be >= 0, got {sample_count}")
+    for name, value in [("sample_count (--samples)", sample_count), ("seed (--seed)", seed),
+                        ("dedup_eps", dedup_eps)]:
+        if not value >= 0:  # NaN fails too
+            raise ModelError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     samples = np.zeros((len(subset) + sample_count, n))
     samples[np.arange(len(subset)), subset] = 1.0
@@ -714,18 +717,15 @@ def check_isometry_obstruction(m: Partition, subset: Sequence[int], n_max: int =
     words, start, word, _, points = _active_words(samples, m, n_max)
 
     # orbits are finite point sets; they fail to look isolated only when two
-    # distinct points collapse below the dedup floor.  First seen wins: a
-    # point is kept unless it lies within the floor of a point kept before
-    # it, so an orbit that collapses to a few points is compared against
-    # those few only: one atom merge of every orbit, each start a part, with
-    # unit weights, where no later atom is heavier than a representative, so
-    # none moves.  Each kept point is then measured against the later ones of
-    # its start, about 2**16 values a block; singleton orbits are isolated
-    # vacuously and contribute no separation value.
+    # distinct points collapse below the dedup floor.  First seen wins: one
+    # atom merge of every orbit, each start a part, with unit weights (no
+    # later atom is heavier than a representative, so none moves) keeps a
+    # point unless it lies within the floor of one kept before it.  Each kept
+    # point is then measured against the later ones of its start; singleton
+    # orbits are isolated vacuously and contribute no separation value.
     _, kept, part = _merge_atoms(np.ones(start.size), points, dedup_eps, start)
     later = np.searchsorted(part, part, side="right") - np.arange(1, part.size + 1)
-    separation = min((float(np.abs(kept[i] - kept[j]).sum(axis=1).min())
-                      for i, j in _pair_blocks(later, 2**16 // n + 1)), default=float("inf"))
+    separation = min((float(d.min()) for *_, d in _l1_pairs(kept, later)), default=float("inf"))
     isolated = separation > dedup_eps
 
     # pairs and words are visited in a fixed order, so witnesses never

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtermc as fm
+import filtermc.filter_dynamics as filter_dynamics
 from filtermc.filter_dynamics import _WINDOW_PAIRS, _merge_atoms
 
 from helpers import (
@@ -461,6 +463,22 @@ def test_parted_merge_is_each_parts_merge_in_turn(cloud):
     assert got[2].tolist() == [q for q, (rep_w, _) in enumerate(want) for _ in rep_w]
     if part[-1] == 0:  # one part: the merge without parts, bit for bit
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, _merge_atoms(w, pts, eps)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(atom_clouds(), windowed_clouds(), parted_clouds()))
+def test_window_and_scan_merge_alike_byte_for_byte(cloud):
+    # the same cloud down both paths: a bound below 0 forces the scan (at 0
+    # a window of no pairs is still taken), a huge one the window wherever
+    # ``width`` is finite and points have coordinates
+    w, pts, eps, part = (*cloud, None)[:4]
+    merged = []
+    for bound in (-1, 2**62):
+        with mock.patch.object(filter_dynamics, "_WINDOW_PAIRS", bound):
+            merged.append(_merge_atoms(w, pts, eps, part))
+    for a, b in zip(*merged):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("size", [_WINDOW_PAIRS * 2 + 1, _WINDOW_PAIRS * 2 + 2])

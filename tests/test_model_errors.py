@@ -18,6 +18,7 @@ _SPEC = fm.kesten_perm_spec()
 # 1e-200 times 1e-200 underflows, so the observation partition has no entry for it
 _P_TINY = fm.TransitionMatrix.from_dense([[1.0, 1e-200], [0.5, 0.5]])
 _R_TINY = np.array([[1.0, 0.0], [1.0 - 1e-200, 1e-200]])
+_KESTEN = fm.kesten_model().partition
 
 CASES = {
     # core_model
@@ -78,6 +79,14 @@ CASES = {
     "entropy_rate_increment with an unknown method": (
         lambda: fm.entropy_rate_increment(_PI, _M, 1, method="sum"),
         "method must be 'difference' or 'integral'"),
+    # batches=0 divided by zero, and batches=1 gave a NaN stderr with a warning
+    "entropy_rate_mc with batches=0": (lambda: fm.entropy_rate_mc(_M, samples=10, batches=0),
+                                       "need 2 <= batches <= samples, got batches=0, samples=10"),
+    "entropy_rate_mc with batches=1": (lambda: fm.entropy_rate_mc(_M, samples=10, batches=1),
+                                       "need 2 <= batches <= samples, got batches=1, samples=10"),
+    "entropy_rate_mc with fewer samples than batches": (
+        lambda: fm.entropy_rate_mc(_M, samples=10, batches=11),
+        "need 2 <= batches <= samples, got batches=11, samples=10"),
     # gallery
     "random_walk_case_b with peak_hold=0.8": (lambda: fm.random_walk_case_b(8, peak_hold=0.8),
                                               "peak_hold too large"),
@@ -107,6 +116,17 @@ CASES = {
     # stability
     "find_subrectangular_word with max_len=0": (lambda: find_subrectangular_word(_M, max_len=0),
                                                 "word search requires max_len >= 1"),
+    # a NaN floor kept every orbit point and failed the isolation hypothesis
+    "check_isometry_obstruction with a NaN dedup_eps": (
+        lambda: fm.check_isometry_obstruction(_KESTEN, [0, 1, 2, 3], dedup_eps=np.nan),
+        "dedup_eps must be >= 0, got nan"),
+    "check_isometry_obstruction with a negative dedup_eps": (
+        lambda: fm.check_isometry_obstruction(_KESTEN, [0, 1, 2, 3], dedup_eps=-1e-9),
+        "dedup_eps must be >= 0, got -1e-09"),
+    # numpy's random generator raised a ValueError
+    "check_isometry_obstruction with a negative seed": (
+        lambda: fm.check_isometry_obstruction(_KESTEN, [0, 1, 2, 3], seed=-1),
+        "seed (--seed) must be >= 0, got -1"),
 }
 
 

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import filtermc as fm
 import filtermc.stability as stability
 from filtermc import ModelError
+from filtermc.core_model import _l1_pairs
 from filtermc.filter_dynamics import _merge_atoms
 from filtermc.stability import (
     _connector_word,
     _Block,
-    _l1_blocks,
     _normalized,
     _power_walk,
     _word_search,
@@ -1037,21 +1037,38 @@ def test_spread_bounds_are_distances_from_the_first_kept_spread_row(seed, rows, 
         assert bound <= fm.rank_one_proximity(a, row_floor)
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 3), (9, 1), (75, 8), (90, 256), (75, 300)])
-def test_l1_blocks_give_every_pair_bit_for_bit_in_bounded_blocks(rows, cols):
-    # at 256 columns and more a block takes at most 64 rows, so the larger
-    # cases span several blocks across as well as down
+def _pair_counts(shape: str, rows: int, rng) -> np.ndarray:
+    """Counts of the shapes the callers of ``_l1_pairs`` pass."""
+    if shape == "triangle":  # every pair, as the proximity pairs its rows
+        return np.arange(rows)[::-1]
+    if shape == "band":  # a few neighbours or none, as the merge window's keys allow
+        return np.minimum(rng.integers(0, 4, rows) * (rng.random(rows) < 0.6),
+                          np.arange(rows)[::-1])
+    part = np.sort(rng.integers(0, 4, rows))  # the later rows of one part, as the separation
+    return np.searchsorted(part, part, side="right") - np.arange(1, rows + 1)
+
+
+@pytest.mark.parametrize("shape", ["triangle", "band", "parts"])
+@pytest.mark.parametrize("rows, cols", [(0, 3), (1, 3), (9, 1), (75, 8), (90, 256), (75, 300),
+                                        (12, 70000)])
+def test_l1_pairs_give_every_pair_once_bit_for_bit_in_bounded_blocks(shape, rows, cols):
+    # at 256 columns and more a block holds a few hundred pairs, and past
+    # 2**16 columns one pair, so most cases span several blocks
     rng = np.random.default_rng(rows * cols)
-    pts = rng.random((rows, cols))
-    pts[rows // 2] = pts[0]
-    want = reference_l1_distances(pts)
-    got = np.full((rows, rows), np.nan)
-    for i, j, d in _l1_blocks(pts):
-        assert d.shape[0] <= 8 and d.shape[1] <= max(64, 2**14 // cols)
-        got[i:i + d.shape[0], j:j + d.shape[1]] = d
-    filled = ~np.isnan(got)
-    assert filled[np.triu_indices(rows)].all()
-    assert np.array_equal(got[filled], want[filled])
+    x = rng.random((rows, cols))
+    x[rows // 2:rows // 2 + 1] = x[:1]
+    count = _pair_counts(shape, rows, rng)
+    step, got, sizes = 2**16 // cols + 1, [], []
+    for i, j, d in _l1_pairs(x, count):
+        assert i.shape == j.shape == d.shape
+        sizes.append(i.size)
+        got += zip(i.tolist(), j.tolist(), d.tolist())
+    # full blocks of about 2**16 values, but the last
+    assert sizes[:-1] == [step] * (len(sizes) - 1) and all(0 < size <= step for size in sizes)
+    assert step * cols <= 2**16 + cols
+    want = [(i, j) for i in range(rows) for j in range(i + 1, i + 1 + count[i])]
+    assert [(i, j) for i, j, _ in got] == want
+    assert all(d == np.abs(x[i] - x[j]).sum() for i, j, d in got)
 
 
 @settings(max_examples=80, deadline=None)
