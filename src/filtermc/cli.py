@@ -1,7 +1,8 @@
 """Command-line interface: model I/O and the six subcommands.
 
 Exit codes: 0 success, 1 validation error (the message names the violated
-invariant), 2 a requested decision came back undecided.
+invariant), 2 a requested decision came back undecided.  A decided negative
+verdict (`refuted`, `hypotheses_failed`) exits 0.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ from .filter_dynamics import (
 )
 from .kantorovich import kantorovich_distance, save_plan
 from .stability import (
+    DEFAULT_BUDGET,
+    _localizing,
+    _word_search,
     check_isometry_obstruction,
     compose_rank_one_witness,
     default_col_bound,
     detect_rank_one_limit,
-    find_localizing_word,
-    find_subrectangular_word,
+    is_subrectangular,
 )
 
 EXIT_OK = 0
@@ -140,22 +143,21 @@ def _cmd_check(args) -> int:
     m = model.partition
     verdict: dict = {"condition": args.condition}
     code = EXIT_OK
-    if args.condition == "a":
-        word = find_subrectangular_word(m, max_len=args.max_word_len)
-        if word is None:
-            verdict.update(kind="undecided", note="no subrectangular word within budget")
-            code = EXIT_UNDECIDED
+    if args.condition in ("a", "localizing"):
+        test, kind, what = is_subrectangular, "condition_a", "subrectangular"
+        if args.condition == "localizing":
+            bound = args.col_bound if args.col_bound is not None else default_col_bound(m.n)
+            test, kind, what = _localizing(bound), "localizing", "localizing"
+            verdict["col_bound"] = bound
+        word, closed = _word_search(m, test, args.max_word_len, DEFAULT_BUDGET)
+        if word is not None:
+            verdict.update(kind=kind, word=list(word))
+        elif closed is not None:
+            verdict.update(kind="refuted", note=f"the word supports closed at length {closed}:"
+                                                f" no word of any length is {what}")
         else:
-            verdict.update(kind="condition_a", word=list(word))
-    elif args.condition == "localizing":
-        bound = args.col_bound if args.col_bound is not None else default_col_bound(m.n)
-        word = find_localizing_word(m, max_len=args.max_word_len, col_bound=bound)
-        verdict["col_bound"] = bound
-        if word is None:
-            verdict.update(kind="undecided", note="no localizing word within budget")
+            verdict.update(kind="undecided", note=f"no {what} word within budget")
             code = EXIT_UNDECIDED
-        else:
-            verdict.update(kind="localizing", word=list(word))
     elif args.condition == "b1":
         res = detect_rank_one_limit(m, tol=args.tol, max_depth=args.max_word_len)
         verdict.update(kind=res.kind, diagnostics=res.diagnostics)

@@ -7,16 +7,16 @@ search when some word's product is nonzero with product-set support; it is
 *localizing* when some word's product has few nonzero columns; and the
 rank-one detector looks for word sequences whose normalised products
 approach a nonnegative rank-1 matrix of norm 1 — the checkable core of the
-sufficient stability conditions.  All searches are bounded and, when they
-fail, return "undecided": these conditions are sufficient, not necessary,
-so absence of a witness never certifies instability.
+sufficient stability conditions.  All searches are bounded; the support
+searches can also prove that no word passes.  These conditions are
+sufficient, not necessary, so absence of a witness never certifies instability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 200_000
+_PATTERN_BYTES = 2**27  # the most the keys of one word search's patterns take
 
 
 @dataclass
@@ -55,8 +56,10 @@ class StabilityVerdict:
     """Outcome of a stability search.
 
     The library returns ``kind`` ``b1_converged`` or ``undecided``; the CLI
-    also writes ``condition_a``, ``localizing``, ``nonstable`` and
-    ``hypotheses_failed``.  A ``b1_converged`` verdict carries the witness
+    also writes ``condition_a``, ``localizing``, ``refuted``, ``nonstable``
+    and ``hypotheses_failed``.  ``refuted`` (exit code 0, a decided verdict)
+    means that the word supports closed: no word is subrectangular, or
+    localizing.  A ``b1_converged`` verdict carries the witness
     ``W`` (a normalised word product of operator norm 1 whose rows above
     the floor are aligned within the tolerance).
     """
@@ -79,12 +82,7 @@ def is_subrectangular(M: NonnegMatrix | np.ndarray) -> bool:
     it has as many positive entries."""
     if not isinstance(M, NonnegMatrix):
         M = NonnegMatrix.from_dense(M)
-    return bool(_subrectangular(*_Block(M, M.cols).support_counts())[0])
-
-
-def _subrectangular(entries, rows, cols):
-    """Which support counts (see :meth:`_Block.support_counts`) are a product set's."""
-    return entries == rows * cols
+    return bool(M.nnz == np.count_nonzero(np.diff(M.indptr)) * M.nonzero_column_count())
 
 
 def default_search_depth(num_labels: int, cap: int = 8, node_budget: int = 10**6) -> int:
@@ -152,15 +150,6 @@ class _Block:
         S, mine = self.S, self.S.indices // self.n == i
         return NonnegMatrix._csr((S.rows, self.n), core_model._kept_indptr(S.indptr, mine),
                                  S.indices[mine] - i * self.n, S.data[mine])
-
-    def support_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each product's numbers of entries, of rows with one and of
-        columns with one, as exact integer counts."""
-        cols = np.bincount(self.S.indices, minlength=self.S.cols) > 0
-        lens = np.diff(self.start, append=self.S.indices.size)
-        return (np.bincount(self.prod, lens, self.count).astype(np.int64),
-                np.bincount(self.prod, minlength=self.count),
-                cols.reshape(self.count, self.n).sum(axis=1))
 
     def row_sums(self) -> np.ndarray:
         """The row sums of each product, one row of the result per product:
@@ -362,40 +351,56 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
 
 
 def _word_search(m: Partition, test, max_len: int, budget: int):
-    """Bounded search for a word whose product passes ``test``, which takes
-    the support counts ``(entries, rows, cols)`` of a block of products
-    (:meth:`_Block.support_counts`) and says which pass.
+    """Search for the shortlex-least word (shorter first, then label order)
+    whose product is nonzero with a support that passes ``test``.
 
-    Phase 1 enumerates all words up to the exhaustive depth in label order
-    (depth-first, so prefixes are tested before their extensions); phase 2
-    extends a single word greedily by the label maximising the product norm
-    and tests every prefix: phase 1 decides a word from its unnormalised
-    product, which can underflow where the normalised one keeps an entry.
-    Returns the first hit or None; ties in the greedy phase break lexicographically.
-    """
+    For nonnegative matrices the support of ``P M(w)`` is the boolean
+    product of the two, with no rounding, so the supports of words form a
+    finite semigroup (Paz 1971, *Introduction to Probabilistic Automata*).
+    The walk is breadth first over 0/1 patterns, each product's values set
+    to 1, and keeps each distinct pattern once, keyed by its index arrays: a
+    word whose pattern came earlier is neither tested nor extended, as its
+    extensions have the patterns of the earlier word's.  Each product formed
+    costs one unit.  Returns ``(word, None)`` for the first passing word;
+    ``(None, length)`` when that length adds no new pattern, which proves
+    that no word of any length passes; or ``(None, None)`` when ``max_len``,
+    ``budget`` or ``_PATTERN_BYTES`` of stored keys ran out first."""
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
-    work = _Budget(budget)
-    depth = min(max_len, default_search_depth(m.num_labels))
-
-    def hits(block):
-        return test(*block.support_counts()).tolist()
-
-    greedy = ((word, hits(_Block(prod, m.n))[0]) for word, prod in _greedy_walk(m, max_len, work))
-    for word, hit in chain(_exhaustive_walk(m, depth, work, hits), greedy):
-        if hit:
-            return word
-    return None
+    work, seen, stored = _Budget(budget), set(), 0
+    members = [(w, M._with_values(np.ones(M.nnz))) for w, M in m]
+    level = [((), NonnegMatrix.identity(m.n))]
+    for length in range(1, max_len + 1):
+        nxt = []
+        for word, P in level:
+            for w, M in members:
+                if not work.left():
+                    return None, None
+                work.spent += 1
+                Q = P @ M
+                key = Q.indptr.tobytes() + Q.indices.tobytes()
+                if Q.is_zero() or key in seen:
+                    continue
+                seen.add(key)
+                stored += len(key)
+                Q.data[:] = 1.0
+                if test(Q):
+                    return word + (w,), None
+                if stored > _PATTERN_BYTES:
+                    return None, None
+                nxt.append((word + (w,), Q))
+        if not nxt:
+            return None, length
+        level = nxt
+    return None, None
 
 
 def find_subrectangular_word(m: Partition, max_len: int = 8,
                              budget: int = DEFAULT_BUDGET) -> tuple | None:
-    """Search for a word whose product is nonzero and subrectangular.
-
-    A None result is inconclusive (budget or depth ran out), never a
-    refutation.
-    """
-    return _word_search(m, _subrectangular, max_len, budget)
+    """The shortlex-least word whose product is nonzero and subrectangular
+    (:func:`_word_search`).  None means that no word of any length is, or
+    that the search ran out first; ``check --condition a`` tells which."""
+    return _word_search(m, is_subrectangular, max_len, budget)[0]
 
 
 def default_col_bound(n: int) -> int:
@@ -404,13 +409,18 @@ def default_col_bound(n: int) -> int:
     return -(-n // 4)
 
 
+def _localizing(bound: int):
+    """The test of a product with at most ``bound`` nonzero columns."""
+    return lambda M: M.nonzero_column_count() <= bound
+
+
 def find_localizing_word(m: Partition, max_len: int = 8, col_bound: int | None = None,
                          budget: int = DEFAULT_BUDGET) -> tuple | None:
-    """Search for a word whose product has at most ``col_bound`` nonzero
-    columns (default bound: ceil(n/4)).  None is inconclusive."""
+    """The shortlex-least word whose product is nonzero with at most
+    ``col_bound`` nonzero columns (default bound: ceil(n/4)), or None, as
+    :func:`find_subrectangular_word`."""
     bound = default_col_bound(m.n) if col_bound is None else int(col_bound)
-    return _word_search(m, lambda entries, rows, cols: cols <= bound, max_len, budget)
-
+    return _word_search(m, _localizing(bound), max_len, budget)[0]
 
 def rank_one_proximity(M: NonnegMatrix | np.ndarray, row_floor: float = 0.0) -> float:
     """How far the rows (with l1 mass above ``row_floor``) are from being

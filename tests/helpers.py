@@ -4,9 +4,10 @@ The oracles here (sign-vector operator norm, quantifier subrectangularity,
 spanning-tree transport enumeration) deliberately avoid the library code
 paths they are used to check.  The ``reference_*`` functions keep earlier
 code paths as differential oracles for what replaced them: the word
-searches of ``filtermc.stability`` (three hand-written walks, each with its
+searches of ``filtermc.stability`` (hand-written walks, each with its
 own budget bookkeeping, forming one product per word and label) for the
-shared search engine and its block walk, the all-pairs ``r x r x n``
+shared search engine and its block walk, a brute force over every word's
+exact boolean support for the support searches' closure walk, the all-pairs ``r x r x n``
 proximity and the pair-by-pair isometry check for the blocked distance
 kernel and the spread bound, the fixed-point power walk, the
 list-based atom merge for the one filled in place, the per-label loops of
@@ -444,41 +445,21 @@ def reference_check_isometry_obstruction(m: Partition, subset, n_max: int = 4,
     )
 
 
-def reference_word_search(m: Partition, predicate, max_len: int, budget: int):
+def reference_word_search(m: Partition, predicate, max_len: int):
+    """The first word of length 1 to ``max_len``, shorter words first and
+    then in label order, whose product is nonzero and whose support, a
+    boolean array, passes ``predicate``; or None.  Every word is formed, and
+    its support is the boolean product of its members' supports, taken as
+    integer products of 0/1 matrices clipped to 1, so no entry can underflow."""
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
-    labels = m.labels
-    exhaustive_depth = min(max_len, default_search_depth(len(labels)))
-    examined = 0
-
-    stack = [((w,), m.member(w)) for w in reversed(labels)]
-    while stack and examined < budget:
-        word, prod = stack.pop()
-        examined += 1
-        if not prod.is_zero() and predicate(prod):
-            return word
-        if len(word) < exhaustive_depth and not prod.is_zero():
-            for w in reversed(labels):
-                stack.append((word + (w,), prod @ m.member(w)))
-
-    word: tuple = ()
-    prod = NonnegMatrix.identity(m.n)
-    while len(word) < max_len:
-        best = None
-        for w in labels:
-            if examined >= budget:  # no candidate is formed past the budget
-                return None
-            cand = prod @ m.member(w)
-            examined += 1
-            nrm = operator_norm(cand)
-            if nrm > 0 and (best is None or nrm > best[2] + 1e-15):
-                best = (w, cand, nrm)
-        if best is None:
-            break
-        word = word + (best[0],)
-        prod = _reference_normalized(best[1], best[2])
-        if predicate(prod):
-            return word
+    members = [(w, (M.toarray() > 0).astype(np.int64)) for w, M in m]
+    level = [((), np.eye(m.n, dtype=np.int64))]
+    for _ in range(max_len):
+        level = [(word + (w,), np.minimum(S @ A, 1)) for word, S in level for w, A in members]
+        for word, S in level:
+            if S.any() and predicate(S.astype(bool)):
+                return word
     return None
 
 
@@ -627,12 +608,11 @@ def reference_compose_rank_one_witness(m: Partition, max_len: int = 8, tol: floa
     if row_floor is None:
         row_floor = math.sqrt(tol)
 
-    word_a = reference_word_search(m, is_subrectangular, max_len, 200_000)
+    word_a = reference_word_search(m, is_subrectangular, max_len)
     if word_a is None:
         return None
     bound = default_col_bound(m.n) if col_bound is None else int(col_bound)
-    word_b = reference_word_search(m, lambda prod: prod.nonzero_column_count() <= bound,
-                                   max_len, 200_000)
+    word_b = reference_word_search(m, lambda S: S.any(axis=0).sum() <= bound, max_len)
     if word_b is None:
         return None
     Ma = matrix_word_product(m, word_a)

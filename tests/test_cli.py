@@ -127,6 +127,24 @@ def test_check_b1_undecided_exit_code(tmp_path, capsys):
     assert verdict["kind"] == "undecided"
 
 
+def test_check_support_searches_refute_on_kesten_with_exit_0(tmp_path):
+    # Kesten's word supports close at length 7: a decided verdict, like hypotheses_failed
+    model_path = tmp_path / "k.json"
+    run(["gallery", "kesten", "--out", str(model_path)])
+    out = tmp_path / "v.json"
+    for condition, extra, what in (("a", {}, "subrectangular"),
+                                   ("localizing", {"col_bound": 2}, "localizing")):
+        assert run(["check", "--model", str(model_path), "--condition", condition,
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {
+            "condition": condition, **extra, "kind": "refuted",
+            "note": f"the word supports closed at length 7: no word of any length is {what}"}
+        # a walk stopped one length short of the closure is undecided
+        assert run(["check", "--model", str(model_path), "--condition", condition,
+                    "--max-word-len", "6", "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["kind"] == "undecided"
+
+
 def test_check_condition_a_on_identity_lumping(tmp_path):
     P = fm.TransitionMatrix.from_dense(np.full((3, 3), 1.0 / 3.0))
     model = fm.FilterModel(

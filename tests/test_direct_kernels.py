@@ -122,7 +122,8 @@ def test_reads_never_change_a_matrix():
     arrays = (ab.indices, ab.data)
     copies = [x.copy() for x in arrays]
     for read in (lambda: ab.nnz, ab.is_zero, ab.triplets, ab.support, ab.row_sums,
-                 lambda: repr(ab), ab.toarray, ab.nonzero_column_count, lambda: _Block(ab, ab.cols).support_counts(),
+                 lambda: repr(ab), ab.toarray, ab.nonzero_column_count, lambda: fm.is_subrectangular(ab),
+                 lambda: _Block(ab, ab.cols).row_sums(),
                  lambda: ab.left_apply(np.ones(20)), lambda: ab.scaled(2.0),
                  lambda: ab.add(c), lambda: ab._same_layout(c)):
         read()

@@ -373,10 +373,9 @@ def assert_detect_matches_reference(m, **kwargs):
 
 
 def _subnormal_chain():
-    """A 3-state chain with entries of three subnormal ulps: the unnormalised
-    product of (b, b, b, b) loses entries to underflow and is not
-    subrectangular, while the greedy walk's normalised one keeps them, and
-    is positive."""
+    """A 3-state chain with entries of three subnormal ulps: the product of
+    (b, b, b, b) loses entries to underflow and is not subrectangular, while
+    its support, the boolean product of the members' supports, keeps them."""
     u = 5e-324
     P = np.array([[3 * u, 1.0, 3 * u], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]])
     in_b = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 0]], bool)
@@ -385,18 +384,114 @@ def _subnormal_chain():
                         fm.TransitionMatrix.from_dense(P))
 
 
+def assert_word_search_matches_reference(m, test, predicate, max_len, budget):
+    """The search spends at most ``budget``, and returns the brute-force
+    reference's word whenever it returns a word, returns None with budget
+    left, or refutes; a refutation holds one length past where the supports
+    closed too.  Returns the search's ``(word, closed)`` and units spent."""
+    _RecordedBudget.made.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_Budget", _RecordedBudget)
+        word, closed = _word_search(m, test, max_len, budget)
+    [work] = _RecordedBudget.made
+    assert work.spent <= budget
+    if word is not None or closed is not None or work.spent < budget:
+        assert word == reference_word_search(m, predicate, max_len)
+    if closed is not None:
+        assert word is None and 1 <= closed <= max_len
+        assert reference_word_search(m, predicate, closed + 1) is None
+    return (word, closed), work.spent
+
+
 @settings(max_examples=80, deadline=None)
 @given(m=small_partitions(), max_len=st.integers(1, 5), budget=st.integers(0, 60),
        col_bound=st.integers(1, 3))
-# the greedy word's prefixes within the exhaustive depth are tested again:
-# the walk's product of (b, b, b, b) underflows, the greedy one does not
+# the product of (b, b, b, b) underflows, its support does not
 @example(m=_subnormal_chain(), max_len=4, budget=60, col_bound=1)
 def test_word_search_matches_reference(m, max_len, budget, col_bound):
-    # the search tests support counts of blocks, the reference one matrix
-    for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+    # the search tests 0/1 patterns, the reference exact boolean supports
+    for test, predicate in ((fm.is_subrectangular, fm.is_subrectangular),
                             _localizing_pair(col_bound)):
-        assert (_word_search(m, test, max_len, budget)
-                == reference_word_search(m, predicate, max_len, budget))
+        assert_word_search_matches_reference(m, test, predicate, max_len, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.2, 0.5, 1.0]), max_len=st.integers(1, 5),
+       col_bound=st.integers(1, 3))
+def test_support_walk_on_random_chains_matches_brute_force(n, k, seed, density, max_len,
+                                                            col_bound):
+    # members of any support a random chain can have, zero members included
+    rng = np.random.default_rng(seed)
+    a = rng.random((k, n, n)) * (rng.random((k, n, n)) < density)
+    a[0] += (a.sum(axis=0).sum(axis=1) == 0)[:, None] / n  # no row of the chain is zero
+    a /= a.sum(axis=0).sum(axis=1)[None, :, None]
+    m = fm.Partition({t: fm.NonnegMatrix.from_dense(a[t]) for t in range(k)},
+                     fm.TransitionMatrix.from_dense(a.sum(axis=0)))
+    for test, predicate in ((fm.is_subrectangular, fm.is_subrectangular),
+                            _localizing_pair(col_bound)):
+        (word, _), _ = assert_word_search_matches_reference(m, test, predicate, max_len,
+                                                           stability.DEFAULT_BUDGET)
+        assert word is None or predicate(fm.matrix_word_product(m, word).toarray() > 0)
+
+
+def test_subnormal_chain_is_solved_from_patterns_alone(monkeypatch):
+    # the float product of (b, b, b, b) underflows and is not subrectangular;
+    # no greedy walk runs, yet the search finds the word the exact supports give
+    m = _subnormal_chain()
+    assert not fm.is_subrectangular(fm.matrix_word_product(m, ("b", "b", "b", "b")))
+    monkeypatch.setattr(stability, "_greedy_walk", None)
+    monkeypatch.setattr(stability, "_exhaustive_walk", None)
+    word, closed = _word_search(m, fm.is_subrectangular, 4, 60)
+    assert (word, closed) == (reference_word_search(m, fm.is_subrectangular, 4), None)
+    assert word == ("b", "b", "b", "b")
+
+
+def _birkhoff5():
+    """The Birkhoff partition of a dense random doubly stochastic 5 x 5 matrix."""
+    a = np.random.default_rng(5).random((5, 5)) + 0.1
+    for _ in range(500):  # Sinkhorn scaling, well within the decomposition's 1e-9
+        a /= a.sum(axis=1, keepdims=True)
+        a /= a.sum(axis=0)
+    return fm.birkhoff_partition_model(a).partition
+
+
+@pytest.mark.parametrize("make, patterns, closed", [(lambda: fm.kesten_model().partition, 32, 7),
+                                                     (_birkhoff5, 120, 4)])
+def test_support_closure_refutes_condition_a(make, patterns, closed):
+    # Kesten's supports and the permutation group S5 of a Birkhoff model
+    # close with no subrectangular pattern: no word of any length is one.
+    # The walk extends each distinct pattern, and the identity, once
+    m = make()
+    _RecordedBudget.made.clear()
+    with mock.patch.object(stability, "_Budget", _RecordedBudget):
+        got = _word_search(m, fm.is_subrectangular, 8, stability.DEFAULT_BUDGET)
+    assert got == (None, closed)
+    assert _RecordedBudget.made[0].spent == m.num_labels * (1 + patterns)
+    assert fm.find_subrectangular_word(m) is None
+    # one length short of the closure the walk cannot tell
+    assert _word_search(m, fm.is_subrectangular, closed - 1, 10**6) == (None, None)
+
+
+def test_rw63_subrectangular_word_has_length_61():
+    m = fm.random_walk_case_a(63).partition
+    word = fm.find_subrectangular_word(m, max_len=64)
+    assert len(word) == 61
+    assert fm.is_subrectangular(fm.matrix_word_product(m, word))
+    # and no shorter word is: a walk to length 60 passes none, and is not closed
+    assert _word_search(m, fm.is_subrectangular, 60, 10**6) == (None, None)
+
+
+def test_pattern_byte_cap_leaves_the_walk_undecided(monkeypatch):
+    # Kesten's 32 patterns of 8 x 8 take over 32 * 36 index bytes
+    m = fm.kesten_model().partition
+    assert _word_search(m, fm.is_subrectangular, 8, 10**6) == (None, 7)
+    monkeypatch.setattr(stability, "_PATTERN_BYTES", 32 * 36)
+    assert _word_search(m, fm.is_subrectangular, 8, 10**6) == (None, None)
+    # a word found at the pattern that crosses the cap is still returned
+    monkeypatch.setattr(stability, "_PATTERN_BYTES", 0)
+    assert _word_search(m, stability._localizing(4), 8, 10**6) == (("a",), None)
+    assert _word_search(m, stability._localizing(3), 8, 10**6) == (None, None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -433,15 +528,15 @@ def test_every_walk_stops_at_its_budget(m, budget, max_len, power_iters, tol, po
     kwargs = dict(tol=tol, power_iters=power_iters, policy=tuple(policy), budget=budget)
     assert fm.detect_rank_one_limit(m, **kwargs).diagnostics["examined"] <= budget
     assert_detect_matches_reference(m, **kwargs)
-    # the second walks all it may
-    for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
-                            (lambda entries, rows, cols: entries < 0, lambda prod: False)):
-        _RecordedBudget.made.clear()
+    # the second passes no word, so its search walks all it may; each unit
+    # spent is one product formed
+    for test, predicate in ((fm.is_subrectangular, fm.is_subrectangular),
+                            (lambda P: False, lambda S: False)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stability, "_Budget", _RecordedBudget)
-            got = _word_search(m, test, max_len, budget)
-        assert [b.spent <= budget for b in _RecordedBudget.made] == [True]
-        assert got == reference_word_search(m, predicate, max_len, budget)
+            products = _count_products(mp)
+            got, spent = assert_word_search_matches_reference(m, test, predicate, max_len, budget)
+        assert products == [spent]
+    assert got[0] is None
 
 
 @pytest.mark.parametrize("policy, budget", [(("repeat",), 0), (("repeat",), 7),
@@ -536,8 +631,8 @@ def test_searches_match_reference_on_zero_products_and_ties(make):
                                                 repeat_words=repeat_words, policy=policy,
                                                 budget=budget)
         for max_len in (1, 3, 6):
-            assert (_word_search(m, stability._subrectangular, max_len, budget)
-                    == reference_word_search(m, fm.is_subrectangular, max_len, budget))
+            assert_word_search_matches_reference(m, fm.is_subrectangular,
+                                                 fm.is_subrectangular, max_len, budget)
 
 
 def test_best_word_attains_min_proximity_on_a_repeat_curve():
@@ -1147,10 +1242,9 @@ def assert_detect_is_bit_equal_to_reference(m, **kwargs):
 
 
 def _localizing_pair(bound):
-    """The localizing test on a block's support counts, and the reference's
-    predicate on one matrix."""
-    return (lambda entries, rows, cols: cols <= bound,
-            lambda prod: prod.nonzero_column_count() <= bound)
+    """The localizing test on a pattern, and the reference's predicate on a
+    boolean support."""
+    return stability._localizing(bound), lambda S: S.any(axis=0).sum() <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -1168,10 +1262,9 @@ def test_block_walk_matches_the_word_by_word_references(m, budget, max_depth, po
         assert_detect_is_bit_equal_to_reference(m, tol=tol, max_depth=max_depth,
                                                 power_iters=power_iters, policy=policy,
                                                 budget=budget)
-        for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+        for test, predicate in ((fm.is_subrectangular, fm.is_subrectangular),
                                 _localizing_pair(col_bound)):
-            assert (_word_search(m, test, max_depth, budget)
-                    == reference_word_search(m, predicate, max_depth, budget))
+            assert_word_search_matches_reference(m, test, predicate, max_depth, budget)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1203,10 +1296,10 @@ def test_block_walk_hits_at_depth_one(block_bytes):
         res = fm.detect_rank_one_limit(m, policy=("exhaustive",))
         assert (res.kind, res.word, res.diagnostics["examined"]) == ("b1_converged", (0,), 1)
         assert_detect_is_bit_equal_to_reference(m, policy=("exhaustive",))
-        for test, predicate in ((stability._subrectangular, fm.is_subrectangular),
+        for test, predicate in ((fm.is_subrectangular, fm.is_subrectangular),
                                 _localizing_pair(2)):
-            assert _word_search(m, test, 4, 100) == (0,)
-            assert reference_word_search(m, predicate, 4, 100) == (0,)
+            assert _word_search(m, test, 4, 100) == ((0,), None)
+            assert reference_word_search(m, predicate, 4) == (0,)
 
 
 @settings(max_examples=40, deadline=None)
