@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import sys
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -729,7 +730,7 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else repr(v)
+        return v if math.isfinite(v) else repr(v)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):

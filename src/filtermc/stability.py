@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import cycle, islice, permutations
 from typing import Sequence
 
 import numpy as np
@@ -121,6 +121,28 @@ class _Budget:
 
     def left(self) -> bool:
         return self.spent < self.limit
+
+    def room(self) -> float:
+        """How many more units :meth:`left` allows: a whole number, or inf."""
+        gap = self.limit - self.spent
+        return gap if gap == math.inf else max(0, math.ceil(gap))
+
+
+class _CycleTest:
+    """Brent's test (*BIT* 20, 1980) for a walk whose each step is a function
+    of the previous step's stored bits.  Fed ``H_1, H_2, ...`` in turn, it
+    holds the previous one and a checkpoint moved at powers of two, and
+    returns ``lag`` > 0 once ``H_k`` is stored exactly as ``H_{k-lag}``,
+    else 0.  It finds period λ after μ steps within 2 max(μ, λ) + λ steps."""
+
+    def __call__(self, k: int, H: NonnegMatrix) -> int:
+        lag = 0
+        if k > 1:
+            lag = 1 if H._same_layout(self.prev) else k - self.at if H._same_layout(self.mark) else 0
+        self.prev = H
+        if k & (k - 1) == 0:
+            self.mark, self.at = H, k
+        return lag
 
 
 _SPREAD_ROWS = 8  # rows per product that _Block.spread_bounds pairs
@@ -296,14 +318,19 @@ def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
 
 def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
     """One word extended by the label maximising the product norm, yielded
-    as ``(word, normalised product)`` after each step.  A step forms its k
-    candidate products at once, side by side from one product with the
+    as ``(word, normalised product, lag)`` after each step.  A step forms its
+    k candidate products at once, side by side from one product with the
     members side by side, and each norm is the largest of its candidate's
     row sums (:meth:`_Block.row_sums`), bit-equal to ``operator_norm``.
     Every candidate costs one unit, and the walk ends before a candidate the
-    budget cannot pay for; ties break towards the earlier label."""
+    budget cannot pay for; ties break towards the earlier label.  A step is
+    a function of the previous product's stored bits, so once a product is
+    stored as the one ``lag`` steps before (:class:`_CycleTest`) the words
+    cycle: that step comes as ``(word, None, lag)``, with ``lag`` 0 before,
+    and the walk ends there."""
     n = m.n
     word, prod = (), NonnegMatrix.identity(n)
+    repeats = _CycleTest()
     while len(word) < max_len and budget.left():
         cands = _Block(prod @ m._stack, n)
         best = None
@@ -316,7 +343,10 @@ def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
         if best is None:
             return
         word, prod = word + (m.labels[best[0]],), _normalized(cands.product(best[0]), best[1])
-        yield word, prod
+        lag = repeats(len(word), prod)
+        yield word, None if lag else prod, lag
+        if lag:
+            return
 
 
 def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
@@ -327,25 +357,21 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
     is a function of the previous one's stored bits, so once ``H_k`` is
     stored as ``H_{k-lag}`` they cycle: no more products are formed, and
     from ``k`` on each comes as ``(k, None, lag)``, before with ``lag`` 0.
-    Brent's test (*BIT* 20, 1980) against the previous power and a
-    checkpoint moved at powers of two finds period λ after μ powers within
-    2 max(μ, λ) + λ powers; besides ``H_1`` it holds two earlier powers."""
+    The cycle is found by :class:`_CycleTest`, which besides ``H_1`` holds
+    two earlier powers."""
     if base.is_zero():
         return
-    H = H1 = mark = _normalized(base)
-    lag = 0
+    H = H1 = _normalized(base)
+    repeats, lag = _CycleTest(), 0
     for k in range(1, iters + 1):
         if not budget.left():
             return
         if k > 1 and not lag:
-            nxt = H @ H1
-            if nxt.is_zero():
+            H = H @ H1
+            if H.is_zero():
                 return
-            nxt = _normalized(nxt)
-            lag = 1 if nxt._same_layout(H) else k - c if nxt._same_layout(mark) else 0
-            H = nxt
-        if k & (k - 1) == 0:
-            mark, c = H, k
+            H = _normalized(H)
+        lag = lag or repeats(k, H)
         budget.spent += 1
         yield k, None if lag else H, lag
 
@@ -464,13 +490,17 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     One unit of ``budget`` is one word popped by the enumeration, one power
     of a repeated word, or one candidate product of the greedy word.  It is
     checked before each of them, so ``examined`` never exceeds ``budget``;
-    a repeated word reached with the budget spent gets an empty curve.  Once
-    the powers cycle, each power stored exactly as the one ``lag`` before it
-    costs a unit but no product, and adds that power's proximity to its
-    curve again.
+    a repeated word reached with the budget spent gets an empty curve.  The
+    power and greedy walks stop at their first cycle, a product stored as
+    the one ``lag`` steps before it.  The rest of the curve, its last ``lag``
+    values repeated, is appended unwalked, and the budget is charged what
+    the walk would have spent, up to the budget, including the candidates
+    of a last greedy step that it cuts partway, which adds no value.  Each
+    repeated value already exceeded ``tol`` and was weighed against
+    ``min_proximity`` when first computed.
 
-    The curves record every value, so each power before a cycle and each
-    greedy prefix has its proximity computed in full.  The enumeration
+    The curves record every value, so each power and greedy prefix before a
+    cycle has its proximity computed in full.  The enumeration
     forms its words in blocks bounded in bytes (:func:`_exhaustive_walk`),
     one product for the children of a block of words, and bounds each
     block's words at once (:meth:`_Block.spread_bounds`), dividing only the
@@ -498,13 +528,19 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
     work = _Budget(budget)
     best: list = [float("inf"), None]  # least proximity so far and a word attaining it
 
-    def converged(word, H, curve=None, lag=0) -> bool:
-        prox = curve[-lag] if lag else rank_one_proximity(H, row_floor)
+    def converged(word, H, curve=None) -> bool:
+        prox = rank_one_proximity(H, row_floor)
         if curve is not None:
             curve.append(prox)
         if prox < best[0]:
             best[:] = prox, word
         return prox <= tol
+
+    def cycled(curve, lag, steps, cost) -> None:
+        # the signalled step and up to ``steps`` more, each ``cost`` units
+        room = work.room()
+        curve.extend(islice(cycle(curve[-lag:]), 1 + min(steps, room // cost)))
+        work.spent += min(steps * cost, room)
 
     def verdict(name, word, W, **extra) -> StabilityVerdict:
         # every earlier proximity exceeded tol, so the hit is the least one
@@ -530,12 +566,19 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
         for unit in map(tuple, repeat_words):
             curve = diagnostics["curves"][repr(unit)] = []
             for k, H, lag in _power_walk(matrix_word_product(m, unit), power_iters, work):
-                if converged(unit * k, H, curve, lag):
+                if lag:
+                    cycled(curve, lag, power_iters - k, 1)
+                    break
+                if converged(unit * k, H, curve):
                     return verdict("repeat", unit, H, repetitions=k)
 
     if "greedy" in policy and work.left():
         curve = diagnostics["curves"]["greedy"] = []
-        for word, H in _greedy_walk(m, max(32, 2 * m.n), work):
+        max_len = max(32, 2 * m.n)
+        for word, H, lag in _greedy_walk(m, max_len, work):
+            if lag:
+                cycled(curve, lag, max_len - len(word), m.num_labels)
+                break
             if converged(word, H, curve):
                 return verdict("greedy", word, H)
 

@@ -104,3 +104,33 @@ def test_each_distinct_float_of_a_column_is_formatted_once(monkeypatch):
     assert "".join(core_model._json_parts(doc)) == json.dumps(doc, indent=1)
     # one zero key for both signs, each of which is written as its own repr
     assert list(map(repr, calls)) == ["0.1", "0.2", "0.1", "0.2", "-0.0"]
+
+
+def test_jsonable_writes_non_finite_floats_as_their_repr():
+    # inside nested lists, tuples and dicts, numpy floats become Python ones
+    # and non-finite floats the text of their repr
+    doc = {"curve": [float("inf"), -float("inf"), float("nan"), np.float64(0.25), 1.5],
+           2: ({"x": np.float64("-inf"), "y": [[np.float64("nan"), 2.0]]}, -0.0)}
+    assert _written(core_model._jsonable(doc))[1].decode() == """\
+{
+ "curve": [
+  "inf",
+  "-inf",
+  "nan",
+  0.25,
+  1.5
+ ],
+ "2": [
+  {
+   "x": "-inf",
+   "y": [
+    [
+     "nan",
+     2.0
+    ]
+   ]
+  },
+  -0.0
+ ]
+}
+"""

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -345,7 +346,8 @@ def assert_same_matrix(A, B):
 
 def assert_detect_matches_reference(m, **kwargs):
     """Same verdict, bit-equal W and equal diagnostics, or the same error;
-    best_word is checked against min_proximity instead."""
+    best_word is checked against min_proximity instead, and both sides'
+    best_word are returned."""
     try:
         want = reference_detect_rank_one_limit(m, **kwargs)
     except ModelError as exc:
@@ -359,7 +361,7 @@ def assert_detect_matches_reference(m, **kwargs):
     else:
         assert_same_matrix(got.W, want.W)
     best_word = got.diagnostics.pop("best_word", None)
-    want.diagnostics.pop("best_word", None)
+    want_best_word = want.diagnostics.pop("best_word", None)
     assert got.diagnostics == want.diagnostics
     assert list(got.diagnostics) == list(want.diagnostics)
     if best_word is not None:
@@ -370,6 +372,7 @@ def assert_detect_matches_reference(m, **kwargs):
             H = _normalized(H @ m.member(w))
         assert fm.rank_one_proximity(H, got.diagnostics["row_floor"]) == pytest.approx(
             got.diagnostics["min_proximity"], rel=1e-6, abs=1e-9)
+    return best_word, want_best_word
 
 
 def _subnormal_chain():
@@ -840,11 +843,16 @@ def cycling_partitions(draw):
     """Partitions whose unit words cycle exactly: scaled permutations with
     periods 1 to 8, maps with a tail of two or more states before a cycle,
     rows spread over a cycle, where the proximity changes with the phase,
-    and Kesten's filter (periods 2 and 4)."""
-    kind = draw(st.sampled_from(["permutation", "tail", "spread", "kesten"]))
+    Kesten's filter (periods 2 and 4), and Birkhoff models on 5 states,
+    whose members are scaled permutations."""
+    kind = draw(st.sampled_from(["permutation", "tail", "spread", "kesten", "birkhoff"]))
     if kind == "kesten":
         return fm.kesten_model().partition
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "birkhoff":
+        perms = [np.eye(5)[rng.permutation(5)] for _ in range(draw(st.integers(1, 4)))]
+        weights = rng.dirichlet(np.ones(len(perms)))
+        return fm.birkhoff_partition_model(sum(w * p for w, p in zip(weights, perms))).partition
     if kind == "spread":
         return _spread_over_a_cycle(rng, draw(st.integers(1, 3)), draw(st.integers(2, 6)))
     if kind == "permutation":
@@ -936,6 +944,91 @@ def test_detect_rank_one_limit_matches_reference_on_cycling_powers(m, max_depth,
         repeat_words = data.draw(st.lists(words, min_size=1, max_size=3))
     assert_detect_matches_reference(m, tol=tol, max_depth=max_depth, power_iters=power_iters,
                                     repeat_words=repeat_words, policy=policy, budget=budget)
+
+
+def _budgets_inside_cycles(m, **kwargs) -> tuple[list, list, list]:
+    """Budgets at which the detector's default policies stop inside a cycle:
+    after the first repeat of a power walk and before its last power;
+    inside the greedy walk's cycle on a step boundary; and partway through
+    one of those greedy steps, ``budget - spent`` not a multiple of ``k``.
+    Each list is empty where the walks do not get there; a walk that
+    converges has not cycled before."""
+    curves = dict(fm.detect_rank_one_limit(m, **kwargs).diagnostics["curves"])
+    greedy_curve = curves.pop("greedy", [])
+    spent = fm.detect_rank_one_limit(m, **kwargs, policy=("exhaustive",)).diagnostics["examined"]
+    power, greedy, partway = [], [], []
+    units = [(w,) for w in m.labels] + list(permutations(m.labels, 2))
+    for unit, curve in zip(units, curves.values()):
+        walk = _power_walk(fm.matrix_word_product(m, unit), len(curve), stability._Budget())
+        first = next((k for k, _, lag in walk if lag), None)
+        if first is not None:
+            power += [spent + j for j in range(first, len(curve))]
+        spent += len(curve)
+    k = m.num_labels
+    steps = stability._greedy_walk(m, max(32, 2 * m.n), stability._Budget())
+    first = next((i for i, (*_, lag) in enumerate(steps, 1) if lag), None)
+    if first is not None:
+        greedy += [spent + j * k for j in range(first, len(greedy_curve))]
+        partway += [b + r for b in greedy for r in range(1, k)]
+    return power, greedy, partway
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=cycling_partitions(), max_depth=st.integers(0, 2), power_iters=st.integers(1, 60),
+       tol=st.sampled_from([1e-300, 1e-8]), data=st.data())
+def test_detect_matches_reference_when_the_budget_ends_inside_a_cycle(m, max_depth, power_iters,
+                                                                      tol, data):
+    # the cycling tails are appended and paid for by arithmetic; a budget
+    # that cuts a tail, at a greedy step or partway through one, must give
+    # the curves, examined, best_word and verdict of the walk that forms
+    # every product
+    kwargs = dict(tol=tol, max_depth=max_depth, power_iters=power_iters)
+    for budgets in _budgets_inside_cycles(m, **kwargs):
+        if budgets:
+            budget = data.draw(st.sampled_from(budgets))
+            got, want = assert_detect_matches_reference(m, **kwargs, budget=budget)
+            assert got == want
+
+
+@pytest.mark.parametrize("model", ["kesten", "birkhoff"])
+def test_budgets_inside_cycles_reach_every_kind(model):
+    # the boundary test above meets all three kinds of budget on these models
+    if model == "kesten":
+        m = fm.kesten_model().partition
+    else:
+        D = 0.5 * np.eye(5) + 0.3 * np.eye(5)[[1, 2, 3, 4, 0]] + 0.2 * np.eye(5)[[1, 0, 2, 4, 3]]
+        m = fm.birkhoff_partition_model(D).partition
+    kwargs = dict(tol=1e-8, max_depth=2, power_iters=40)
+    lists = _budgets_inside_cycles(m, **kwargs)
+    assert all(lists)
+    for budgets in lists:
+        for budget in budgets[:: max(1, len(budgets) // 6)]:
+            got, want = assert_detect_matches_reference(m, **kwargs, budget=budget)
+            assert got == want
+
+
+def test_detect_on_kesten_leaves_its_walks_at_their_first_cycle(monkeypatch):
+    # Kesten's powers cycle from the first, and its fourth greedy product
+    # is its second: the walks stop there, and the curves and units spent
+    # are those of the full walks
+    m = fm.kesten_model().partition
+    proximities = [0]
+    measure = stability.rank_one_proximity
+
+    def counted(*args, **kwargs):
+        proximities[0] += 1
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "rank_one_proximity", counted)
+    products = _count_products(monkeypatch)
+    res = fm.detect_rank_one_limit(m)
+    assert res.kind == "undecided" and res.diagnostics["examined"] == 2574
+    assert [len(c) for c in res.diagnostics["curves"].values()] == [500] * 4 + [32]
+    assert proximities[0] <= 20 and products[0] <= 32  # 45 and 57 walking every step
+    products[0] = 0
+    greedy = fm.detect_rank_one_limit(m, policy=("greedy",))
+    assert greedy.diagnostics["curves"]["greedy"] == res.diagnostics["curves"]["greedy"]
+    assert products[0] <= 8  # one product a step, 32 walking every step
 
 
 @settings(max_examples=60, deadline=None)
