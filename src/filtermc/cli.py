@@ -42,10 +42,10 @@ from .filter_dynamics import (
 from .kantorovich import kantorovich_distance, save_plan
 from .stability import (
     DEFAULT_BUDGET,
+    _compose_rank_one_witness,
     _localizing,
     _word_search,
     check_isometry_obstruction,
-    compose_rank_one_witness,
     default_col_bound,
     detect_rank_one_limit,
     is_subrectangular,
@@ -167,14 +167,17 @@ def _cmd_check(args) -> int:
         else:
             code = EXIT_UNDECIDED
     elif args.condition == "thm93":
-        out = compose_rank_one_witness(m, max_len=args.max_word_len, tol=args.tol,
-                                       col_bound=args.col_bound)
-        if out is None:
-            verdict.update(kind="undecided", note="prerequisite words not found")
-            code = EXIT_UNDECIDED
-        else:
+        out, refuted = _compose_rank_one_witness(m, args.max_word_len, args.tol, args.col_bound)
+        if out is not None:
             word, W = out
             verdict.update(kind="b1_converged", word=list(word), W=W)
+        elif refuted is not None:
+            what, closed = refuted
+            verdict.update(kind="refuted", note=f"no witness: the word supports closed at length"
+                                                f" {closed}: no word of any length is {what}")
+        else:
+            verdict.update(kind="undecided", note="prerequisite words not found")
+            code = EXIT_UNDECIDED
     else:  # thm11
         if args.subset is None:
             raise ModelError("--subset is required for thm11")

@@ -263,7 +263,11 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class FilterTrace:
-    """A simulated path of the filtering process: observed labels and states."""
+    """A simulated path of the filtering process: observed labels and states.
+
+    Steps that reach states of equal bits share one read-only ``ProbVector``
+    (:func:`simulate_filter` interns them).  The last state may have no
+    label above the threshold: only a step from such a state raises."""
 
     x0: ProbVector
     steps: tuple[tuple[object, ProbVector], ...]
@@ -406,21 +410,46 @@ def simulate_filter(x0, m: Partition, steps: int, seed: int = 0,
     a fixed seed reproduces the trace bit for bit.  The uniforms are drawn
     in one call, the same stream as one ``rng.random()`` per step, and the
     CDF is summed left to right in Python floats, as ``np.cumsum`` sums.
+
+    States are interned by their float64 bits (bits, not values, as
+    ``-0.0 == 0.0``): a state formed with the bits of one met before is
+    replaced by it.  The first step from a state fans it out; the second
+    also keeps its live labels, CDF and fan-out, so later steps are one
+    ``bisect``.  A state with no label above ``threshold`` raises
+    ``ModelError`` only on a step from it.
     """
     if steps < 1:
         raise ModelError("simulate_filter requires steps >= 1")
     x = x0 = as_prob_vector(x0)
-    path = []
+    index = {hash(x0.coords.tobytes()): x0}  # hash of a state's bits -> the first such state
+    tables, seen, path = {}, False, []  # id of a state stepped from twice -> its table
     for u in np.random.default_rng(seed).random(steps).tolist():
-        masses, children = m.fan_out(x.coords)
-        p = masses.tolist()
-        live = [i for i, q in enumerate(p) if q > threshold]
-        if not live:
-            raise ModelError("no outcome above threshold; filter cannot move")
-        cdf = list(itertools.accumulate(p[i] for i in live))
-        i = live[min(bisect.bisect_right(cdf, u * cdf[-1]), len(live) - 1)]
-        x = ProbVector(children[i] / masses[i])
-        path.append((m.labels[i], x))
+        table = tables.get(id(x)) if seen else None
+        if table is None:
+            masses, children = m.fan_out(x.coords)
+            p = masses.tolist()
+            live = [i for i, q in enumerate(p) if q > threshold]
+            if not live:
+                raise ModelError("no outcome above threshold; filter cannot move")
+            cdf = list(itertools.accumulate(map(p.__getitem__, live)))
+            if seen:  # the second step from x
+                table = tables[id(x)] = (live, cdf, [None] * len(live), masses, children)
+        else:
+            live, cdf, _, masses, children = table
+        k = min(bisect.bisect_right(cdf, u * cdf[-1]), len(live) - 1)
+        step = table and table[2][k]
+        if step:
+            seen = True
+        else:
+            i = live[k]
+            y = ProbVector(children[i] / masses[i])
+            z = index.setdefault(hash(y.coords.tobytes()), y)  # on a hash collision y stays out
+            seen = z is not y and z.coords.tobytes() == y.coords.tobytes()
+            step = (m.labels[i], z if seen else y)
+            if table:
+                table[2][k] = step
+        path.append(step)
+        x = step[1]
     return FilterTrace(x0=x0, steps=tuple(path), seed=seed)
 
 

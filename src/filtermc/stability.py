@@ -59,9 +59,10 @@ class StabilityVerdict:
     also writes ``condition_a``, ``localizing``, ``refuted``, ``nonstable``
     and ``hypotheses_failed``.  ``refuted`` (exit code 0, a decided verdict)
     means that the word supports closed: no word is subrectangular, or
-    localizing.  A ``b1_converged`` verdict carries the witness
-    ``W`` (a normalised word product of operator norm 1 whose rows above
-    the floor are aligned within the tolerance).
+    localizing, and so for ``thm93`` no witness can be composed.  A
+    ``b1_converged`` verdict carries the witness ``W`` (a normalised word
+    product of operator norm 1 whose rows above the floor are aligned
+    within the tolerance).
     """
 
     kind: str
@@ -626,10 +627,19 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     subrectangular with boundedly many columns and a positive diagonal
     entry; its normalised powers then converge to rank one, and the witness
     ``(word, W)`` is returned.  None means some prerequisite word was not
-    found within the budget, or the powers did not come within ``tol`` of
-    rank one in ``power_iters`` steps, or cycled (a fixed point is a cycle
-    of period 1) through matrices that are not — an inconclusive outcome.
+    found (within the budget, or at all: ``check --condition thm93`` tells
+    which), or the powers did not come within ``tol`` of rank one in
+    ``power_iters`` steps, or cycled (a fixed point is a cycle of period 1)
+    through matrices that are not — an inconclusive outcome.
     """
+    return _compose_rank_one_witness(m, max_len, tol, col_bound, power_iters, row_floor)[0]
+
+
+def _compose_rank_one_witness(m: Partition, max_len: int, tol: float, col_bound: int | None,
+                              power_iters: int = 10_000, row_floor: float | None = None):
+    """``(witness, refuted)``: :func:`compose_rank_one_witness`'s result, and
+    ``(what, length)`` if the supports closed at ``length`` without a
+    ``what`` ("subrectangular" or "localizing") word, so no witness exists."""
     if not tol >= 0:
         raise ModelError(f"tol must be nonnegative, got {tol!r}")
     verdict = check_irreducible_aperiodic(m.base)
@@ -638,12 +648,13 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     if row_floor is None:
         row_floor = math.sqrt(tol)
 
-    word_a = find_subrectangular_word(m, max_len=max_len)
+    word_a, closed = _word_search(m, is_subrectangular, max_len, DEFAULT_BUDGET)
     if word_a is None:
-        return None
-    word_b = find_localizing_word(m, max_len=max_len, col_bound=col_bound)
+        return None, None if closed is None else ("subrectangular", closed)
+    cols = default_col_bound(m.n) if col_bound is None else int(col_bound)
+    word_b, closed = _word_search(m, _localizing(cols), max_len, DEFAULT_BUDGET)
     if word_b is None:
-        return None
+        return None, None if closed is None else ("localizing", closed)
     Ma = matrix_word_product(m, word_a)
     Mb = matrix_word_product(m, word_b)
     i1, j1, _ = Ma.triplets()[0]
@@ -652,16 +663,16 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     word_c = _connector_word(m, j1, i0, conn_len)
     word_d = _connector_word(m, j0, i1, conn_len)
     if word_c is None or word_d is None:
-        return None
+        return None, None
 
     word = tuple(word_d) + tuple(word_a) + tuple(word_c) + tuple(word_b)
     for _, H, lag in _power_walk(matrix_word_product(m, word), power_iters, _Budget()):
         if lag:  # the powers cycle through matrices already found above tol
-            return None
+            return None, None
         bound = _Block(H, H.cols).spread_bounds(row_floor)[0]
         if bound <= tol and rank_one_proximity(H, row_floor) <= tol:
-            return word, H
-    return None
+            return (word, H), None
+    return None, None
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,20 @@ def test_check_thm93_exit_codes(tmp_path):
     fm.save_model(model, id_path)
     assert run(["check", "--model", str(id_path), "--condition", "thm93",
                 "--out", str(tmp_path / "v1.json")]) == 0
+    # Kesten's word supports close at length 7 without a subrectangular
+    # word: the composer cannot succeed, a decided verdict; within length 2
+    # the search is cut short, which is undecided
     k_path = tmp_path / "k.json"
     run(["gallery", "kesten", "--out", str(k_path)])
     assert run(["check", "--model", str(k_path), "--condition", "thm93",
-                "--out", str(tmp_path / "v2.json")]) == 2
+                "--out", str(tmp_path / "v2.json")]) == 0
+    verdict = json.loads((tmp_path / "v2.json").read_text())
+    assert verdict == {"condition": "thm93", "kind": "refuted",
+                       "note": "no witness: the word supports closed at length 7: "
+                               "no word of any length is subrectangular"}
+    assert run(["check", "--model", str(k_path), "--condition", "thm93", "--max-word-len", "2",
+                "--out", str(tmp_path / "v3.json")]) == 2
+    assert json.loads((tmp_path / "v3.json").read_text())["kind"] == "undecided"
 
 
 def test_evolve_subcommand(tmp_path, capsys):
@@ -831,6 +841,13 @@ def test_thm93_honours_col_bound(tmp_path, capsys):
     verdict = json.loads(out.read_text())
     assert verdict["kind"] == "b1_converged" and verdict["word"] == list(
         fm.compose_rank_one_witness(fm.load_model(model).partition, col_bound=4)[0])
+    # every product of the positive P has 4 columns, so at bound 3 no word is
+    # localizing: a decided verdict that names the prerequisite
+    assert run(["check", "--model", str(model), "--condition", "thm93", "--col-bound", "3",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["note"] == (
+        "no witness: the word supports closed at length 2: "
+        "no word of any length is localizing")
 
 
 def test_merge_eps_inf_is_accepted_and_merges_every_atom(tmp_path, capsys, kesten_file):

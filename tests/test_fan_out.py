@@ -48,17 +48,32 @@ def assert_same_measure(got, want):
 
 def assert_same_simulation(m, x, steps, seed, threshold):
     """``simulate_filter`` and its reference give the same labels and state
-    bits, or the same error."""
+    bits, or the same error at the same step; returns the trace, or None on
+    an error."""
     try:
         want = reference_simulate_filter(x, m, steps, seed=seed, threshold=threshold)
     except fm.ModelError as exc:
-        with pytest.raises(fm.ModelError, match=re.escape(str(exc))):
-            fm.simulate_filter(x, m, steps, seed=seed, threshold=threshold)
-        return
+        # a path's first k steps do not depend on its length, so the
+        # reference raises for every length from its error step on
+        good, bad = 0, steps
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                reference_simulate_filter(x, m, mid, seed=seed, threshold=threshold)
+                good = mid
+            except fm.ModelError:
+                bad = mid
+        for k in {bad, steps}:
+            with pytest.raises(fm.ModelError, match=re.escape(str(exc))):
+                fm.simulate_filter(x, m, k, seed=seed, threshold=threshold)
+        if good:
+            assert_same_simulation(m, x, good, seed, threshold)
+        return None
     got = fm.simulate_filter(x, m, steps, seed=seed, threshold=threshold)
     assert got.labels() == want.labels()
     for (_, a), (_, b) in zip(got.steps, want.steps):
         assert a.coords.tobytes() == b.coords.tobytes()
+    return got
 
 
 def assert_same_active_words(got, want):
@@ -147,6 +162,65 @@ def test_simulate_filter_matches_the_per_step_draws(case, steps, seed, share):
     # often leaves none
     m, x = case
     assert_same_simulation(m, x, steps, seed, threshold=share / len(m.labels))
+
+
+@st.composite
+def revisiting_cases(draw):
+    # chains whose paths return to states bit for bit: Kesten, whose
+    # normalised word products form a finite set; 0/1 chains from a vertex,
+    # which stay on the vertices, one of them at times dead at threshold 0.5;
+    # and lumpings with a label on one state, a rank-one member that moves
+    # every state to that vertex.  Thresholds cut labels below live ones and
+    # leave states dead; -0.0 starts tell interning by bits from by value
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["kesten", "deterministic", "rank-one"]))
+    n = 8 if kind == "kesten" else draw(st.integers(2, 12))
+    x = np.eye(n)[rng.integers(n)] if draw(st.booleans()) else rng.dirichlet(np.ones(n))
+    if kind == "kesten":
+        m = fm.kesten_model().partition
+        threshold = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.55, 0.6]))
+    elif kind == "deterministic":
+        f, x, threshold = rng.integers(n, size=n), np.eye(n)[rng.integers(n)], 0.0
+        g = rng.integers(n, size=n)
+        rows = np.eye(n)[f]
+        if draw(st.booleans()):  # a state on the start's orbit splits its mass between labels
+            j = int(np.flatnonzero(x)[0])
+            for _ in range(draw(st.integers(1, n))):
+                j = f[j]
+            g[:2], rows[j], threshold = (0, 1), np.eye(n)[:2].sum(axis=0) / 2, 0.5
+        m = fm.partition_from_lumping(fm.TransitionMatrix.from_dense(rows), g.tolist())
+    else:
+        k = draw(st.integers(2, n))
+        g = rng.integers(1, k, size=n)
+        g[rng.integers(n)] = 0
+        P = random_transition(rng, n, sparsity=draw(st.sampled_from([0.0, 0.5])))
+        m = fm.partition_from_lumping(P, g.tolist())
+        threshold = draw(st.sampled_from([0.0, 0.3, 0.6, 1.1])) / k
+    if draw(st.booleans()):
+        x = np.where(x == 0.0, -0.0, x)
+    return m, x, threshold
+
+
+def test_simulate_filter_matches_the_per_step_draws_on_revisiting_chains():
+    # the interned walk steps a revisited state by lookup; its labels, state
+    # bits and error step are still those of one fan-out a step, and equal
+    # states are one object
+    revisited = []
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=revisiting_cases(), steps=st.integers(200, 2000),
+           seed=st.integers(0, 2**32 - 1))
+    def check(case, steps, seed):
+        m, x, threshold = case
+        trace = assert_same_simulation(m, x, steps, seed, threshold)
+        if trace is not None:
+            states = [state for _, state in trace.steps]
+            distinct = {s.coords.tobytes() for s in states}
+            assert len({id(s) for s in states}) == len(distinct)
+            revisited.append(len(distinct) < len(states))
+
+    check()
+    assert sum(revisited) >= 10
 
 
 @pytest.mark.parametrize("make", [fm.kesten_model, lambda: fm.random_walk_case_a(63),

@@ -221,6 +221,60 @@ def test_simulate_filter_seed_reproducibility(two_state_lumped):
     assert a.labels() != c.labels()
 
 
+def test_simulate_filter_raises_only_on_a_step_from_a_dead_state():
+    # only label 0 (mass 0.6) clears the threshold from x0, and leads to e_0,
+    # whose labels have mass 0.5 each: a dead state, but a final one at steps=1
+    P = fm.TransitionMatrix.from_dense([[0.5, 0.5], [0.7, 0.3]])
+    m = fm.partition_from_lumping(P, [0, 1])
+    assert fm.simulate_filter([0.5, 0.5], m, steps=1, threshold=0.5).labels() == [0]
+    with pytest.raises(fm.ModelError, match="no outcome above threshold; filter cannot move"):
+        fm.simulate_filter([0.5, 0.5], m, steps=2, threshold=0.5)
+
+
+def _kesten_start():
+    return np.random.default_rng(8).dirichlet(np.ones(8))
+
+
+def test_simulate_filter_fans_out_each_state_at_most_twice(monkeypatch):
+    # 1,000 Kesten steps visit 16 states besides the start; one fan-out a
+    # step made 1,000 calls
+    m = fm.kesten_model().partition
+    calls = []
+    fan_out = fm.Partition.fan_out
+    monkeypatch.setattr(fm.Partition, "fan_out", lambda self, x: calls.append(x) or fan_out(self, x))
+    trace = fm.simulate_filter(_kesten_start(), m, 1000, seed=1)
+    states = [trace.x0] + [state for _, state in trace.steps]
+    distinct = {s.coords.tobytes() for s in states}
+    assert len(distinct) == 17
+    assert len(calls) <= 2 * len(distinct)
+    assert len({id(s) for s in states}) == len(distinct)
+
+
+def _simulate_peak(x, m, steps):
+    tracemalloc.start()
+    try:
+        fm.simulate_filter(x, m, steps, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_filter_memory_on_a_finite_orbit():
+    # a ProbVector and a step tuple for each of 100,000 steps peaked at
+    # 29.7 MiB; the interned states and their step tuples are shared
+    peak = _simulate_peak(_kesten_start(), fm.kesten_model().partition, 100_000)
+    assert peak < 29.7 / 2 * 2**20
+
+
+def test_simulate_filter_memory_on_a_path_that_does_not_return():
+    # rw63 from a Dirichlet start meets a new state almost every step; one
+    # ProbVector a step peaked at 3.48 MiB, and the index adds one entry a
+    # state, not a copy of its coordinates
+    x = np.random.default_rng(63).dirichlet(np.ones(63))
+    peak = _simulate_peak(x, fm.random_walk_case_a(63).partition, 5000)
+    assert peak < 1.25 * 3.48 * 2**20
+
+
 def test_simulate_filter_empirical_frequencies(two_state_lumped):
     # three-step label words from x0=(1,0): empirical frequencies must sit
     # inside 3-sigma binomial bands around the exact evolve weights
