@@ -252,30 +252,29 @@ class _Block:
 
 class _Level:
     """The products of the words of one length that one block holds, their
-    tests, and the level of the children of words ``lo`` to ``hi``, where
-    those of word ``p`` start at ``first[p - lo]``."""
+    tests, and where the level of the children of words ``lo`` to ``hi``
+    puts them: those of word ``p`` start at ``first[p - lo]``."""
 
-    __slots__ = ("block", "nonzero", "values", "cost", "child", "lo", "hi", "first")
+    __slots__ = ("block", "nonzero", "values", "cost", "lo", "hi", "first")
 
     def __init__(self, block: _Block, test):
         self.block, self.values = block, test(block)
         self.nonzero = (np.bincount(block.prod, minlength=block.count) > 0).tolist()
-        self.cost = self.child = self.first = None
+        self.cost = self.first = None
         self.lo = self.hi = 0
 
-    def extend(self, m: Partition, i: int, room: float, test) -> None:
-        """Form the level of the children of word ``i`` and of the nonzero
-        words after it whose extension bytes fit in ``room`` with its own."""
-        self.child = None  # its words have all been walked; free it first
+    def extend(self, m: Partition, i: int, room: float, test) -> "_Level":
+        """The level of the children of word ``i`` and of the nonzero words
+        after it whose extension bytes fit in ``room`` with its own."""
         if self.cost is None:
             self.cost = self.block.extension_bytes(m) * np.array(self.nonzero)
         fits = np.searchsorted(np.cumsum(self.cost[i + 1:]), room - self.cost[i], "right")
         hi = i + 1 + int(fits)
         keep = np.zeros(self.block.count, bool)
         keep[i:hi] = self.nonzero[i:hi]
-        self.child = _Level(self.block.children(m, keep), test)
         self.lo, self.hi = i, hi
         self.first = ((np.cumsum(keep[i:hi]) - 1) * m.num_labels).tolist()
+        return _Level(self.block.children(m, keep), test)
 
 
 def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
@@ -296,25 +295,32 @@ def _exhaustive_walk(m: Partition, depth: int, budget: _Budget, test):
     length exceeds its share only where one word alone does.  The words
     are still taken, paid for and yielded one at a time in depth-first
     order, so a walk that ends early leaves some formed children unread.
-    Each word is formed from its prefix on the way down; no level holds words."""
+    Each word is formed from its prefix on the way down.  The walk is a
+    loop over one level per length on the path walked: only the budget bounds its depth."""
     k, labels = m.num_labels, m.labels
-    share = [core_model._BLOCK_BYTES / 2 ** ((depth - 1 - d) / 2) for d in range(depth)]
-
-    def walk(L: _Level, lo: int, prefix: tuple):
-        for i in range(lo, lo + k):
+    levels = [_Level(_Block(m._stack, m.n), test)]
+    todo = [(iter(range(k)), ())]  # per length walked: its level's words left, their prefix
+    while todo:
+        words, prefix = todo[-1]
+        L = levels[len(todo) - 1]
+        for i in words:
             if not budget.left():
                 return
             budget.spent += 1
             if not L.nonzero[i]:
                 continue
-            word = prefix + (labels[i - lo],)
+            word = prefix + (labels[i % k],)
             yield word, L.values[i]
             if len(word) < depth:
                 if not L.lo <= i < L.hi:
-                    L.extend(m, i, share[len(word)], test)
-                yield from walk(L.child, L.first[i - L.lo], word)
-
-    yield from walk(_Level(_Block(m._stack, m.n), test), 0, ())
+                    del levels[len(todo):]  # walked; freed before the next is formed
+                    share = core_model._BLOCK_BYTES * 2.0 ** ((len(word) + 1 - depth) / 2)
+                    levels.append(L.extend(m, i, share, test))
+                first = L.first[i - L.lo]
+                todo.append((iter(range(first, first + k)), word))
+                break
+        else:
+            todo.pop()
 
 
 def _greedy_walk(m: Partition, max_len: int, budget: _Budget):
@@ -377,26 +383,29 @@ def _power_walk(base: NonnegMatrix, iters: int, budget: _Budget):
         yield k, None if lag else H, lag
 
 
-def _word_search(m: Partition, test, max_len: int, budget: int):
+def _word_search(m: Partition, test, max_len: int, budget: int, start: int | None = None):
     """Search for the shortlex-least word (shorter first, then label order)
-    whose product is nonzero with a support that passes ``test``.
+    whose product (its row ``start`` if given) is nonzero with a support
+    that passes ``test``.
 
     For nonnegative matrices the support of ``P M(w)`` is the boolean
     product of the two, with no rounding, so the supports of words form a
     finite semigroup (Paz 1971, *Introduction to Probabilistic Automata*).
     The walk is breadth first over 0/1 patterns, each product's values set
-    to 1, and keeps each distinct pattern once, keyed by its index arrays: a
-    word whose pattern came earlier is neither tested nor extended, as its
-    extensions have the patterns of the earlier word's.  Each product formed
-    costs one unit.  Returns ``(word, None)`` for the first passing word;
-    ``(None, length)`` when that length adds no new pattern, which proves
-    that no word of any length passes; or ``(None, None)`` when ``max_len``,
-    ``budget`` or ``_PATTERN_BYTES`` of stored keys ran out first."""
+    to 1, from the identity or a 1 x n row, and keeps each distinct pattern
+    once, keyed by its index arrays: a word whose pattern came earlier is
+    neither tested nor extended, as its extensions have the patterns of the
+    earlier word's.  Each product formed costs one unit.  Returns
+    ``(word, None)`` for the first passing word; ``(None, length)`` when
+    that length adds no new pattern, which proves that no word of any length
+    passes; or ``(None, None)`` when ``max_len``, ``budget`` or
+    ``_PATTERN_BYTES`` of stored keys ran out first."""
     if max_len < 1:
         raise ModelError("word search requires max_len >= 1")
     work, seen, stored = _Budget(budget), set(), 0
     members = [(w, M._with_values(np.ones(M.nnz))) for w, M in m]
-    level = [((), NonnegMatrix.identity(m.n))]
+    level = [((), NonnegMatrix.identity(m.n) if start is None
+              else NonnegMatrix(1, m.n, [(0, start, 1.0)]))]
     for length in range(1, max_len + 1):
         nxt = []
         for word, P in level:
@@ -592,35 +601,22 @@ def detect_rank_one_limit(m: Partition, tol: float = 1e-8, max_depth: int | None
 # ---------------------------------------------------------------------------
 
 def _connector_word(m: Partition, start: int, goal: int, max_len: int) -> tuple | None:
-    """Shortest label word whose product has a positive (start, goal) entry,
-    found by BFS over single-member support edges."""
+    """The shortlex-least word of at most ``max_len`` labels whose product
+    has a positive (start, goal) entry: ``()`` when ``start == goal``, else
+    the closure walk from row ``start`` (:func:`_word_search`) within
+    ``DEFAULT_BUDGET``.  None when no word has one, or the walk ran out."""
     if start == goal:
         return ()
-    frontier = {start: ()}
-    seen = {start}
-    for _ in range(max_len):
-        nxt: dict[int, tuple] = {}
-        for u, word in frontier.items():
-            for w, M in m:
-                for v in M.indices[M.indptr[u]:M.indptr[u + 1]].tolist():
-                    if v in seen:
-                        continue
-                    cand = word + (w,)
-                    if v == goal:
-                        return cand
-                    nxt[v] = cand
-                    seen.add(v)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
+    if max_len < 1:
+        return None
+    return _word_search(m, lambda row: goal in row.indices, max_len, DEFAULT_BUDGET, start)[0]
 
 
 def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
                              col_bound: int | None = None, power_iters: int = 10_000,
                              row_floor: float | None = None):
     """Assemble a rank-one witness from a subrectangular word, a localizing
-    word, and connector words found on the support graph.
+    word, and two connector words, each found by :func:`_word_search`.
 
     Requires the base chain irreducible and aperiodic.  The four pieces are
     chained as ``d + a + c + b`` so that the combined product ``G`` is
@@ -628,9 +624,11 @@ def compose_rank_one_witness(m: Partition, max_len: int = 8, tol: float = 1e-9,
     entry; its normalised powers then converge to rank one, and the witness
     ``(word, W)`` is returned.  None means some prerequisite word was not
     found (within the budget, or at all: ``check --condition thm93`` tells
-    which), or the powers did not come within ``tol`` of rank one in
-    ``power_iters`` steps, or cycled (a fixed point is a cycle of period 1)
-    through matrices that are not — an inconclusive outcome.
+    which for the first two; the base chain being irreducible, a connector
+    is missed only when its walk runs out), or the powers did not come
+    within ``tol`` of rank one in ``power_iters`` steps, or cycled (a fixed
+    point is a cycle of period 1) through matrices that are not — an
+    inconclusive outcome.
     """
     return _compose_rank_one_witness(m, max_len, tol, col_bound, power_iters, row_floor)[0]
 

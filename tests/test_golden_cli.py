@@ -153,6 +153,10 @@ def jobs(d: Path) -> list[tuple[str, list[str], list[str]]]:
         files=["verdict.json"])
     job("evolve b6 t2 --x0", "evolve", "--model", "b6.json", "--steps", "2", "--x0",
         _x0(6, 9), "--out", "mu_b6.json", files=["mu_b6.json"])
+    # a witness of 64 labels composed through both connector words
+    job("check thm93 rw63 --max-word-len 64 --col-bound 31", "check", "--model", "rw63.json",
+        "--condition", "thm93", "--max-word-len", "64", "--col-bound", "31",
+        "--out", "verdict.json", files=["verdict.json"])
     return out
 
 

@@ -597,6 +597,20 @@ def test_connector_word_matches_reference_in_csr(n):
                         == reference_connector_word(m, start, goal, max_len))
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_far_connectors_match_reference_within_their_traffic(monkeypatch, n):
+    # from one row of a random walk the closure walk stores two patterns at
+    # length 1 and one new pattern at each length after, and forms a
+    # product per label for each pattern it extends
+    m = fm.random_walk_case_a(n).partition
+    products = _count_products(monkeypatch)
+    for start, goal in ((0, n - 1), (n - 1, 0), (n // 2, 0)):
+        want = reference_connector_word(m, start, goal, 2 * n)
+        products[0] = 0
+        assert _connector_word(m, start, goal, 2 * n) == want
+        assert products[0] <= m.num_labels * (len(want) + 1)
+
+
 def _uniform_lumped():
     return fm.partition_from_lumping(fm.TransitionMatrix.from_dense(np.full((4, 4), 0.25)),
                                      [0, 0, 1, 1])
@@ -1416,12 +1430,14 @@ def test_block_children_are_the_word_products_bit_for_bit(m, data):
 
 def test_block_walk_forms_few_products_on_rw63(monkeypatch):
     # all 510 words to depth 8 are walked; word by word they took 508
-    # products, and the subrectangular search 524 with its greedy word
+    # products, and the subrectangular search 524 with its greedy word.
+    # The blocks take 25, as many as the shares allow: shares one length
+    # too small (1 / sqrt(2) of each) would take 37
     m = fm.random_walk_case_a(63).partition
     products = _count_products(monkeypatch)
     res = fm.detect_rank_one_limit(m, policy=("exhaustive",))
     assert (res.kind, res.diagnostics["examined"]) == ("undecided", 510)
-    assert products[0] <= 64
+    assert products[0] == 25
     products[0] = 0
     assert fm.find_subrectangular_word(m) is None
     assert products[0] <= 64
@@ -1443,6 +1459,15 @@ def test_block_walk_memory_stays_within_a_few_blocks_at_any_depth():
             tracemalloc.stop()
         assert walked == min(2000, 2 ** (depth + 1) - 2)
         assert peak < 3.2 * fm.core_model._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("depth", [1000, 3000])
+def test_deep_exhaustive_walk_spends_its_budget(depth):
+    # the walk is a loop, and each length's share of the block bytes
+    # underflows to one word rather than overflowing
+    m = fm.kesten_model().partition
+    res = fm.detect_rank_one_limit(m, max_depth=depth, budget=5000)
+    assert (res.kind, res.diagnostics["examined"]) == ("undecided", 5000)
 
 
 def _holds_exactly(a: np.ndarray) -> bool:
